@@ -16,7 +16,7 @@ from . import diagnostics as diag
 from . import mms as mms_mod
 from . import sweeps as sweeps_mod
 from .config import load_config
-from .errors import ConfigError, MhdError
+from .errors import BasisError, ConfigError, DomainError, MhdError
 from .grid import Grid
 from .solver import regularize_initial_data, run as run_solver
 from .snapshot import write_snapshot
@@ -73,12 +73,25 @@ def cmd_run(args) -> int:
     return status
 
 
+def _parse_ladder(text: str, which: str) -> tuple:
+    """Comma-separated finite numbers; integers for an n-ladder."""
+    try:
+        ladder = tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise DomainError(f"ladder values must be numbers, got {text!r}") from None
+    if not all(np.isfinite(ladder)):
+        raise DomainError(f"ladder values must be finite, got {text!r}")
+    if which == "n":
+        if not all(v.is_integer() for v in ladder):
+            raise DomainError(f"n-ladder rungs must be integers, got {text!r}")
+        ladder = tuple(int(v) for v in ladder)
+    return ladder
+
+
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     try:
-        ladder = tuple(float(v) for v in args.ladder.split(","))
-        if args.which == "n":
-            ladder = tuple(int(v) for v in ladder)
+        ladder = _parse_ladder(args.ladder, args.which)
         plan = sweeps_mod.SweepPlan(
             which=args.which,
             ladder=ladder,
@@ -89,7 +102,10 @@ def cmd_sweep(args) -> int:
     except MhdError as exc:
         return _fail(str(exc), 2)
     initial = regularize_initial_data(cfg.build_initial_data(), cfg.reg)
-    report = sweeps_mod.sweep(plan, initial, cfg.eos)
+    try:
+        report = sweeps_mod.sweep(plan, initial, cfg.eos)
+    except BasisError as exc:
+        return _fail(str(exc), 2)
     out_dir = args.output_dir or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"sweep_{args.which}.csv")

@@ -15,12 +15,15 @@ by zero-padding to 3N/2 recovers exact L2 projections of products.
 Nodal arrays are shaped (ny, nx): axis 0 is y, axis 1 is x.  Parity tags
 follow the same axis order, e.g. ("c", "s") means even (cosine) in y and odd
 (sine) in x.  Sine coefficient slot i along an axis holds mode i+1; the
-Nyquist sine mode is dropped.
+Nyquist sine mode is dropped.  The 2D transforms and the dealiasing helpers
+act on the last two axes, so a stack of fields (k, ny, nx) transforms in one
+call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.fft import dct, dst, idct, idst
@@ -33,6 +36,7 @@ __all__ = [
     "VectorField",
     "GalerkinBasis",
     "build_basis",
+    "check_basis_size",
     "gradient",
     "divergence",
     "velocity_gradient",
@@ -40,6 +44,7 @@ __all__ = [
     "integrate",
     "inner_product",
     "project_velocity",
+    "galerkin_load",
     "reconstruct",
 ]
 
@@ -186,37 +191,42 @@ def _sl(ndim, axis, index):
     return tuple(sl)
 
 
-def _fwd1(values, axis, parity):
+def _fwd1(values, axis, parity, overwrite=False):
     v = np.asarray(values, dtype=float)
     n = v.shape[axis]
     if parity == COS:
-        c = dct(v, type=2, axis=axis)
+        c = dct(v, type=2, axis=axis, overwrite_x=overwrite)
         c *= 1.0 / n
         c[_sl(c.ndim, axis, 0)] *= 0.5
     else:
-        c = dst(v, type=2, axis=axis)
+        c = dst(v, type=2, axis=axis, overwrite_x=overwrite)
         c *= 1.0 / n
         c[_sl(c.ndim, axis, -1)] = 0.0  # Nyquist sine mode dropped
     return c
 
 
-def _bwd1(coeffs, axis, parity):
+def _bwd1(coeffs, axis, parity, overwrite=False):
     c = np.asarray(coeffs, dtype=float)
-    c = c * c.shape[axis]
+    if overwrite:
+        c *= c.shape[axis]
+    else:
+        c = c * c.shape[axis]
     if parity == COS:
         c[_sl(c.ndim, axis, 0)] *= 2.0
         return idct(c, type=2, axis=axis, overwrite_x=True)
     return idst(c, type=2, axis=axis, overwrite_x=True)
 
 
+# The second pass of a 2D transform works in place on the first pass's
+# output: a fresh output per pass costs up to 1.5x on stacked fine grids.
 def fwd2(values, parity):
     """Nodal -> coefficients, parity given per axis (y, x)."""
-    return _fwd1(_fwd1(values, 1, parity[1]), 0, parity[0])
+    return _fwd1(_fwd1(values, -1, parity[1]), -2, parity[0], overwrite=True)
 
 
 def bwd2(coeffs, parity):
     """Coefficients -> nodal, parity given per axis (y, x)."""
-    return _bwd1(_bwd1(coeffs, 1, parity[1]), 0, parity[0])
+    return _bwd1(_bwd1(coeffs, -1, parity[1]), -2, parity[0], overwrite=True)
 
 
 def _deriv_coeffs(coeffs, axis, parity, length):
@@ -275,15 +285,17 @@ def fine_shape(shape):
 
 def to_fine(coeffs, parity):
     """Evaluate a coefficient-space field on the 3/2 zero-padded nodal grid."""
-    my, mx = fine_shape(coeffs.shape)
-    return bwd2(_pad_axis(_pad_axis(coeffs, 1, parity[1], mx), 0, parity[0], my), parity)
+    my, mx = fine_shape(coeffs.shape[-2:])
+    return bwd2(
+        _pad_axis(_pad_axis(coeffs, -1, parity[1], mx), -2, parity[0], my), parity
+    )
 
 
 def from_fine(fine_values, parity, coarse_shape):
     """Project fine-grid nodal values back onto the coarse coefficient slots."""
     c = fwd2(fine_values, parity)
     return _truncate_axis(
-        _truncate_axis(c, 1, parity[1], coarse_shape[1]), 0, parity[0], coarse_shape[0]
+        _truncate_axis(c, -1, parity[1], coarse_shape[1]), -2, parity[0], coarse_shape[0]
     )
 
 
@@ -365,6 +377,14 @@ def inner_product(f, g) -> float:
 # velocity basis
 # ---------------------------------------------------------------------------
 
+def check_basis_size(grid: Grid, n: int):
+    """Raise BasisError unless 1 <= n <= (nx/2 - 1)(ny/2 - 1), the number of
+    sine modes whose pairwise products the grid integrates exactly."""
+    most = (grid.nx // 2 - 1) * (grid.ny // 2 - 1)
+    if n < 1 or n > most:
+        raise BasisError(f"n must lie in [1, {most}] for a {grid.nx}x{grid.ny} grid")
+
+
 class GalerkinBasis:
     """The first n tensor sine modes per velocity component.
 
@@ -372,33 +392,82 @@ class GalerkinBasis:
     truncation to any n is deterministic.  Each mode satisfies the no-slip
     condition identically and the family is discretely L2-orthogonal with
     norm^2 = lx*ly/4.
+
+    The basis stores no nodal tables: mode m is the sine-sine coefficient
+    slot (l-1, k-1), so projection, reconstruction and the Galerkin loads are
+    transforms plus a gather or scatter at `slots`.  Products of two modes
+    are four cosine (or sine) modes of index |k-k'| or k+k' <= nx-2, and
+    midpoint quadrature integrates them exactly, so Gram-type matrices are
+    lookups into the coefficients of the weight (`pair_slots`).
     """
 
     def __init__(self, grid: Grid, n: int):
+        check_basis_size(grid, n)
         kmax = grid.nx // 2 - 1
         lmax = grid.ny // 2 - 1
-        if n < 1 or n > kmax * lmax:
-            raise BasisError(
-                f"n must lie in [1, {kmax * lmax}] for a {grid.nx}x{grid.ny} grid"
-            )
         self.grid = grid
         self.n = int(n)
         candidates = [(k, l) for k in range(1, kmax + 1) for l in range(1, lmax + 1)]
         candidates.sort(key=lambda kl: (kl[0] ** 2 + kl[1] ** 2, kl[0], kl[1]))
         self.modes = candidates[:n]
         self.mode_norm2 = grid.lx * grid.ly / 4.0
+        self.k, self.l = np.array(self.modes).T
+        self.ax = self.k * np.pi / grid.lx
+        self.ay = self.l * np.pi / grid.ly
+        # flat slot of mode (k, l) in a (ny, nx) sine-sine coefficient array
+        self.slots = (self.l - 1) * grid.nx + (self.k - 1)
 
-        nn = grid.ny * grid.nx
-        self.phi = np.empty((n, nn))
-        self.phi_x = np.empty((n, nn))
-        self.phi_y = np.empty((n, nn))
-        for m, (k, l) in enumerate(self.modes):
-            ax, ay = k * np.pi / grid.lx, l * np.pi / grid.ly
-            sx, cx = np.sin(ax * grid.X), np.cos(ax * grid.X)
-            sy, cy = np.sin(ay * grid.Y), np.cos(ay * grid.Y)
-            self.phi[m] = (sx * sy).ravel()
-            self.phi_x[m] = (ax * cx * sy).ravel()
-            self.phi_y[m] = (ay * sx * cy).ravel()
+    def _trig(self):
+        g = self.grid
+        return (
+            np.sin(self.ax[:, None] * g.x), np.cos(self.ax[:, None] * g.x),
+            np.sin(self.ay[:, None] * g.y), np.cos(self.ay[:, None] * g.y),
+        )
+
+    @property
+    def phi(self):
+        """Nodal mode values, shape (n, ny*nx); evaluated on request."""
+        sx, _, sy, _ = self._trig()
+        return (sy[:, :, None] * sx[:, None, :]).reshape(self.n, -1)
+
+    @property
+    def phi_x(self):
+        """Nodal x-derivatives of the modes, shape (n, ny*nx); evaluated on request."""
+        _, cx, sy, _ = self._trig()
+        return ((self.ax[:, None] * cx)[:, None, :] * sy[:, :, None]).reshape(self.n, -1)
+
+    @property
+    def phi_y(self):
+        """Nodal y-derivatives of the modes, shape (n, ny*nx); evaluated on request."""
+        sx, _, _, cy = self._trig()
+        return ((self.ay[:, None] * cy)[:, :, None] * sx[:, None, :]).reshape(self.n, -1)
+
+    @cached_property
+    def pair_slots(self):
+        """Flat (y, x) slots met by the products of two modes, per mode pair.
+
+        sin(k x) sin(k' x) = (cos(|k-k'| x) - cos((k+k') x))/2, and likewise
+        in y, so pair (m, m') meets the slots (dl, dk), (dl, sk), (sl, dk) and
+        (sl, sk), with d = |difference| and s = sum of the indices.  Also
+        returns sign(k-k') and sign(l'-l) for the sine-cosine products.
+        Built on first use and kept: it is the size of the Galerkin matrices.
+        """
+        nx = self.grid.nx
+        dk = np.abs(self.k[:, None] - self.k[None, :])
+        sk = self.k[:, None] + self.k[None, :]
+        dl = np.abs(self.l[:, None] - self.l[None, :])
+        sl = self.l[:, None] + self.l[None, :]
+        return (
+            dl * nx + dk, dl * nx + sk, sl * nx + dk, sl * nx + sk,
+            np.sign(self.k[:, None] - self.k[None, :]),
+            np.sign(self.l[None, :] - self.l[:, None]),
+        )
+
+    def scatter(self, coeffs):
+        """2n basis coefficients -> (2, ny, nx) sine-sine coefficient arrays."""
+        out = np.zeros((2, self.grid.ny * self.grid.nx))
+        out[:, self.slots] = np.reshape(coeffs, (2, self.n))
+        return out.reshape((2,) + self.grid.shape)
 
     def mode_values(self, m, x, y):
         """Evaluate mode m at arbitrary coordinates (vanishes on the walls)."""
@@ -416,18 +485,29 @@ def project_velocity(v: VectorField, basis: GalerkinBasis) -> np.ndarray:
     """L2-project a vector field onto the basis; returns 2n coefficients."""
     if v.grid != basis.grid:
         raise GridMismatchError("vector field and basis live on different grids")
-    w = basis.grid.weight / basis.mode_norm2
-    c1 = basis.phi @ v.vx.ravel() * w
-    c2 = basis.phi @ v.vy.ravel() * w
-    return np.concatenate([c1, c2])
+    c = fwd2(np.stack([v.vx, v.vy]), (SIN, SIN))
+    return c.reshape(2, -1)[:, basis.slots].ravel()
+
+
+def galerkin_load(basis: GalerkinBasis, f, fx, fy) -> np.ndarray:
+    """Quadrature of f_i*phi + fx_i*d_x(phi) + fy_i*d_y(phi) against every mode.
+
+    f, fx, fy are nodal stacks (2, ny, nx), one integrand per velocity
+    component i; returns the 2n load (x block then y block).  d_x(phi) is
+    a_k cos(a_k x) sin(b_l y), so its integrals are the (sine, cosine)
+    coefficients at slot (l-1, k) scaled by a_k*norm^2, and likewise in y.
+    """
+    s, nx = basis.slots, basis.grid.nx
+    c_ss = fwd2(f, (SIN, SIN)).reshape(2, -1)[:, s]
+    c_sc = fwd2(fx, (SIN, COS)).reshape(2, -1)[:, s + 1]
+    c_cs = fwd2(fy, (COS, SIN)).reshape(2, -1)[:, s + nx]
+    return (basis.mode_norm2 * (c_ss + basis.ax * c_sc + basis.ay * c_cs)).ravel()
 
 
 def reconstruct(coeffs: np.ndarray, basis: GalerkinBasis) -> VectorField:
     """Evaluate basis coefficients nodally; attaches coeffs to the result."""
-    coeffs = np.asarray(coeffs, dtype=float)
+    coeffs = np.array(coeffs, dtype=float)
     if coeffs.shape != (2 * basis.n,):
         raise BasisError(f"expected {2 * basis.n} coefficients, got {coeffs.shape}")
-    shape = basis.grid.shape
-    vx = (coeffs[: basis.n] @ basis.phi).reshape(shape)
-    vy = (coeffs[basis.n :] @ basis.phi).reshape(shape)
-    return VectorField(basis.grid, vx, vy, coeffs=coeffs.copy(), basis=basis)
+    vx, vy = bwd2(basis.scatter(coeffs), (SIN, SIN))
+    return VectorField(basis.grid, vx, vy, coeffs=coeffs, basis=basis)

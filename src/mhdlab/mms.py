@@ -21,7 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasisError, DomainError
-from .grid import COS, GalerkinBasis, Grid, ScalarField, VectorField, fwd2
+from .grid import (
+    COS,
+    GalerkinBasis,
+    Grid,
+    ScalarField,
+    VectorField,
+    fwd2,
+    galerkin_load,
+)
 from .solver import InitialData, RegParams, State, rho_e
 from .thermo import EosParams
 
@@ -365,25 +373,14 @@ class MmsForcing:
         s_d = mu * d_shear
         s_a = mu * a12
 
-        basis, w = self.basis, grid.weight
-        n = basis.n
-        g_u = np.empty(2 * n)
-        g_u[:n] = (
-            basis.phi @ ((mom1_t + eps1).ravel() * w)
-            - basis.phi_x @ ((t11 + p_tot - s_d).ravel() * w)
-            - basis.phi_y @ ((t12 - s_a).ravel() * w)
+        f_rho, f_b = fwd2(np.stack([g_rho, g_b]), (COS, COS))
+        g_u = galerkin_load(
+            self.basis,
+            np.stack([mom1_t + eps1, mom2_t + eps2]),
+            -np.stack([t11 + p_tot - s_d, t12 - s_a]),
+            -np.stack([t12 - s_a, t22 + p_tot + s_d]),
         )
-        g_u[n:] = (
-            basis.phi @ ((mom2_t + eps2).ravel() * w)
-            - basis.phi_x @ ((t12 - s_a).ravel() * w)
-            - basis.phi_y @ ((t22 + p_tot + s_d).ravel() * w)
-        )
-        return (
-            fwd2(g_rho, (COS, COS)),
-            fwd2(g_b, (COS, COS)),
-            g_e,
-            g_u,
-        )
+        return f_rho, f_b, g_e, g_u
 
 
 def manufactured_forcing(ms: ManufacturedSolution, reg: RegParams, p: EosParams,

@@ -40,6 +40,7 @@ from .grid import (
     bwd2,
     from_fine,
     fwd2,
+    galerkin_load,
     gradient,
     project_velocity,
     reconstruct,
@@ -304,14 +305,21 @@ def cfl_bound(u: VectorField) -> float:
 # ---------------------------------------------------------------------------
 
 class VelocityWorkspace:
-    """Per-step cache of the velocity's spectral and fine-grid forms."""
+    """Per-step cache of the velocity on the 3/2 fine grid (u_fine, stacked
+    x then y components).
+
+    A velocity reconstructed from a basis carries its sine-sine
+    coefficients, which are scattered into place instead of transforming
+    the nodal field again.
+    """
 
     def __init__(self, u: VectorField):
         self.u = u
-        self.u1_cc = fwd2(u.vx, (SIN, SIN))
-        self.u2_cc = fwd2(u.vy, (SIN, SIN))
-        self.u1_fine = to_fine(self.u1_cc, (SIN, SIN))
-        self.u2_fine = to_fine(self.u2_cc, (SIN, SIN))
+        if u.coeffs is not None and u.basis is not None:
+            u_ss = u.basis.scatter(u.coeffs)
+        else:
+            u_ss = fwd2(np.stack([u.vx, u.vy]), (SIN, SIN))
+        self.u_fine = to_fine(u_ss, (SIN, SIN))
 
 
 def _advective_divergence_cc(f_cc, uw: VelocityWorkspace, grid: Grid):
@@ -323,8 +331,7 @@ def _advective_divergence_cc(f_cc, uw: VelocityWorkspace, grid: Grid):
     advance exactly conservative).
     """
     f_fine = to_fine(f_cc, (COS, COS))
-    q1 = from_fine(f_fine * uw.u1_fine, (SIN, SIN), grid.shape)
-    q2 = from_fine(f_fine * uw.u2_fine, (SIN, SIN), grid.shape)
+    q1, q2 = from_fine(f_fine * uw.u_fine, (SIN, SIN), grid.shape)
     dq1, px = _deriv_coeffs(q1, 1, SIN, grid.lx)
     dq2, py = _deriv_coeffs(q2, 0, SIN, grid.ly)
     adv = fwd2(bwd2(dq1, (SIN, px)) + bwd2(dq2, (py, SIN)), (COS, COS))
@@ -534,43 +541,76 @@ def advance_temperature(
 # momentum advance
 # ---------------------------------------------------------------------------
 
-def _mass_matrix(rho: ScalarField, basis: GalerkinBasis):
-    w = rho.values.ravel() * rho.grid.weight
-    return basis.phi @ (basis.phi * w).T
+def _cosine_integrals(cc, basis: GalerkinBasis):
+    """Flat quadratures int f cos(p pi x/lx) cos(q pi y/ly), at slot (q, p),
+    from the cosine-cosine coefficients of f."""
+    c = basis.mode_norm2 * cc
+    c[0, :] *= 2.0
+    c[:, 0] *= 2.0
+    return c.ravel()
+
+
+def _mass_matrix(rho_cc, basis: GalerkinBasis):
+    """Gram matrix int rho phi_m phi_m' from the cosine-cosine coefficients
+    of rho (a lookup; see GalerkinBasis.pair_slots); exactly symmetric."""
+    c = _cosine_integrals(rho_cc, basis)
+    dd, ds, sd, ss, _, _ = basis.pair_slots
+    return 0.25 * (c[dd] - c[ds] - c[sd] + c[ss])
 
 
 def _viscous_matrix(theta, basis: GalerkinBasis, p: EosParams):
     """Galerkin matrix of u -> S(theta, grad u) tested against the basis.
 
     With D = d_x u1 - d_y u2 and A12 = d_y u1 + d_x u2 the weak form is
-    int mu (D D' + A12 A12'), which assembles blockwise from the mode
-    gradient tables.
+    int mu (D D' + A12 A12'), so the diagonal blocks hold
+    P = int mu (phi_x phi_x' + phi_y phi_y') and the coupling block is
+    Q = A - A^T with A = int mu phi_y phi_x'.  phi_x phi_x' and phi_y phi_y'
+    are cosine-cosine modes and phi_y phi_x' are sine-sine modes, so both
+    are lookups into the coefficients of mu(theta).
     """
-    mu_w = p.mu(np.asarray(theta)).ravel() * basis.grid.weight
-    g1w = basis.phi_x * mu_w
-    g2w = basis.phi_y * mu_w
-    p_blk = g1w @ basis.phi_x.T + g2w @ basis.phi_y.T
-    q_blk = g2w @ basis.phi_x.T - g1w @ basis.phi_y.T
-    n = basis.n
-    v = np.empty((2 * n, 2 * n))
-    v[:n, :n] = p_blk
-    v[:n, n:] = q_blk
-    v[n:, :n] = q_blk.T
-    v[n:, n:] = p_blk
-    return v
+    mu = p.mu(np.asarray(theta))
+    c = _cosine_integrals(fwd2(mu, (COS, COS)), basis)
+    s = np.zeros(basis.grid.shape)
+    s[1:, 1:] = basis.mode_norm2 * fwd2(mu, (SIN, SIN))[:-1, :-1]
+    s = s.ravel()
+    dd, ds, sd, ss, sgn_x, sgn_y = basis.pair_slots
+    aa = np.outer(basis.ax, basis.ax)
+    bb = np.outer(basis.ay, basis.ay)
+    p_blk = 0.25 * ((aa + bb) * (c[dd] - c[ss]) + (aa - bb) * (c[ds] - c[sd]))
+    a_blk = 0.25 * np.outer(basis.ay, basis.ax) * (
+        s[ss] + sgn_y * s[ds] + sgn_x * (s[sd] + sgn_y * s[dd])
+    )
+    q_blk = a_blk - a_blk.T
+    return np.block([[p_blk, q_blk], [q_blk.T, p_blk]])
 
 
 def _advection_tensor(rho_cc, uw: VelocityWorkspace, shape):
-    """Nodal rho*u_i*u_j with pairwise 3/2-dealiased products."""
+    """Nodal rho*u_i*u_j (stacked t11, t12, t22) with pairwise 3/2-dealiased
+    products."""
     rho_fine = to_fine(rho_cc, (COS, COS))
-    ru1 = from_fine(rho_fine * uw.u1_fine, (SIN, SIN), shape)
-    ru2 = from_fine(rho_fine * uw.u2_fine, (SIN, SIN), shape)
-    ru1_fine = to_fine(ru1, (SIN, SIN))
-    ru2_fine = to_fine(ru2, (SIN, SIN))
-    t11 = bwd2(from_fine(ru1_fine * uw.u1_fine, (COS, COS), shape), (COS, COS))
-    t12 = bwd2(from_fine(ru1_fine * uw.u2_fine, (COS, COS), shape), (COS, COS))
-    t22 = bwd2(from_fine(ru2_fine * uw.u2_fine, (COS, COS), shape), (COS, COS))
-    return t11, t12, t22
+    ru_fine = to_fine(from_fine(rho_fine * uw.u_fine, (SIN, SIN), shape), (SIN, SIN))
+    u1, u2 = uw.u_fine
+    prods = np.stack([ru_fine[0] * u1, ru_fine[0] * u2, ru_fine[1] * u2])
+    return bwd2(from_fine(prods, (COS, COS), shape), (COS, COS))
+
+
+def _momentum_load(basis, uw, rho_cc, rho, b, theta, grho, grads_u, reg, p):
+    """Galerkin load of the explicit momentum terms.
+
+    The advection tensor comes from rho_cc and the workspace velocity; the
+    total pressure from (rho, b, theta) and the eps*(grad rho . grad) u
+    coupling from grho and grads_u = (u1x, u1y, u2x, u2y).
+    """
+    t11, t12, t22 = _advection_tensor(rho_cc, uw, basis.grid.shape)
+    p_tot = total_pressure(rho, theta, b, reg, p)
+    u1x, u1y, u2x, u2y = grads_u
+    eps_u = reg.epsilon * np.stack([
+        grho.vx * u1x + grho.vy * u1y,
+        grho.vx * u2x + grho.vy * u2y,
+    ])
+    return galerkin_load(
+        basis, -eps_u, np.stack([t11 + p_tot, t12]), np.stack([t12, t22 + p_tot])
+    )
 
 
 def advance_momentum(
@@ -603,55 +643,30 @@ def advance_momentum(
         b_new = state.b
     if theta_new is None:
         theta_new = state.theta
-    grid = state.grid
-    w = grid.weight
     n = basis.n
 
-    m_old = _mass_matrix(state.rho, basis)
-    m_new = _mass_matrix(rho_new, basis)
-    visc = _viscous_matrix(theta_new.values, basis, p)
+    rho_cc, rho_new_cc = fwd2(np.stack([state.rho.values, rho_new.values]), (COS, COS))
+    m_old = _mass_matrix(rho_cc, basis)
+    m_new = _mass_matrix(rho_new_cc, basis)
 
     if workspace is None:
         workspace = VelocityWorkspace(state.u)
-    rho_cc = fwd2(state.rho.values, (COS, COS))
-    t11, t12, t22 = _advection_tensor(rho_cc, workspace, grid.shape)
-
-    p_tot = total_pressure(rho_new.values, theta_new.values, b_new.values, reg, p)
-
-    grho = gradient(rho_new)
-    u1x, u1y, u2x, u2y = velocity_gradient(state.u)
-    eps_1 = reg.epsilon * (grho.vx * u1x + grho.vy * u1y)
-    eps_2 = reg.epsilon * (grho.vx * u2x + grho.vy * u2y)
-
-    rhs = np.empty(2 * n)
-    rhs[:n] = (
-        basis.phi_x @ ((t11 + p_tot).ravel() * w)
-        + basis.phi_y @ (t12.ravel() * w)
-        - basis.phi @ (eps_1.ravel() * w)
-    )
-    rhs[n:] = (
-        basis.phi_x @ (t12.ravel() * w)
-        + basis.phi_y @ ((t22 + p_tot).ravel() * w)
-        - basis.phi @ (eps_2.ravel() * w)
+    rhs = _momentum_load(
+        basis, workspace, rho_cc, rho_new.values, b_new.values, theta_new.values,
+        gradient(rho_new), velocity_gradient(state.u), reg, p,
     )
     if forcing_vec is not None:
         rhs = rhs + forcing_vec
 
-    lhs = np.empty((2 * n, 2 * n))
-    lhs[:n, :n] = m_new
-    lhs[:n, n:] = 0.0
-    lhs[n:, :n] = 0.0
-    lhs[n:, n:] = m_new
-    lhs += dt * visc
+    lhs = dt * _viscous_matrix(theta_new.values, basis, p)
+    lhs[:n, :n] += m_new
+    lhs[n:, n:] += m_new
 
     if c_old is None:
         c_old = state.u.coeffs
     if c_old is None:
         c_old = project_velocity(state.u, basis)
-    b_vec = np.empty(2 * n)
-    b_vec[:n] = m_old @ c_old[:n]
-    b_vec[n:] = m_old @ c_old[n:]
-    b_vec += dt * rhs
+    b_vec = (c_old.reshape(2, n) @ m_old).ravel() + dt * rhs
     try:
         c_new = np.linalg.solve(lhs, b_vec)
     except np.linalg.LinAlgError as exc:
@@ -796,46 +811,18 @@ def tendencies(state: State, reg: RegParams, p: EosParams, forcing=None) -> Tend
     if f_e is not None:
         rhoe_dot = rhoe_dot + f_e
 
-    w = grid.weight
     n = basis.n
-    t11, t12, t22 = _advection_tensor(rho_cc, uw, grid.shape)
-    p_tot = total_pressure(rho, th, b, reg, p)
-    u1x, u1y, u2x, u2y = grads_u
-    eps_1 = reg.epsilon * (grho.vx * u1x + grho.vy * u1y)
-    eps_2 = reg.epsilon * (grho.vx * u2x + grho.vy * u2y)
-    rhs = np.empty(2 * n)
-    rhs[:n] = (
-        basis.phi_x @ ((t11 + p_tot).ravel() * w)
-        + basis.phi_y @ (t12.ravel() * w)
-        - basis.phi @ (eps_1.ravel() * w)
-    )
-    rhs[n:] = (
-        basis.phi_x @ (t12.ravel() * w)
-        + basis.phi_y @ ((t22 + p_tot).ravel() * w)
-        - basis.phi @ (eps_2.ravel() * w)
-    )
+    rhs = _momentum_load(basis, uw, rho_cc, rho, b, th, grho, grads_u, reg, p)
     if f_u is not None:
         rhs = rhs + f_u
-    visc = _viscous_matrix(th, basis, p)
     c = state.u.coeffs
     if c is None:
         c = project_velocity(state.u, basis)
-    rhs -= visc @ c
-    # d/dt (M c) = rhs, so M c_dot = rhs - dM/dt c with dM/dt from rho_dot
-    m = _mass_matrix(state.rho, basis)
-    mdot_w = rho_dot.ravel() * w
-    rhs[:n] -= basis.phi @ (mdot_w * (basis.phi.T @ c[:n]))
-    rhs[n:] -= basis.phi @ (mdot_w * (basis.phi.T @ c[n:]))
-    c_dot = np.empty(2 * n)
-    c_dot[:n] = np.linalg.solve(m, rhs[:n])
-    c_dot[n:] = np.linalg.solve(m, rhs[n:])
-    shape = grid.shape
-    u_dot = VectorField(
-        grid,
-        (c_dot[:n] @ basis.phi).reshape(shape),
-        (c_dot[n:] @ basis.phi).reshape(shape),
-    )
-    return Tendencies(rho_dot, b_dot, rhoe_dot, c_dot, u_dot)
+    rhs -= _viscous_matrix(th, basis, p) @ c
+    # d/dt (M c) = rhs, so M c_dot = rhs - dM/dt c with dM/dt = M(rho_dot)
+    rhs -= (c.reshape(2, n) @ _mass_matrix(rho_dot_cc, basis)).ravel()
+    c_dot = np.linalg.solve(_mass_matrix(rho_cc, basis), rhs.reshape(2, n).T).T.ravel()
+    return Tendencies(rho_dot, b_dot, rhoe_dot, c_dot, reconstruct(c_dot, basis))
 
 
 def initial_state(initial: InitialData, basis: GalerkinBasis) -> State:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, GridMismatchError, MhdError
-from .grid import ScalarField
+from .grid import ScalarField, check_basis_size
 from .solver import InitialData, RegParams, Schedule, State, Trajectory, run
 from .thermo import EosParams
 
@@ -153,8 +153,12 @@ def sweep(plan: SweepPlan, initial: InitialData, p: EosParams,
     """Run every ladder rung and compare against the finest one.
 
     Rungs are independent solver runs (optionally threaded); a failing rung
-    aborts the sweep and the partial report records which one.
+    aborts the sweep and the partial report records which one.  An n-ladder
+    whose finest rung exceeds the grid's basis size raises BasisError before
+    any rung runs.
     """
+    if plan.which == "n":
+        check_basis_size(initial.rho0.grid, int(plan.ladder[-1]))
     schedule = Schedule(t_final=plan.t_cmp, dt=plan.dt, snapshot_stride=10**9)
 
     def run_one(value) -> Trajectory:

@@ -237,6 +237,32 @@ class TestCli:
         ])
         assert code != 0
 
+    @pytest.mark.parametrize("which, ladder", [
+        ("n", "4,x,8"),
+        ("epsilon", "0.1,x,0.025"),
+        ("epsilon", "inf,0.1,0.025"),
+        ("n", "2,3.7,4"),
+    ])
+    def test_sweep_rejects_malformed_ladder(self, tmp_path, capsys, which, ladder):
+        cfg = tmp_path / "eq.ini"
+        cfg.write_text(MINIMAL)
+        out_dir = tmp_path / "out"
+        code = cli.main(["sweep", "--config", str(cfg), "--which", which,
+                         "--ladder", ladder, "--output-dir", str(out_dir)])
+        assert code == 2
+        assert "ladder" in capsys.readouterr().out
+        assert not out_dir.exists()
+
+    def test_sweep_rejects_n_beyond_basis(self, tmp_path, capsys):
+        cfg = tmp_path / "eq.ini"
+        cfg.write_text(MINIMAL)  # 16x16 grid: at most 7*7 = 49 modes
+        out_dir = tmp_path / "out"
+        code = cli.main(["sweep", "--config", str(cfg), "--which", "n",
+                         "--ladder", "2,4,50", "--output-dir", str(out_dir)])
+        assert code == 2
+        assert "n must lie in [1, 49]" in capsys.readouterr().out
+        assert not out_dir.exists()
+
     def test_config_rejection_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(MINIMAL + "\n[grid]\nfoo = 1\n")

@@ -1,0 +1,177 @@
+"""Mode-space Galerkin assembly against the dense nodal-table oracle.
+
+The oracle forms every Galerkin quantity as a product of the (n, nx*ny)
+tables phi, phi_x, phi_y that the basis evaluates on request; the package
+itself assembles from transform coefficients and never reads the tables.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from mhdlab import diagnostics
+from mhdlab.grid import (
+    COS,
+    GalerkinBasis,
+    Grid,
+    ScalarField,
+    VectorField,
+    fwd2,
+    galerkin_load,
+    project_velocity,
+    reconstruct,
+)
+from mhdlab.mms import manufactured_forcing, standard_smooth_solution
+from mhdlab.solver import (
+    InitialData,
+    RegParams,
+    _mass_matrix,
+    _viscous_matrix,
+    initial_state,
+    step,
+    tendencies,
+)
+from mhdlab.thermo import EosParams
+
+P = EosParams()
+RTOL = 1e-13
+
+CASES = [
+    (Grid(16, 16, 1.2, 0.8), 1),
+    (Grid(16, 16, 1.2, 0.8), 4),
+    (Grid(16, 16, 1.2, 0.8), 49),  # every mode: kmax * lmax
+    (Grid(64, 64, 1.3, 0.7), 32),
+    (Grid(64, 64, 1.3, 0.7), 256),
+]
+IDS = [f"{g.nx}x{g.ny}-n{n}" for g, n in CASES]
+
+
+# -- dense oracle -------------------------------------------------------------
+
+def dense_mass(rho, basis):
+    w = rho.ravel() * basis.grid.weight
+    return basis.phi @ (basis.phi * w).T
+
+
+def dense_viscous(theta, basis, p):
+    mu_w = p.mu(theta).ravel() * basis.grid.weight
+    phi_x, phi_y = basis.phi_x, basis.phi_y
+    g1w, g2w = phi_x * mu_w, phi_y * mu_w
+    p_blk = g1w @ phi_x.T + g2w @ phi_y.T
+    q_blk = g2w @ phi_x.T - g1w @ phi_y.T
+    return np.block([[p_blk, q_blk], [q_blk.T, p_blk]])
+
+
+def dense_load(basis, f, fx, fy):
+    w = basis.grid.weight
+    phi, phi_x, phi_y = basis.phi, basis.phi_x, basis.phi_y
+    return np.concatenate([
+        phi @ (f[i].ravel() * w) + phi_x @ (fx[i].ravel() * w)
+        + phi_y @ (fy[i].ravel() * w)
+        for i in range(2)
+    ])
+
+
+def dense_project(v, basis):
+    w = basis.grid.weight / basis.mode_norm2
+    return np.concatenate([basis.phi @ v.vx.ravel() * w, basis.phi @ v.vy.ravel() * w])
+
+
+def dense_reconstruct(c, basis):
+    n = basis.n
+    return np.stack([c[:n] @ basis.phi, c[n:] @ basis.phi]).reshape(
+        (2,) + basis.grid.shape
+    )
+
+
+def assert_rel_close(got, want):
+    assert got.shape == want.shape
+    err = np.abs(got - want).max() / np.abs(want).max()
+    assert err <= RTOL, err
+
+
+def positive_field(rng, grid, lo):
+    return lo + rng.random(grid.shape)
+
+
+# -- agreement ----------------------------------------------------------------
+
+@pytest.mark.parametrize("grid, n", CASES, ids=IDS)
+class TestAgainstDenseOracle:
+    def test_mass_matrix(self, grid, n):
+        basis = GalerkinBasis(grid, n)
+        rho = positive_field(np.random.default_rng(1), grid, 0.5)
+        got = _mass_matrix(fwd2(rho, (COS, COS)), basis)
+        assert_rel_close(got, dense_mass(rho, basis))
+
+    def test_viscous_matrix(self, grid, n):
+        basis = GalerkinBasis(grid, n)
+        theta = positive_field(np.random.default_rng(2), grid, 0.3)
+        got = _viscous_matrix(theta, basis, P)
+        assert_rel_close(got, dense_viscous(theta, basis, P))
+
+    def test_load(self, grid, n):
+        basis = GalerkinBasis(grid, n)
+        rng = np.random.default_rng(3)
+        f, fx, fy = (rng.standard_normal((2,) + grid.shape) for _ in range(3))
+        assert_rel_close(galerkin_load(basis, f, fx, fy), dense_load(basis, f, fx, fy))
+
+    def test_project_and_reconstruct(self, grid, n):
+        basis = GalerkinBasis(grid, n)
+        rng = np.random.default_rng(4)
+        v = VectorField(grid, *rng.standard_normal((2,) + grid.shape))
+        assert_rel_close(project_velocity(v, basis), dense_project(v, basis))
+        c = rng.standard_normal(2 * n)
+        u = reconstruct(c, basis)
+        assert_rel_close(np.stack([u.vx, u.vy]), dense_reconstruct(c, basis))
+
+
+# -- the package never reads the nodal tables -----------------------------------
+
+@pytest.fixture
+def no_tables(monkeypatch):
+    def refuse(self):
+        raise AssertionError("nodal basis table read")
+
+    for name in ("phi", "phi_x", "phi_y"):
+        monkeypatch.setattr(GalerkinBasis, name, property(refuse))
+
+
+def analytic_state(grid, n):
+    x, y = grid.X / grid.lx, grid.Y / grid.ly
+    wave = np.cos(np.pi * x) * np.cos(np.pi * y)
+    rho = ScalarField(grid, 1.0 + 0.05 * wave)
+    init = InitialData(
+        rho,
+        ScalarField(grid, 2.0 * rho.values),
+        ScalarField(grid, 1.0 + 0.05 * np.cos(np.pi * y)),
+        VectorField(grid, 0.05 * np.sin(np.pi * x) * np.sin(np.pi * y),
+                    0.03 * np.sin(2 * np.pi * x) * np.sin(np.pi * y)),
+    )
+    return initial_state(init, GalerkinBasis(grid, n))
+
+
+def test_step_tendencies_report_forcing_read_no_tables(no_tables):
+    grid, reg = Grid(16, 16, 1.2, 0.8), RegParams(epsilon=0.05, delta=0.05, n=6)
+    st = analytic_state(grid, reg.n)
+    new, _ = step(st, reg, P, 1e-3, sweeps=2)
+    assert np.isfinite(tendencies(new, reg, P).c_dot).all()
+    assert np.isfinite(diagnostics.report(new, reg, P).t)
+    basis = GalerkinBasis(Grid(16, 16), 4)
+    forcing = manufactured_forcing(
+        standard_smooth_solution(), reg, P, basis.grid, basis
+    )
+    assert np.isfinite(forcing.at(0.1)[3]).all()
+
+
+def test_largest_basis_stores_no_tables():
+    grid = Grid(128, 128)
+    tracemalloc.start()
+    try:
+        basis = GalerkinBasis(grid, 3969)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert basis.n == 3969
+    assert peak < 5e6, peak

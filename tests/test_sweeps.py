@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mhdlab.errors import DomainError
+from mhdlab import sweeps as sweeps_mod
+from mhdlab.errors import BasisError, DomainError
 from mhdlab.grid import Grid, ScalarField, VectorField, build_basis
 from mhdlab.solver import InitialData, RegParams, initial_state
 from mhdlab.sweeps import (
@@ -143,6 +144,15 @@ class TestSweep:
         lines = path.read_text().splitlines()
         assert len(lines) == 4
         assert lines[0].startswith("value,dist_l1_rho")
+
+    def test_n_ladder_beyond_basis_rejected_before_any_rung(self, setup, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a rung ran")
+
+        monkeypatch.setattr(sweeps_mod, "run", no_run)
+        plan = SweepPlan("n", (4, 8, 50), RegParams(epsilon=0.025, delta=1e-2))
+        with pytest.raises(BasisError):
+            sweep(plan, setup, P)  # 16x16 grid: at most 49 modes
 
     def test_deterministic(self, setup):
         base = RegParams(epsilon=0.025, delta=1e-2, n=4)
