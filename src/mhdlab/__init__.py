@@ -24,7 +24,6 @@ from .grid import (
     Grid,
     ScalarField,
     VectorField,
-    build_basis,
     divergence,
     gradient,
     inner_product,

@@ -228,7 +228,7 @@ def parse_config(text: str) -> Config:
             except ValueError as exc:
                 violations.append(f"[initial] {name}: {exc}")
         for name in ("rho", "b", "theta"):
-            if name in fields and fields[name].min() <= 0.0:
+            if name in fields and not fields[name].min() > 0.0:
                 violations.append(
                     f"[initial] {name} must be strictly positive "
                     f"(min {fields[name].min():g})"

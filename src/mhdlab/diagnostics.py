@@ -12,6 +12,7 @@ the Korn / Poincare / coercivity inequalities live alongside.
 from __future__ import annotations
 
 import csv
+from collections import defaultdict
 from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
@@ -29,8 +30,27 @@ from .grid import (
     gradient,
     velocity_gradient,
 )
-from .solver import RegParams, State, rho_e, shear_heating, total_pressure
-from .thermo import EosParams
+from .solver import (
+    RegParams,
+    State,
+    Terms,
+    artificial_energy,
+    artificial_energy_rate,
+    momentum_pressure,
+    rho_gradient_coupling,
+    state_terms,
+)
+from .thermo import (
+    EosParams,
+    gibbs_bracket,
+    kappa_delta,
+    rho_e,
+    rho_e_drho,
+    rho_e_dtheta,
+    rho_s,
+    rho_s_drho,
+    rho_s_dtheta,
+)
 
 __all__ = [
     "DiagnosticsReport",
@@ -76,86 +96,28 @@ class DiagnosticsReport:
 CSV_COLUMNS = [f.name for f in dataclass_fields(DiagnosticsReport)]
 
 
-def _entropy_density(rho, theta, p: EosParams):
-    return p.c_V * rho * np.log(theta) - rho * np.log(rho) + (4.0 * p.a / 3.0) * theta**3
-
-
-def _artificial_density(rho, b, reg: RegParams):
-    G = reg.Gamma
-    return reg.delta * (
-        rho**G / (G - 1.0) + rho**2 + b**G / (G - 1.0) + b**2
-    )
-
-
 def sigma_nodal(state: State, reg: RegParams, p: EosParams):
     """Nodal dissipation density; every term is a nonnegative product.
 
-    1/theta * [ S:grad u + (kappa/theta + delta(theta^{G-1}+theta^{-2}))
-    |grad theta|^2 + delta/theta^2 ] + eps/theta |grad b|^2 +
-    eps*delta/theta * gradient heating + eps/(rho*theta) dp_M/drho
-    |grad rho|^2.
+    1/theta * [ S:grad u + kappa_delta/theta |grad theta|^2 + delta/theta^2 ]
+    + eps/theta |grad b|^2 + eps*delta/theta * gradient heating
+    + eps/(rho*theta) dp_M/drho |grad rho|^2.
     """
-    rho, th = state.rho.values, state.theta.values
-    heating, _ = shear_heating(state.u, th, p)
-    gth = gradient(state.theta)
-    gth2 = gth.vx**2 + gth.vy**2
-    art_heat, gb2, grho = _solver.artificial_gradient_heating(state.rho, state.b, reg)
-    grho2 = grho.vx**2 + grho.vy**2
-    G = reg.Gamma
-    cond = p.kappa(th) / th + reg.delta * (th ** (G - 1.0) + th**-2)
-    dpm_drho = th + p.gamma * rho ** (p.gamma - 1.0)
-    return (
-        (heating + cond * gth2 + reg.delta / th**2) / th
-        + reg.epsilon * gb2 / th
-        + art_heat / th
-        + reg.epsilon * dpm_drho * grho2 / (rho * th)
-    )
+    return state_terms(state, reg, p).sigma
 
 
 def energy_total(state: State, reg: RegParams, p: EosParams) -> float:
     """Total energy including the artificial delta-terms."""
-    rho, b, th = state.rho.values, state.b.values, state.theta.values
-    u2 = state.u.vx**2 + state.u.vy**2
-    density = 0.5 * rho * u2 + rho_e(rho, th, p) + 0.5 * b * b \
-        + _artificial_density(rho, b, reg)
-    return float(density.sum() * state.grid.weight)
+    internal = rho_e(state.rho.values, state.theta.values, p).sum() * state.grid.weight
+    return mechanical_energy_total(state, reg, p) + float(internal)
 
 
-def _entropy_production_terms(state: State, reg: RegParams, p: EosParams):
+def _entropy_production_terms(t: Terms, grid: Grid):
     """Production side of the pointwise entropy balance (full-delta form):
     sigma15 + eps*(Lap rho / theta)(theta*s - e - p/rho) - eps*theta^4."""
-    rho, th = state.rho.values, state.theta.values
-    heating, _ = shear_heating(state.u, th, p)
-    gth = gradient(state.theta)
-    gth2 = gth.vx**2 + gth.vy**2
-    art_heat, gb2, _ = _solver.artificial_gradient_heating(state.rho, state.b, reg)
-    G = reg.Gamma
-    cond = p.kappa(th) / th + reg.delta * (th ** (G - 1.0) + th**-2)
-    sigma15 = (
-        (heating + cond * gth2 + reg.delta / th**2) / th
-        + reg.epsilon * gb2 / th
-        + art_heat / th
-    )
-    # the radiative parts cancel in theta*s - e - p/rho, leaving the
-    # molecular bracket
-    bracket = (
-        th * (p.c_V * np.log(th) - np.log(rho))
-        - rho ** (p.gamma - 1.0) / (p.gamma - 1.0)
-        - p.c_V * th
-        - th
-        - rho ** (p.gamma - 1.0)
-    )
-    lap_rho = _solver._lap_cc(rho, state.grid)
-    gibbs_coupling = reg.epsilon * lap_rho / th * bracket
-    return sigma15 + gibbs_coupling - reg.epsilon * th**4
-
-
-def _theta_dot(state: State, tend, p: EosParams):
-    rho, th = state.rho.values, state.theta.values
-    d_rhoe_drho = p.gamma * rho ** (p.gamma - 1.0) / (p.gamma - 1.0) + p.c_V * th
-    return (tend.rhoe_dot - d_rhoe_drho * tend.rho_dot) / (
-        p.c_V * rho + 4.0 * p.a * th**3
-    )
+    rho, th, eps = t.rho, t.theta, t.reg.epsilon
+    gibbs_coupling = eps * _solver._lap_cc(rho, grid) / th * gibbs_bracket(rho, th, t.p)
+    return t.sigma15 + gibbs_coupling - eps * th**4
 
 
 def report(state: State, reg: RegParams, p: EosParams) -> DiagnosticsReport:
@@ -165,51 +127,38 @@ def report(state: State, reg: RegParams, p: EosParams) -> DiagnosticsReport:
     rho, b, th = state.rho.values, state.b.values, state.theta.values
     u2 = state.u.vx**2 + state.u.vy**2
 
+    # the tendencies carry the pointwise terms of this state; sigma and the
+    # entropy production are formed from them rather than rebuilt
+    tend = _solver.tendencies(state, reg, p)
+
     mass_rho = float(rho.sum() * w)
     mass_b = float(b.sum() * w)
     kinetic = float((0.5 * rho * u2).sum() * w)
     magnetic = float((0.5 * b * b).sum() * w)
     internal = float(rho_e(rho, th, p).sum() * w)
-    artificial = float(_artificial_density(rho, b, reg).sum() * w)
-    entropy_tot = float(_entropy_density(rho, th, p).sum() * w)
-    sigma_int = float(sigma_nodal(state, reg, p).sum() * w)
+    artificial = float(artificial_energy(rho, b, reg).sum() * w)
+    total = kinetic + magnetic + internal + artificial
+    entropy_tot = float(rho_s(rho, th, p).sum() * w)
+    sigma_int = float(tend.terms.sigma.sum() * w)
     zeta = b / rho
-    helm = float(
-        (
-            0.5 * rho * u2
-            + rho_e(rho, th, p)
-            - reg.theta_bar * _entropy_density(rho, th, p)
-            + 0.5 * b * b
-            + _artificial_density(rho, b, reg)
-        ).sum()
-        * w
-    )
 
-    tend = _solver.tendencies(state, reg, p)
-    G = reg.Gamma
     de_dt = float(
         (
             0.5 * tend.rho_dot * u2
             + rho * (state.u.vx * tend.u_dot.vx + state.u.vy * tend.u_dot.vy)
             + tend.rhoe_dot
             + b * tend.b_dot
-            + reg.delta
-            * (
-                (G * rho ** (G - 1.0) / (G - 1.0) + 2.0 * rho) * tend.rho_dot
-                + (G * b ** (G - 1.0) / (G - 1.0) + 2.0 * b) * tend.b_dot
-            )
+            + artificial_energy_rate(rho, b, tend.rho_dot, tend.b_dot, reg)
         ).sum()
         * w
     )
-    source = float((reg.delta / th**2 - reg.epsilon * th**5).sum() * w)
-    energy_res = de_dt - source
+    energy_res = de_dt - float(tend.terms.source.sum() * w)
 
-    th_dot = _theta_dot(state, tend, p)
-    d_rhos_drho = p.c_V * np.log(th) - np.log(rho) - 1.0
-    d_rhos_dth = p.c_V * rho / th + 4.0 * p.a * th**2
-    rhos_dot = d_rhos_drho * tend.rho_dot + d_rhos_dth * th_dot
+    th_dot = (tend.rhoe_dot - rho_e_drho(rho, th, p) * tend.rho_dot) \
+        / rho_e_dtheta(rho, th, p)
+    rhos_dot = rho_s_drho(rho, th, p) * tend.rho_dot + rho_s_dtheta(rho, th, p) * th_dot
     entropy_res = float(
-        (rhos_dot - _entropy_production_terms(state, reg, p)).sum() * w
+        (rhos_dot - _entropy_production_terms(tend.terms, grid)).sum() * w
     )
 
     return DiagnosticsReport(
@@ -220,14 +169,14 @@ def report(state: State, reg: RegParams, p: EosParams) -> DiagnosticsReport:
         magnetic_energy=magnetic,
         internal_energy_total=internal,
         artificial_energy=artificial,
-        total_energy=kinetic + magnetic + internal + artificial,
+        total_energy=total,
         entropy_total=entropy_tot,
         sigma_integral=sigma_int,
         domination_min=float(zeta.min()),
         domination_max=float(zeta.max()),
         energy_balance_residual=energy_res,
         entropy_balance_residual=entropy_res,
-        helmholtz_functional=helm,
+        helmholtz_functional=total - reg.theta_bar * entropy_tot,
         floor_violations=int(state.floor_violations.get("theta", 0)),
     )
 
@@ -250,7 +199,7 @@ def mechanical_energy_total(state: State, reg: RegParams, p: EosParams) -> float
     """Kinetic + magnetic + artificial energy (no internal part)."""
     rho, b = state.rho.values, state.b.values
     u2 = state.u.vx**2 + state.u.vy**2
-    density = 0.5 * rho * u2 + 0.5 * b * b + _artificial_density(rho, b, reg)
+    density = 0.5 * rho * u2 + 0.5 * b * b + artificial_energy(rho, b, reg)
     return float(density.sum() * state.grid.weight)
 
 
@@ -271,14 +220,7 @@ def mechanical_energy_defect(trajectory) -> float:
     w = states[0].grid.weight
     drained = 0.0
     for s in states[1:]:
-        rho, th = s.rho.values, s.theta.values
-        heating, grads_u = shear_heating(s.u, th, p)
-        div_u = grads_u[0] + grads_u[3]
-        pressure = rho * th + rho**p.gamma + (p.a / 3.0) * th**4
-        art_heat, gb2, _ = _solver.artificial_gradient_heating(s.rho, s.b, reg)
-        drained += trajectory.dt * float(
-            (heating - pressure * div_u + reg.epsilon * gb2 + art_heat).sum() * w
-        )
+        drained += trajectory.dt * float(state_terms(s, reg, p).heating.sum() * w)
     return e_final - e_init + drained
 
 
@@ -298,13 +240,11 @@ def entropy_balance_residual(window, reg: RegParams, p: EosParams) -> float:
     if not np.isclose(dt1, dt2, rtol=1e-10):
         raise DomainError("window states must be equally spaced in time")
     w = center.grid.weight
-    s_after = float(_entropy_density(after.rho.values, after.theta.values, p).sum() * w)
-    s_before = float(
-        _entropy_density(before.rho.values, before.theta.values, p).sum() * w
-    )
+    s_after = float(rho_s(after.rho.values, after.theta.values, p).sum() * w)
+    s_before = float(rho_s(before.rho.values, before.theta.values, p).sum() * w)
     ds_dt = (s_after - s_before) / (dt1 + dt2)
-    production = float(_entropy_production_terms(center, reg, p).sum() * w)
-    return ds_dt - production
+    production = _entropy_production_terms(state_terms(center, reg, p), center.grid)
+    return ds_dt - float(production.sum() * w)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +405,6 @@ def weak_residuals(trajectory, tests, p: EosParams, reg: RegParams | None = None
     times = [s.t for s in states]
     w = grid.weight
     x, y = grid.X, grid.Y
-    G = reg.Gamma
 
     scalar_tests, vector_tests = [], []
     t_end = times[-1]
@@ -495,70 +434,36 @@ def weak_residuals(trajectory, tests, p: EosParams, reg: RegParams | None = None
             gy = np.broadcast_to(np.asarray(gy, dtype=float), grid.shape)
             scalar_tests.append((tf, chi, gx, gy))
 
-    series = {}
-    for tf, *_ in scalar_tests:
-        series[("continuity", tf.name)] = []
-        series[("magnetic", tf.name)] = []
-        if tf.space_constant:
-            series[("energy", tf.name)] = []
-        if tf.nonneg:
-            series[("entropy", tf.name)] = []
-    for tf, *_ in vector_tests:
-        series[("momentum", tf.name)] = []
-
+    series = defaultdict(list)
     # single pass over snapshots; every state-dependent field is computed once
     for s in states:
         rho, b, th = s.rho.values, s.b.values, s.theta.values
         u1, u2 = s.u.vx, s.u.vy
-        grho = gradient(s.rho)
-        gb = gradient(s.b)
-        gth = gradient(s.theta)
-        u1x, u1y, u2x, u2y = velocity_gradient(s.u)
-        d_u = u1x - u2y
-        a12_u = u1y + u2x
-        mu = p.mu(th)
-        p_tot = total_pressure(rho, th, b, reg, p)
-        rhos = _entropy_density(rho, th, p)
-        cond = p.kappa(th) / th + reg.delta * (th ** (G - 1.0) + th**-2)
-        bracket = (
-            th * (p.c_V * np.log(th) - np.log(rho))
-            - rho ** (p.gamma - 1.0) / (p.gamma - 1.0)
-            - p.c_V * th
-            - th
-            - rho ** (p.gamma - 1.0)
-        )
-        heating = mu * (d_u**2 + a12_u**2)
-        gth2 = gth.vx**2 + gth.vy**2
-        grho2 = grho.vx**2 + grho.vy**2
-        gb2 = gb.vx**2 + gb.vy**2
+        t = state_terms(s, reg, p)
+        grho, gb, gth = t.grad_rho, t.grad_b, t.grad_theta
+        s11, s12 = t.stress
+        p_tot = momentum_pressure(rho, b, th, reg, p)
+        rhos = rho_s(rho, th, p)
+        kappa, kd = p.kappa(th), kappa_delta(th, p, reg.delta, reg.Gamma)
+        cond = kd / th
+        bracket = gibbs_bracket(rho, th, p)
+        # half-delta form: the delta parts of the conductivity and of the
+        # gradient heating enter with weight 1/2
         sigma_half = (
-            heating
-            + (p.kappa(th) / th + 0.5 * reg.delta * (th ** (G - 1.0) + th**-2))
-            * gth2
+            t.shear + 0.5 * (kappa + kd) / th * (gth.vx**2 + gth.vy**2)
             + reg.delta / th**2
-        ) / th + reg.epsilon * gb2 / th + (
-            0.5 * reg.epsilon * reg.delta / th
-        ) * (
-            (G * rho ** (G - 2.0) + 2.0) * grho2
-            + (G * b ** (G - 2.0) + 2.0) * gb2
-        )
-        source = float(
-            (reg.delta / th**2 - reg.epsilon * th**5).sum() * w
-        )
-        eps1 = reg.epsilon * (grho.vx * u1x + grho.vy * u1y)
-        eps2 = reg.epsilon * (grho.vx * u2x + grho.vy * u2y)
+        ) / th + reg.epsilon * t.gb2 / th + 0.5 * t.art_heat / th
+        source = float(t.source.sum() * w)
+        eps1, eps2 = rho_gradient_coupling(grho, t.grads_u, reg)
 
         for tf, chi, gx, gy in scalar_tests:
             psi, dpsi = tf.temporal(s.t), tf.dtemporal(s.t)
             adv = u1 * gx + u2 * gy
-            series[("continuity", tf.name)].append(float(
-                (dpsi * rho * chi + psi * rho * adv
-                 - psi * reg.epsilon * (grho.vx * gx + grho.vy * gy)).sum() * w
-            ))
-            series[("magnetic", tf.name)].append(float(
-                (dpsi * b * chi + psi * b * adv
-                 - psi * reg.epsilon * (gb.vx * gx + gb.vy * gy)).sum() * w
-            ))
+            for eq, f, gf in (("continuity", rho, grho), ("magnetic", b, gb)):
+                series[(eq, tf.name)].append(float(
+                    (dpsi * f * chi + psi * f * adv
+                     - psi * reg.epsilon * (gf.vx * gx + gf.vy * gy)).sum() * w
+                ))
             if tf.space_constant:
                 series[("energy", tf.name)].append(
                     dpsi * energy_total(s, reg, p) + psi * source
@@ -577,7 +482,7 @@ def weak_residuals(trajectory, tests, p: EosParams, reg: RegParams | None = None
         for tf, chi, grad in vector_tests:
             psi, dpsi = tf.temporal(s.t), tf.dtemporal(s.t)
             c1x, c1y, c2x, c2y = grad
-            s_dot_gchi = mu * (d_u * (c1x - c2y) + a12_u * (c1y + c2x))
+            s_dot_gchi = s11 * (c1x - c2y) + s12 * (c1y + c2x)
             conv = rho * (
                 u1 * (u1 * c1x + u2 * c1y) + u2 * (u1 * c2x + u2 * c2y)
             )
@@ -590,31 +495,20 @@ def weak_residuals(trajectory, tests, p: EosParams, reg: RegParams | None = None
             )
             series[("momentum", tf.name)].append(float(integrand.sum() * w))
 
+    # time quadrature plus the initial-data term psi(t0) * int f0 chi
+    results = {key: _trapz(values, times) for key, values in series.items()}
     s0 = states[0]
-    psi0 = {tf.name: tf.temporal(s0.t) for tf, *_ in scalar_tests}
-    psi0.update({tf.name: tf.temporal(s0.t) for tf, *_ in vector_tests})
-    rhos0 = _entropy_density(s0.rho.values, s0.theta.values, p)
-    results = {}
-    for tf, chi, gx, gy in scalar_tests:
-        base = _trapz(series[("continuity", tf.name)], times)
-        results[("continuity", tf.name)] = base + psi0[tf.name] * float(
-            (s0.rho.values * chi).sum() * w
-        )
-        results[("magnetic", tf.name)] = _trapz(
-            series[("magnetic", tf.name)], times
-        ) + psi0[tf.name] * float((s0.b.values * chi).sum() * w)
+    rhos0 = rho_s(s0.rho.values, s0.theta.values, p)
+    for tf, chi, _, _ in scalar_tests:
+        psi0 = tf.temporal(s0.t)
+        for eq, f0 in (("continuity", s0.rho.values), ("magnetic", s0.b.values)):
+            results[(eq, tf.name)] += psi0 * float((f0 * chi).sum() * w)
         if tf.space_constant:
-            results[("energy", tf.name)] = _trapz(
-                series[("energy", tf.name)], times
-            ) + psi0[tf.name] * energy_total(s0, reg, p)
+            results[("energy", tf.name)] += psi0 * energy_total(s0, reg, p)
         if tf.nonneg:
-            results[("entropy", tf.name)] = _trapz(
-                series[("entropy", tf.name)], times
-            ) + psi0[tf.name] * float((rhos0 * chi).sum() * w)
+            results[("entropy", tf.name)] += psi0 * float((rhos0 * chi).sum() * w)
     for tf, chi, _ in vector_tests:
-        results[("momentum", tf.name)] = _trapz(
-            series[("momentum", tf.name)], times
-        ) + psi0[tf.name] * float(
+        results[("momentum", tf.name)] += tf.temporal(s0.t) * float(
             (s0.rho.values * (s0.u.vx * chi[0] + s0.u.vy * chi[1])).sum() * w
         )
     return results
@@ -624,14 +518,18 @@ def weak_residuals(trajectory, tests, p: EosParams, reg: RegParams | None = None
 # cut-off functions and renormalized residuals
 # ---------------------------------------------------------------------------
 
+def _check_cutoff_args(z, k):
+    if np.any(z < 0.0):
+        raise DomainError("cutoff argument must be >= 0")
+    if not k >= 1.0:
+        raise DomainError("cutoff level k must be >= 1")
+
+
 def cutoff_T(z, k: float = 1.0):
     """Concave cut-off T_k(z) = k*T(z/k): identity below k, 2k above 3k,
     quadratic Hermite bridge between (the unique cubic degenerates)."""
     z = np.asarray(z, dtype=float)
-    if np.any(z < 0.0):
-        raise DomainError("cutoff argument must be >= 0")
-    if k < 1.0:
-        raise DomainError("cutoff level k must be >= 1")
+    _check_cutoff_args(z, k)
     s = (z / k - 1.0) / 2.0
     mid = k * (1.0 + 2.0 * s - s**2)
     out = np.where(z <= k, z, np.where(z >= 3.0 * k, 2.0 * k, mid))
@@ -640,8 +538,7 @@ def cutoff_T(z, k: float = 1.0):
 
 def cutoff_T_prime(z, k: float = 1.0):
     z = np.asarray(z, dtype=float)
-    if np.any(z < 0.0):
-        raise DomainError("cutoff argument must be >= 0")
+    _check_cutoff_args(z, k)
     s = (z / k - 1.0) / 2.0
     out = np.where(z <= k, 1.0, np.where(z >= 3.0 * k, 0.0, 1.0 - s))
     return out if out.ndim else float(out)
@@ -650,10 +547,7 @@ def cutoff_T_prime(z, k: float = 1.0):
 def cutoff_L(rho, k: float = 1.0):
     """L_k(rho) = integral from 1 to rho of T_k(z)/z^2 dz, closed form."""
     rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0.0):
-        raise DomainError("cutoff argument must be >= 0")
-    if k < 1.0:
-        raise DomainError("cutoff level k must be >= 1")
+    _check_cutoff_args(rho, k)
     with np.errstate(divide="ignore", invalid="ignore"):
         low = np.log(rho)  # log(0) = -inf is the correct limit here
         mid = -rho / (4.0 * k) + 1.5 * np.log(rho) + k / (4.0 * rho) \

@@ -35,7 +35,6 @@ __all__ = [
     "ScalarField",
     "VectorField",
     "GalerkinBasis",
-    "build_basis",
     "check_basis_size",
     "gradient",
     "divergence",
@@ -64,8 +63,8 @@ class Grid:
             raise GridMismatchError(
                 f"nx, ny must be powers of two >= 8, got ({nx}, {ny})"
             )
-        if not (lx > 0.0 and ly > 0.0):
-            raise GridMismatchError(f"lx, ly must be > 0, got ({lx}, {ly})")
+        if not (0.0 < lx < np.inf and 0.0 < ly < np.inf):
+            raise GridMismatchError(f"lx, ly must be finite and > 0, got ({lx}, {ly})")
         self.nx, self.ny = int(nx), int(ny)
         self.lx, self.ly = float(lx), float(ly)
         self.hx = self.lx / self.nx
@@ -475,10 +474,6 @@ class GalerkinBasis:
         return np.sin(k * np.pi * np.asarray(x) / self.grid.lx) * np.sin(
             l * np.pi * np.asarray(y) / self.grid.ly
         )
-
-
-def build_basis(grid: Grid, n: int) -> GalerkinBasis:
-    return GalerkinBasis(grid, n)
 
 
 def project_velocity(v: VectorField, basis: GalerkinBasis) -> np.ndarray:

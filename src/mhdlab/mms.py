@@ -30,8 +30,15 @@ from .grid import (
     fwd2,
     galerkin_load,
 )
-from .solver import InitialData, RegParams, State, rho_e
-from .thermo import EosParams
+from .solver import (
+    InitialData,
+    RegParams,
+    State,
+    Terms,
+    momentum_pressure,
+    rho_gradient_coupling,
+)
+from .thermo import EosParams, kappa_delta, rho_e, rho_e_drho, rho_e_dtheta
 
 __all__ = [
     "CosineFactor",
@@ -311,72 +318,59 @@ class MmsForcing:
         lap_th = ms.theta.dxx(t, grid) + ms.theta.dyy(t, grid)
         u1, u2 = ms.u.value(t, grid)
         u1_t, u2_t = ms.u.dt(t, grid)
-        u1x, u1y, u2x, u2y = ms.u.jacobian(t, grid)
-        div_u = u1x + u2y
 
-        if np.any(rho <= 0.0) or np.any(th <= 0.0) or np.any(b <= 0.0):
+        if not (np.all(rho > 0.0) and np.all(th > 0.0) and np.all(b > 0.0)):
             raise DomainError("manufactured fields must stay strictly positive")
+        terms = Terms(
+            rho, b, th, ms.u.jacobian(t, grid), VectorField(grid, rho_x, rho_y),
+            VectorField(grid, b_x, b_y), None, reg, p,
+        )
+        div_u = terms.div_u
 
         g_rho = rho_t + rho_x * u1 + rho_y * u2 + rho * div_u \
             - reg.epsilon * lap_rho
         g_b = b_t + b_x * u1 + b_y * u2 + b * div_u - reg.epsilon * lap_b
 
         # internal energy equation
-        d_rhoe_drho = p.gamma * rho ** (p.gamma - 1.0) / (p.gamma - 1.0) + p.c_V * th
-        d_rhoe_dth = p.c_V * rho + 4.0 * p.a * th**3
+        d_rhoe_drho = rho_e_drho(rho, th, p)
+        d_rhoe_dth = rho_e_dtheta(rho, th, p)
         rhoe = rho_e(rho, th, p)
         rhoe_t = d_rhoe_drho * rho_t + d_rhoe_dth * th_t
         rhoe_x = d_rhoe_drho * rho_x + d_rhoe_dth * th_x
         rhoe_y = d_rhoe_drho * rho_y + d_rhoe_dth * th_y
-        kappa_d = p.kappa(th) + reg.delta * (th**G + 1.0 / th)
+        # div(kappa_delta grad theta), with kappa_delta' by hand
         kappa_d_prime = (
             2.0 * p.kappa2 * th
             + 3.0 * p.kappa3 * th**2
             + reg.delta * (G * th ** (G - 1.0) - th**-2)
         )
-        diff_th = kappa_d_prime * (th_x**2 + th_y**2) + kappa_d * lap_th
-        d_shear = u1x - u2y
-        a12 = u1y + u2x
-        heating = p.mu(th) * (d_shear**2 + a12**2)
-        pressure = rho * th + rho**p.gamma + (p.a / 3.0) * th**4
-        art_heat = reg.epsilon * reg.delta * (
-            (G * rho ** (G - 2.0) + 2.0) * (rho_x**2 + rho_y**2)
-            + (G * b ** (G - 2.0) + 2.0) * (b_x**2 + b_y**2)
-        )
+        diff_th = kappa_d_prime * (th_x**2 + th_y**2) \
+            + kappa_delta(th, p, reg.delta, G) * lap_th
         g_e = (
             rhoe_t
             + rhoe_x * u1 + rhoe_y * u2 + rhoe * div_u
             - diff_th
-            - heating
-            + pressure * div_u
-            - reg.epsilon * (b_x**2 + b_y**2)
-            - art_heat
-            - reg.delta / th**2
-            + reg.epsilon * th**5
+            - terms.heating
+            - terms.source
         )
 
         # momentum forcing, assembled through the discrete quadrature of the
         # weak-form integrands (the same load the stepper computes), so the
         # midpoint rule's treatment of odd-parity integrands cancels and the
         # exact state is a discrete solution up to spectral-tail terms
-        mu = p.mu(th)
-        p_tot = pressure + 0.5 * b * b + reg.delta * (rho**G + rho**2 + b**G + b**2)
+        p_tot = momentum_pressure(rho, b, th, reg, p)
         t11 = rho * u1 * u1
         t12 = rho * u1 * u2
         t22 = rho * u2 * u2
-        eps1 = reg.epsilon * (rho_x * u1x + rho_y * u1y)
-        eps2 = reg.epsilon * (rho_x * u2x + rho_y * u2y)
-        mom1_t = rho_t * u1 + rho * u1_t
-        mom2_t = rho_t * u2 + rho * u2_t
+        mom_t = np.stack([rho_t * u1 + rho * u1_t, rho_t * u2 + rho * u2_t])
         # S : grad(phi) for phi = phi_q e_i uses D(phi) = +/- d_i phi and
         # A12(phi) = d_(3-i) phi, mirroring the viscous assembly
-        s_d = mu * d_shear
-        s_a = mu * a12
+        s_d, s_a = terms.stress
 
         f_rho, f_b = fwd2(np.stack([g_rho, g_b]), (COS, COS))
         g_u = galerkin_load(
             self.basis,
-            np.stack([mom1_t + eps1, mom2_t + eps2]),
+            mom_t + rho_gradient_coupling(terms.grad_rho, terms.grads_u, reg),
             -np.stack([t11 + p_tot - s_d, t12 - s_a]),
             -np.stack([t12 - s_a, t22 + p_tot + s_d]),
         )

@@ -3,8 +3,9 @@
 Layout (little-endian): magic "MHDW", u32 version = 1, u32 nx, u32 ny,
 f64 lx, f64 ly, f64 t, then five float64 arrays (rho, u1, u2, b, theta),
 each ny*nx values in row-major order (y outer, x inner).  Writing then
-reading is bit-exact; anything malformed is rejected without producing a
-partial state.
+reading is bit-exact; anything malformed (including a header that names no
+valid grid and non-finite values) is rejected with `SnapshotError`, without
+producing a partial state.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import struct
 
 import numpy as np
 
-from .errors import SnapshotError
+from .errors import GridMismatchError, SnapshotError
 from .grid import Grid, ScalarField, VectorField
 from .solver import State
 
@@ -54,9 +55,16 @@ def read_snapshot(path) -> State:
         raise SnapshotError(
             f"{path}: wrong payload size {len(raw)}, expected {expected}"
         )
-    grid = Grid(nx, ny, lx, ly)
+    if not np.isfinite(t):
+        raise SnapshotError(f"{path}: non-finite time {t}")
+    try:
+        grid = Grid(nx, ny, lx, ly)
+    except GridMismatchError as exc:
+        raise SnapshotError(f"{path}: bad grid in header: {exc}") from None
     data = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
     fields = data.reshape(_FIELDS, ny, nx).astype(float)
+    if not np.all(np.isfinite(fields)):
+        raise SnapshotError(f"{path}: non-finite field values")
     return State(
         t=t,
         rho=ScalarField(grid, fields[0]),

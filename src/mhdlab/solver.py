@@ -18,6 +18,7 @@ untouched, so nodal masses are conserved exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
@@ -47,7 +48,15 @@ from .grid import (
     to_fine,
     velocity_gradient,
 )
-from .thermo import EosParams
+from .thermo import (
+    EosParams,
+    K_delta,
+    eos_pressure,
+    kappa_delta,
+    pressure_drho,
+    rho_e,
+    rho_e_dtheta,
+)
 from .tolerances import TOLERANCES
 
 __all__ = [
@@ -64,9 +73,12 @@ __all__ = [
     "step",
     "run",
     "cfl_bound",
-    "total_pressure",
-    "rho_e",
-    "shear_heating",
+    "Terms",
+    "state_terms",
+    "artificial_energy",
+    "artificial_energy_rate",
+    "momentum_pressure",
+    "rho_gradient_coupling",
 ]
 
 THETA_FLOOR = TOLERANCES["theta_floor"]
@@ -129,14 +141,11 @@ class State:
         )
 
     def validate_positive(self):
-        if self.rho.values.min() <= 0.0:
-            raise StepFailure(f"rho lost positivity (min {self.rho.values.min():g})")
-        if self.b.values.min() <= 0.0:
-            raise StepFailure(f"b lost positivity (min {self.b.values.min():g})")
-        if self.theta.values.min() <= 0.0:
-            raise StepFailure(
-                f"theta lost positivity (min {self.theta.values.min():g})"
-            )
+        # written so that a NaN node fails the check
+        for name in ("rho", "b", "theta"):
+            low = getattr(self, name).values.min()
+            if not low > 0.0:
+                raise StepFailure(f"{name} lost positivity (min {low:g})")
 
 
 @dataclass
@@ -152,7 +161,7 @@ class InitialData:
 
     def __post_init__(self):
         for name, f in (("rho0", self.rho0), ("b0", self.b0), ("theta0", self.theta0)):
-            if f.values.min() <= 0.0:
+            if not f.values.min() > 0.0:
                 raise DomainError(f"{name} must be strictly positive")
             if f.grid != self.rho0.grid:
                 raise GridMismatchError("initial fields live on different grids")
@@ -234,7 +243,7 @@ def regularize_initial_data(
     """
     grid = raw.rho0.grid
     for name, f in (("rho0", raw.rho0), ("b0", raw.b0), ("theta0", raw.theta0)):
-        if f.values.min() <= 0.0:
+        if not f.values.min() > 0.0:
             raise DomainError(f"{name} must be strictly positive")
     if mollify_time is None:
         h = min(grid.hx, grid.hy)
@@ -246,49 +255,119 @@ def regularize_initial_data(
 
 
 # ---------------------------------------------------------------------------
-# pointwise building blocks
+# pointwise terms of the regularized system
 # ---------------------------------------------------------------------------
+# With the nodal forms in `thermo`, the one place the pointwise physics is
+# written: the stepper, tendencies, diagnostics and forcings all build on it.
 
-def rho_e(rho, theta, p: EosParams):
-    """Volumetric internal energy rho*e(rho, theta)."""
-    return rho**p.gamma / (p.gamma - 1.0) + p.c_V * rho * theta + p.a * theta**4
+def artificial_energy(rho, b, reg: RegParams):
+    """Energy density of the artificial pressure,
+    delta*(rho^G/(G-1) + rho^2 + b^G/(G-1) + b^2)."""
+    G = reg.Gamma
+    return reg.delta * (rho**G / (G - 1.0) + rho**2 + b**G / (G - 1.0) + b**2)
 
 
-def total_pressure(rho, theta, b, reg: RegParams, p: EosParams):
-    """p(rho,theta) + b^2/2 + delta*(rho^G + rho^2 + b^G + b^2)."""
+def artificial_energy_rate(rho, b, rho_dot, b_dot, reg: RegParams):
+    """Time derivative of `artificial_energy` along (rho_dot, b_dot)."""
+    G = reg.Gamma
+    return reg.delta * (
+        (G * rho ** (G - 1.0) / (G - 1.0) + 2.0 * rho) * rho_dot
+        + (G * b ** (G - 1.0) / (G - 1.0) + 2.0 * b) * b_dot
+    )
+
+
+def heat_source(theta, reg: RegParams):
+    """Internal-energy source delta/theta^2 - eps*theta^5."""
+    return reg.delta / theta**2 - reg.epsilon * theta**5
+
+
+def momentum_pressure(rho, b, theta, reg: RegParams, p: EosParams):
+    """Isotropic momentum flux p(rho, theta) + b^2/2 plus the artificial
+    pressure delta*(rho^G + rho^2 + b^G + b^2)."""
     G = reg.Gamma
     return (
-        rho * theta
-        + rho**p.gamma
-        + (p.a / 3.0) * theta**4
-        + 0.5 * b * b
+        eos_pressure(rho, theta, p) + 0.5 * b * b
         + reg.delta * (rho**G + rho * rho + b**G + b * b)
     )
 
 
-def shear_heating(u: VectorField, theta, p: EosParams):
-    """Nodal S(theta, grad u) : grad u = mu(theta) (D^2 + A12^2) >= 0."""
-    u1x, u1y, u2x, u2y = velocity_gradient(u)
-    d = u1x - u2y
-    a12 = u1y + u2x
-    return p.mu(theta) * (d * d + a12 * a12), (u1x, u1y, u2x, u2y)
+def rho_gradient_coupling(grho: VectorField, grads_u, reg: RegParams):
+    """eps*(grad rho . grad) u, stacked by component."""
+    u1x, u1y, u2x, u2y = grads_u
+    gx, gy = grho.vx, grho.vy
+    return reg.epsilon * np.stack([gx * u1x + gy * u1y, gx * u2x + gy * u2y])
 
 
-def grad_squared(f: ScalarField):
-    g = gradient(f)
-    return g.vx * g.vx + g.vy * g.vy, g
+@dataclass
+class Terms:
+    """Pointwise terms of the regularized system at one (rho, b, theta, u).
+
+    Derivatives come from the spectral operators (`state_terms`) or, for a
+    manufactured solution, analytically; grads_u is (u1x, u1y, u2x, u2y).
+    Construction forms, once for every consumer: `div_u`, the traceless
+    stress `stress` = (S11, S12) = mu(theta)(D, A12), the shear heating
+    `shear` = S:grad u, `gb2` = |grad b|^2, the gradient heating `art_heat`,
+    the `source` and the heating sum `heating` = S:grad u - p div u +
+    eps |grad b|^2 + art_heat; `sigma15` and `sigma` on first use.
+    """
+
+    rho: np.ndarray
+    b: np.ndarray
+    theta: np.ndarray
+    grads_u: tuple
+    grad_rho: VectorField
+    grad_b: VectorField
+    grad_theta: VectorField | None  # needed only by sigma15
+    reg: RegParams
+    p: EosParams
+
+    def __post_init__(self):
+        reg, G = self.reg, self.reg.Gamma
+        rho, b, th, gr, gb = self.rho, self.b, self.theta, self.grad_rho, self.grad_b
+        u1x, u1y, u2x, u2y = self.grads_u
+        self.div_u = u1x + u2y
+        mu, d, a12 = self.p.mu(th), u1x - u2y, u1y + u2x
+        self.stress = (mu * d, mu * a12)
+        self.shear = mu * (d * d + a12 * a12)
+        self.gb2 = gb.vx * gb.vx + gb.vy * gb.vy
+        self.art_heat = reg.epsilon * reg.delta * (
+            (G * rho ** (G - 2.0) + 2.0) * (gr.vx * gr.vx + gr.vy * gr.vy)
+            + (G * b ** (G - 2.0) + 2.0) * self.gb2
+        )
+        self.source = heat_source(th, reg)
+        self.heating = (
+            self.shear - eos_pressure(rho, th, self.p) * self.div_u
+            + reg.epsilon * self.gb2 + self.art_heat
+        )
+
+    @cached_property
+    def sigma15(self):
+        """Entropy production 1/theta [S:grad u + kappa_delta/theta
+        |grad theta|^2 + delta/theta^2] + eps/theta |grad b|^2 + gradient
+        heating/theta; every term is a nonnegative product."""
+        th, reg, gth = self.theta, self.reg, self.grad_theta
+        cond = kappa_delta(th, self.p, reg.delta, reg.Gamma) / th
+        return (
+            (self.shear + cond * (gth.vx**2 + gth.vy**2) + reg.delta / th**2) / th
+            + reg.epsilon * self.gb2 / th
+            + self.art_heat / th
+        )
+
+    @cached_property
+    def sigma(self):
+        """Dissipation density sigma15 + eps/(rho*theta) dp/drho |grad rho|^2."""
+        rho, th, grho = self.rho, self.theta, self.grad_rho
+        dp_drho, grho2 = pressure_drho(rho, th, self.p), grho.vx**2 + grho.vy**2
+        return self.sigma15 + self.reg.epsilon * dp_drho * grho2 / (rho * th)
 
 
-def artificial_gradient_heating(rho: ScalarField, b: ScalarField, reg: RegParams):
-    """eps*delta*[(G rho^{G-2}+2)|grad rho|^2 + (G b^{G-2}+2)|grad b|^2]."""
-    G = reg.Gamma
-    gr2, grho = grad_squared(rho)
-    gb2, _ = grad_squared(b)
-    heat = reg.epsilon * reg.delta * (
-        (G * rho.values ** (G - 2.0) + 2.0) * gr2
-        + (G * b.values ** (G - 2.0) + 2.0) * gb2
+def state_terms(state: State, reg: RegParams, p: EosParams) -> Terms:
+    """The terms of a state, with spectral derivatives."""
+    return Terms(
+        state.rho.values, state.b.values, state.theta.values,
+        velocity_gradient(state.u), gradient(state.rho), gradient(state.b),
+        gradient(state.theta), reg, p,
     )
-    return heat, gb2, grho
 
 
 def cfl_bound(u: VectorField) -> float:
@@ -371,20 +450,6 @@ def advance_scalar(
 # temperature advance
 # ---------------------------------------------------------------------------
 
-def _kappa_delta(theta, reg: RegParams, p: EosParams):
-    return p.kappa(theta) + reg.delta * (theta**reg.Gamma + 1.0 / theta)
-
-
-def _K_delta(theta, reg: RegParams, p: EosParams):
-    G = reg.Gamma
-    return (
-        p.kappa0 * (theta - 1.0)
-        + p.kappa2 * (theta**3 - 1.0) / 3.0
-        + p.kappa3 * (theta**4 - 1.0) / 4.0
-        + reg.delta * ((theta ** (G + 1.0) - 1.0) / (G + 1.0) + np.log(theta))
-    )
-
-
 def _lap_cc(values, grid: Grid):
     c = fwd2(values, (COS, COS))
     return bwd2(-grid.k2_cc * c, (COS, COS))
@@ -429,13 +494,10 @@ def advance_temperature(
     th_o = state.theta.values
     rho_n = rho_new.values
 
-    heating, grads_u = shear_heating(state.u, th_o, p)
-    div_u = grads_u[0] + grads_u[3]  # u1x + u2y
-    pressure_work = (
-        rho_n * th_o + rho_n**p.gamma + (p.a / 3.0) * th_o**4
-    ) * div_u
-    art_heat, gb2, _ = artificial_gradient_heating(rho_new, b_new, reg)
-    explicit = heating - pressure_work + reg.epsilon * gb2 + art_heat
+    explicit = Terms(
+        rho_n, b_new.values, th_o, velocity_gradient(state.u),
+        gradient(rho_new), gradient(b_new), None, reg, p,
+    ).heating
     if forcing_nodal is not None:
         explicit = explicit + forcing_nodal
 
@@ -454,8 +516,8 @@ def advance_temperature(
     def residual(theta):
         return (
             rho_e(rho_n, theta, p)
-            - dt * _lap_cc(_K_delta(theta, reg, p), grid)
-            - dt * (reg.delta / theta**2 - reg.epsilon * theta**5)
+            - dt * _lap_cc(K_delta(theta, p, reg.delta, reg.Gamma), grid)
+            - dt * heat_source(theta, reg)
             - w
         )
 
@@ -465,13 +527,13 @@ def advance_temperature(
     iterations = 0
     nn = grid.ny * grid.nx
 
-    while res_norm > newton_tol and iterations < max_newton:
-        diag = (
-            p.c_V * rho_n
-            + 4.0 * p.a * theta**3
-            + dt * (2.0 * reg.delta / theta**3 + 5.0 * reg.epsilon * theta**4)
+    # the comparisons are written so that a NaN residual is never accepted
+    while np.isfinite(res_norm) and res_norm > newton_tol and iterations < max_newton:
+        # d(rho e)/dtheta minus dt times the derivative of the heat source
+        diag = rho_e_dtheta(rho_n, theta, p) + dt * (
+            2.0 * reg.delta / theta**3 + 5.0 * reg.epsilon * theta**4
         )
-        kd = _kappa_delta(theta, reg, p)
+        kd = kappa_delta(theta, p, reg.delta, reg.Gamma)
         mean_diag = float(diag.mean())
         mean_kd = float(kd.mean())
         symbol = mean_diag + dt * mean_kd * grid.k2_cc
@@ -514,7 +576,7 @@ def advance_temperature(
         trial_res = residual(trial)
         trial_norm = float(np.abs(trial_res).max()) / scale
         backtracks = 0
-        while trial_norm > (1.0 - 1e-4 * alpha) * res_norm and backtracks < 8:
+        while not trial_norm <= (1.0 - 1e-4 * alpha) * res_norm and backtracks < 8:
             alpha *= 0.5
             trial = theta + alpha * dth
             trial_res = residual(trial)
@@ -523,7 +585,7 @@ def advance_temperature(
         theta, res, res_norm = trial, trial_res, trial_norm
         iterations += 1
 
-    if res_norm > newton_tol:
+    if not res_norm <= newton_tol:
         raise NewtonError(
             f"temperature Newton stalled at residual {res_norm:.3e} "
             f"after {iterations} iterations"
@@ -598,18 +660,14 @@ def _momentum_load(basis, uw, rho_cc, rho, b, theta, grho, grads_u, reg, p):
     """Galerkin load of the explicit momentum terms.
 
     The advection tensor comes from rho_cc and the workspace velocity; the
-    total pressure from (rho, b, theta) and the eps*(grad rho . grad) u
+    momentum pressure from (rho, b, theta) and the eps*(grad rho . grad) u
     coupling from grho and grads_u = (u1x, u1y, u2x, u2y).
     """
     t11, t12, t22 = _advection_tensor(rho_cc, uw, basis.grid.shape)
-    p_tot = total_pressure(rho, theta, b, reg, p)
-    u1x, u1y, u2x, u2y = grads_u
-    eps_u = reg.epsilon * np.stack([
-        grho.vx * u1x + grho.vy * u1y,
-        grho.vx * u2x + grho.vy * u2y,
-    ])
+    p_tot = momentum_pressure(rho, b, theta, reg, p)
     return galerkin_load(
-        basis, -eps_u, np.stack([t11 + p_tot, t12]), np.stack([t12, t22 + p_tot])
+        basis, -rho_gradient_coupling(grho, grads_u, reg),
+        np.stack([t11 + p_tot, t12]), np.stack([t12, t22 + p_tot]),
     )
 
 
@@ -731,10 +789,7 @@ def step(
     )
     new_state.validate_positive()
 
-    th = theta_new.values
-    source_rate = float(
-        (reg.delta / th**2 - reg.epsilon * th**5).sum() * state.grid.weight
-    )
+    source_rate = float(heat_source(theta_new.values, reg).sum() * state.grid.weight)
     report = StepReport(
         t=new_state.t,
         dt=dt,
@@ -756,6 +811,7 @@ class Tendencies:
     rhoe_dot: np.ndarray
     c_dot: np.ndarray
     u_dot: VectorField
+    terms: Terms  # the pointwise terms the rates were formed from
 
 
 def tendencies(state: State, reg: RegParams, p: EosParams, forcing=None) -> Tendencies:
@@ -777,42 +833,32 @@ def tendencies(state: State, reg: RegParams, p: EosParams, forcing=None) -> Tend
         f_rho, f_b, f_e, f_u = forcing.at(state.t)
 
     uw = VelocityWorkspace(state.u)
-    rho_cc = fwd2(rho, (COS, COS))
-    b_cc = fwd2(b, (COS, COS))
-    rho_dot_cc = -_advective_divergence_cc(rho_cc, uw, grid) \
-        - reg.epsilon * grid.k2_cc * rho_cc
-    b_dot_cc = -_advective_divergence_cc(b_cc, uw, grid) \
-        - reg.epsilon * grid.k2_cc * b_cc
-    if f_rho is not None:
-        rho_dot_cc = rho_dot_cc + f_rho
-    if f_b is not None:
-        b_dot_cc = b_dot_cc + f_b
-    rho_dot = bwd2(rho_dot_cc, (COS, COS))
-    b_dot = bwd2(b_dot_cc, (COS, COS))
+    rho_cc, b_cc = fwd2(np.stack([rho, b]), (COS, COS))
+    rates_cc = []
+    for f_cc, f_f in ((rho_cc, f_rho), (b_cc, f_b)):
+        rate = -_advective_divergence_cc(f_cc, uw, grid) \
+            - reg.epsilon * grid.k2_cc * f_cc
+        rates_cc.append(rate if f_f is None else rate + f_f)
+    rho_dot, b_dot = bwd2(np.stack(rates_cc), (COS, COS))
 
-    heating, grads_u = shear_heating(state.u, th, p)
-    div_u = grads_u[0] + grads_u[3]
-    pressure_work = (rho * th + rho**p.gamma + (p.a / 3.0) * th**4) * div_u
-    art_heat, gb2, grho = artificial_gradient_heating(state.rho, state.b, reg)
+    terms = state_terms(state, reg, p)
     adv_e = bwd2(
         _advective_divergence_cc(fwd2(rho_e(rho, th, p), (COS, COS)), uw, grid),
         (COS, COS),
     )
     rhoe_dot = (
         -adv_e
-        + _lap_cc(_K_delta(th, reg, p), grid)
-        + heating
-        - pressure_work
-        + reg.epsilon * gb2
-        + art_heat
-        + reg.delta / th**2
-        - reg.epsilon * th**5
+        + _lap_cc(K_delta(th, p, reg.delta, reg.Gamma), grid)
+        + terms.heating
+        + terms.source
     )
     if f_e is not None:
         rhoe_dot = rhoe_dot + f_e
 
     n = basis.n
-    rhs = _momentum_load(basis, uw, rho_cc, rho, b, th, grho, grads_u, reg, p)
+    rhs = _momentum_load(
+        basis, uw, rho_cc, rho, b, th, terms.grad_rho, terms.grads_u, reg, p
+    )
     if f_u is not None:
         rhs = rhs + f_u
     c = state.u.coeffs
@@ -820,9 +866,11 @@ def tendencies(state: State, reg: RegParams, p: EosParams, forcing=None) -> Tend
         c = project_velocity(state.u, basis)
     rhs -= _viscous_matrix(th, basis, p) @ c
     # d/dt (M c) = rhs, so M c_dot = rhs - dM/dt c with dM/dt = M(rho_dot)
-    rhs -= (c.reshape(2, n) @ _mass_matrix(rho_dot_cc, basis)).ravel()
+    rhs -= (c.reshape(2, n) @ _mass_matrix(rates_cc[0], basis)).ravel()
     c_dot = np.linalg.solve(_mass_matrix(rho_cc, basis), rhs.reshape(2, n).T).T.ravel()
-    return Tendencies(rho_dot, b_dot, rhoe_dot, c_dot, reconstruct(c_dot, basis))
+    return Tendencies(
+        rho_dot, b_dot, rhoe_dot, c_dot, reconstruct(c_dot, basis), terms
+    )
 
 
 def initial_state(initial: InitialData, basis: GalerkinBasis) -> State:

@@ -9,9 +9,10 @@ plus a gamma-law cold component) with a quartic radiative part:
 
 The three are tied together by the Gibbs relation
 theta*Ds = De + p*D(1/rho), which this module can verify numerically
-(`gibbs_residual`).  All functions accept scalars or numpy arrays and reject
-non-positive densities and temperatures outright; flooring is a solver
-decision, not a property of the math layer.
+(`gibbs_residual`).  The `ThermoPoint` functions accept scalars or numpy
+arrays and reject non-positive densities and temperatures outright; flooring
+is a solver decision, not a property of the math layer, so the nodal forms
+(volumetric densities, partials, conductivities) take raw arrays unchecked.
 """
 
 from __future__ import annotations
@@ -27,6 +28,17 @@ __all__ = [
     "ThermoPoint",
     "pressure",
     "pressure_split",
+    "eos_pressure",
+    "pressure_drho",
+    "rho_e",
+    "rho_e_drho",
+    "rho_e_dtheta",
+    "rho_s",
+    "rho_s_drho",
+    "rho_s_dtheta",
+    "gibbs_bracket",
+    "kappa_delta",
+    "K_delta",
     "internal_energy",
     "internal_energy_split",
     "entropy",
@@ -104,15 +116,11 @@ class ThermoPoint:
 
 def pressure_split(pt: ThermoPoint, p: EosParams):
     """Molecular and radiative pressure parts (p_M, p_R)."""
-    rho, theta = pt.rho, pt.theta
-    p_m = rho * theta + rho**p.gamma
-    p_r = (p.a / 3.0) * theta**4
-    return p_m, p_r
+    return _pressure_parts(pt.rho, pt.theta, p)
 
 
 def pressure(pt: ThermoPoint, p: EosParams):
-    p_m, p_r = pressure_split(pt, p)
-    return p_m + p_r
+    return eos_pressure(pt.rho, pt.theta, p)
 
 
 def internal_energy_split(pt: ThermoPoint, p: EosParams):
@@ -190,9 +198,7 @@ def stability_check(pt: ThermoPoint, p: EosParams, h: float | None = None):
     """
     rho, theta = pt.rho, pt.theta
     if h is None:
-        dpdrho = theta + p.gamma * rho ** (p.gamma - 1.0)
-        dedtheta = p.c_V + 4.0 * p.a * theta**3 / rho
-        return dpdrho, dedtheta
+        return pressure_drho(rho, theta, p), rho_e_dtheta(rho, theta, p) / rho
     if not h > 0.0:
         raise DomainError(f"step h must be > 0, got {h}")
     if np.any(np.asarray(rho) - h <= 0.0) or np.any(np.asarray(theta) - h <= 0.0):
@@ -216,15 +222,12 @@ def helmholtz(pt: ThermoPoint, p: EosParams, theta_bar: float):
     """
     if not theta_bar > 0.0:
         raise DomainError(f"theta_bar must be > 0, got {theta_bar}")
-    rho = pt.rho
-    return rho * internal_energy(pt, p) - theta_bar * rho * entropy(pt, p)
+    return rho_e(pt.rho, pt.theta, p) - theta_bar * rho_s(pt.rho, pt.theta, p)
 
 
 def helmholtz_drho(rho, p: EosParams, theta_bar: float, theta):
     """d/drho of H_theta_bar(rho, theta), closed form."""
-    d_rhoe = p.gamma * rho ** (p.gamma - 1.0) / (p.gamma - 1.0) + p.c_V * theta
-    d_rhos = p.c_V * np.log(theta) - np.log(rho) - 1.0
-    return d_rhoe - theta_bar * d_rhos
+    return rho_e_drho(rho, theta, p) - theta_bar * rho_s_drho(rho, theta, p)
 
 
 def coercivity_margin(pt: ThermoPoint, p: EosParams, theta_bar: float = 1.0,
@@ -235,17 +238,13 @@ def coercivity_margin(pt: ThermoPoint, p: EosParams, theta_bar: float = 1.0,
     (1/4)(rho e + tb rho |s|) minus an affine-in-rho pivot evaluated at
     (rho_bar, 2 tb); a nonnegative margin certifies it at the sampled point.
     """
-    rho = pt.rho
-    lhs = helmholtz(pt, p, theta_bar)
-    e_val = internal_energy(pt, p)
-    s_val = entropy(pt, p)
+    rho, theta = pt.rho, pt.theta
     pivot_pt = ThermoPoint(rho_bar, 2.0 * theta_bar)
     h_pivot = helmholtz(pivot_pt, p, 2.0 * theta_bar)
     dh_pivot = helmholtz_drho(rho_bar, p, 2.0 * theta_bar, 2.0 * theta_bar)
-    rhs = 0.25 * (rho * e_val + theta_bar * rho * np.abs(s_val)) - np.abs(
-        (rho - rho_bar) * dh_pivot + h_pivot
-    )
-    return lhs - rhs
+    rhs = 0.25 * (rho_e(rho, theta, p) + theta_bar * np.abs(rho_s(rho, theta, p))) \
+        - np.abs((rho - rho_bar) * dh_pivot + h_pivot)
+    return helmholtz(pt, p, theta_bar) - rhs
 
 
 def transport(theta, p: EosParams, delta: float, Gamma: float):
@@ -262,18 +261,11 @@ def transport(theta, p: EosParams, delta: float, Gamma: float):
         raise DomainError(f"delta must be >= 0, got {delta}")
     if Gamma < 2.0:
         raise DomainError(f"Gamma must be >= 2, got {Gamma}")
-    mu = p.mu(theta)
-    kappa = p.kappa(theta)
-    kappa_delta = kappa + delta * (theta**Gamma + 1.0 / theta)
-    K_delta = (
-        p.kappa0 * (theta - 1.0)
-        + p.kappa2 * (theta**3 - 1.0) / 3.0
-        + p.kappa3 * (theta**4 - 1.0) / 4.0
-        + delta * ((theta ** (Gamma + 1.0) - 1.0) / (Gamma + 1.0) + np.log(theta))
-    )
+    out = (p.mu(theta), p.kappa(theta), kappa_delta(theta, p, delta, Gamma),
+           K_delta(theta, p, delta, Gamma))
     if theta.ndim == 0:
-        return float(mu), float(kappa), float(kappa_delta), float(K_delta)
-    return mu, kappa, kappa_delta, K_delta
+        return tuple(float(v) for v in out)
+    return out
 
 
 def viscous_stress(grad_u, theta, p: EosParams):
@@ -294,3 +286,72 @@ def heat_flux(grad_theta, theta, p: EosParams):
     if not np.all(theta > 0.0):
         raise DomainError("theta must be > 0")
     return -p.kappa(theta) * np.asarray(grad_theta, dtype=float)
+
+
+# ---------------------------------------------------------------------------
+# nodal forms (raw arrays, no domain check)
+# ---------------------------------------------------------------------------
+
+def _pressure_parts(rho, theta, p: EosParams):
+    """Molecular and radiative pressure (p_M, p_R) of nodal arrays."""
+    return rho * theta + rho**p.gamma, (p.a / 3.0) * theta**4
+
+
+def eos_pressure(rho, theta, p: EosParams):
+    """p(rho, theta) = p_M + p_R of nodal arrays."""
+    p_m, p_r = _pressure_parts(rho, theta, p)
+    return p_m + p_r
+
+
+def pressure_drho(rho, theta, p: EosParams):
+    """dp/drho = theta + gamma*rho^(gamma-1); the radiative part is rho-free."""
+    return theta + p.gamma * rho ** (p.gamma - 1.0)
+
+
+def rho_e(rho, theta, p: EosParams):
+    """Volumetric internal energy rho*e(rho, theta)."""
+    return rho**p.gamma / (p.gamma - 1.0) + p.c_V * rho * theta + p.a * theta**4
+
+
+def rho_s(rho, theta, p: EosParams):
+    """Volumetric entropy rho*s(rho, theta)."""
+    return p.c_V * rho * np.log(theta) - rho * np.log(rho) + (4.0 * p.a / 3.0) * theta**3
+
+
+# partials of the volumetric densities, each at fixed other variable
+
+def rho_e_drho(rho, theta, p: EosParams):
+    return p.gamma * rho ** (p.gamma - 1.0) / (p.gamma - 1.0) + p.c_V * theta
+
+
+def rho_e_dtheta(rho, theta, p: EosParams):
+    return p.c_V * rho + 4.0 * p.a * theta**3
+
+
+def rho_s_drho(rho, theta, p: EosParams):
+    return p.c_V * np.log(theta) - np.log(rho) - 1.0
+
+
+def rho_s_dtheta(rho, theta, p: EosParams):
+    return p.c_V * rho / theta + 4.0 * p.a * theta**2
+
+
+def gibbs_bracket(rho, theta, p: EosParams):
+    """theta*s - e - p/rho, which equals theta d(rho s)/drho - d(rho e)/drho;
+    the radiative parts cancel, leaving the molecular bracket."""
+    return theta * rho_s_drho(rho, theta, p) - rho_e_drho(rho, theta, p)
+
+
+def kappa_delta(theta, p: EosParams, delta: float, Gamma: float):
+    """Augmented conductivity kappa + delta*(theta^Gamma + 1/theta)."""
+    return p.kappa(theta) + delta * (theta**Gamma + 1.0 / theta)
+
+
+def K_delta(theta, p: EosParams, delta: float, Gamma: float):
+    """Primitive int_1^theta kappa_delta(z) dz in closed form."""
+    return (
+        p.kappa0 * (theta - 1.0)
+        + p.kappa2 * (theta**3 - 1.0) / 3.0
+        + p.kappa3 * (theta**4 - 1.0) / 4.0
+        + delta * ((theta ** (Gamma + 1.0) - 1.0) / (Gamma + 1.0) + np.log(theta))
+    )

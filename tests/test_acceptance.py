@@ -12,7 +12,7 @@ from scipy.integrate import solve_ivp
 from mhdlab import diagnostics as diag
 from mhdlab.config import parse_config
 from mhdlab.errors import ConfigError
-from mhdlab.grid import Grid, ScalarField, VectorField, build_basis
+from mhdlab.grid import Grid, ScalarField, VectorField, GalerkinBasis
 from mhdlab.mms import spatial_order_study, temporal_order_study
 from mhdlab.snapshot import read_snapshot, write_snapshot
 from mhdlab.solver import (
@@ -70,7 +70,7 @@ def smooth_init(grid, amp, zeta_expr="const", n=4):
     theta = ScalarField(
         grid, 1.0 + amp * np.cos(np.pi * grid.Y / grid.ly)
     )
-    basis = build_basis(grid, n)
+    basis = GalerkinBasis(grid, n)
     u = VectorField(grid, amp * basis.phi[0].reshape(grid.shape),
                     np.zeros(grid.shape))
     return InitialData(rho, b, theta, u)
@@ -407,7 +407,7 @@ def test_c13_serialization(tmp_path):
         VectorField(grid, rng.standard_normal(grid.shape),
                     rng.standard_normal(grid.shape)),
     )
-    st = initial_state(init, build_basis(grid, 2))
+    st = initial_state(init, GalerkinBasis(grid, 2))
     path = tmp_path / "state.mhdw"
     write_snapshot(st, path)
     back = read_snapshot(path)

@@ -1,11 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
 
 from mhdlab import cli
 from mhdlab.config import evaluate_expression, parse_config
 from mhdlab.errors import ConfigError, SnapshotError
-from mhdlab.grid import Grid, ScalarField, VectorField, build_basis
-from mhdlab.snapshot import read_snapshot, write_snapshot
+from mhdlab.grid import Grid, ScalarField, VectorField, GalerkinBasis
+from mhdlab.snapshot import MAGIC, VERSION, read_snapshot, write_snapshot
 from mhdlab.solver import InitialData, initial_state
 from mhdlab.tolerances import TOLERANCES, dump
 
@@ -71,6 +73,13 @@ theta = -1
         assert "gamma_cap" in joined
         assert len(err.value.violations) >= 2
 
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_nan_initial_field_rejected(self):
+        text = MINIMAL + "\n[initial]\nrho = (x - 2)**0.5\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert "rho must be strictly positive" in str(err.value)
+
     def test_cfl_checked_at_load(self):
         text = MINIMAL + "\n[initial]\nux = 10*sin(pi*x)*sin(pi*y)\n"
         with pytest.raises(ConfigError) as err:
@@ -116,7 +125,7 @@ class TestSnapshot:
     def make_state(self, seed=0):
         g = Grid(16, 32, 1.5, 0.7)
         rng = np.random.default_rng(seed)
-        basis = build_basis(g, 3)
+        basis = GalerkinBasis(g, 3)
         init = InitialData(
             ScalarField(g, 1.0 + 0.3 * rng.random(g.shape)),
             ScalarField(g, 2.0 + 0.3 * rng.random(g.shape)),
@@ -164,6 +173,30 @@ class TestSnapshot:
         data = bytearray(path.read_bytes())
         data[4] = 99
         path.write_bytes(bytes(data))
+        with pytest.raises(SnapshotError):
+            read_snapshot(path)
+
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            {"nx": 12}, {"nx": 0}, {"ny": 4},
+            {"lx": 0.0}, {"lx": -1.0}, {"ly": float("nan")}, {"lx": float("inf")},
+            {"t": float("nan")}, {"t": float("inf")},
+            {"fill": float("nan")},
+        ],
+        ids=lambda h: ",".join(f"{k}={v}" for k, v in h.items()),
+    )
+    def test_malformed_header_or_payload_rejected(self, tmp_path, header):
+        h = {"nx": 16, "ny": 16, "lx": 1.0, "ly": 1.0, "t": 0.0, "fill": 1.0}
+        h.update(header)
+        payload = np.full(5 * h["nx"] * h["ny"], h["fill"], dtype="<f8")
+        path = tmp_path / "bad.mhdw"
+        path.write_bytes(
+            struct.pack("<4sIIIddd", MAGIC, VERSION, h["nx"], h["ny"], h["lx"],
+                        h["ly"], h["t"])
+            + payload.tobytes()
+        )
         with pytest.raises(SnapshotError):
             read_snapshot(path)
 

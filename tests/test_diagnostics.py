@@ -4,7 +4,7 @@ from scipy.integrate import quad
 
 from mhdlab import diagnostics as diag
 from mhdlab.errors import DomainError
-from mhdlab.grid import Grid, ScalarField, VectorField, build_basis
+from mhdlab.grid import Grid, ScalarField, VectorField, GalerkinBasis
 from mhdlab.solver import (
     InitialData,
     RegParams,
@@ -25,12 +25,12 @@ def equilibrium_state(grid, b=2.0):
         ScalarField.constant(grid, 1.0),
         VectorField.zero(grid),
     )
-    return initial_state(init, build_basis(grid, REG.n))
+    return initial_state(init, GalerkinBasis(grid, REG.n))
 
 
 def smooth_state(grid, amp=0.05, seed=0):
     rng = np.random.default_rng(seed)
-    basis = build_basis(grid, REG.n)
+    basis = GalerkinBasis(grid, REG.n)
     rho = ScalarField(
         grid, 1.0 + amp * np.cos(np.pi * grid.X) * np.cos(np.pi * grid.Y)
     )
@@ -73,6 +73,22 @@ class TestReport:
         r2 = diag.report(st.copy(), REG, P)
         for col in diag.CSV_COLUMNS:
             assert getattr(r1, col) == getattr(r2, col)
+
+    def test_report_forms_each_term_once(self, monkeypatch):
+        # sigma and the entropy production reuse the terms of the tendencies:
+        # one bundle (shear and gradient heating), one gradient per field
+        from mhdlab import solver
+
+        calls = {"gradient": 0, "velocity_gradient": 0, "__post_init__": 0}
+        for owner, name in ((solver, "gradient"), (solver, "velocity_gradient"),
+                            (solver.Terms, "__post_init__")):
+            def counted(*args, _orig=getattr(owner, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        diag.report(smooth_state(Grid(16, 16), seed=1), REG, P)
+        assert calls == {"gradient": 3, "velocity_gradient": 1, "__post_init__": 1}
 
     def test_csv_column_order(self, tmp_path):
         g = Grid(16, 16)
@@ -146,13 +162,15 @@ class TestCutoffs:
             diag.cutoff_T(-0.1, 1.0)
         with pytest.raises(DomainError):
             diag.cutoff_L(np.array([1.0, -2.0]), 1.0)
+        with pytest.raises(DomainError):
+            diag.cutoff_T_prime(np.array([0.5, 2.0]), 0.0)
 
 
 @pytest.fixture(scope="module")
 def short_run():
     g = Grid(32, 32)
     rho = ScalarField(g, 1.0 + 0.05 * np.cos(np.pi * g.X))
-    basis = build_basis(g, 4)
+    basis = GalerkinBasis(g, 4)
     u = VectorField(g, 0.05 * basis.phi[0].reshape(g.shape),
                     np.zeros(g.shape))
     init = InitialData(rho, ScalarField(g, 2 * rho.values),
@@ -167,7 +185,7 @@ def trajectory():
     rho = ScalarField(
         g, 1.0 + 0.03 * np.cos(np.pi * g.X) * np.cos(np.pi * g.Y)
     )
-    basis = build_basis(g, 4)
+    basis = GalerkinBasis(g, 4)
     u = VectorField(g, 0.03 * basis.phi[0].reshape(g.shape),
                     np.zeros(g.shape))
     init = InitialData(rho, ScalarField(g, 2 * rho.values),
@@ -218,7 +236,7 @@ def dt_pair():
                       * np.cos(np.pi * g.Y))
     b = ScalarField(g, rho.values * (2.0 + 0.2 * np.cos(np.pi * g.X)))
     th = ScalarField(g, 1.0 + 0.05 * np.cos(np.pi * g.Y))
-    basis = build_basis(g, 4)
+    basis = GalerkinBasis(g, 4)
     u = VectorField(g, 0.05 * basis.phi[0].reshape(g.shape),
                     np.zeros(g.shape))
     init = InitialData(rho, b, th, u)
@@ -323,7 +341,7 @@ class TestHelmholtzFunctional:
     def test_growth_bounded_by_measured_rate(self):
         g = Grid(32, 32)
         rho = ScalarField(g, 1.0 + 0.05 * np.cos(np.pi * g.X))
-        basis = build_basis(g, 4)
+        basis = GalerkinBasis(g, 4)
         u = VectorField(g, 0.05 * basis.phi[0].reshape(g.shape),
                         np.zeros(g.shape))
         init = InitialData(rho, ScalarField(g, 2 * rho.values),

@@ -8,7 +8,7 @@ from mhdlab.grid import (
     Grid,
     ScalarField,
     VectorField,
-    build_basis,
+    GalerkinBasis,
     bwd2,
     dealiased_product,
     divergence,
@@ -60,6 +60,8 @@ class TestGrid:
             Grid(4, 16)
         with pytest.raises(GridMismatchError):
             Grid(16, 16, -1.0, 1.0)
+        with pytest.raises(GridMismatchError):
+            Grid(16, 16, 1.0, np.inf)
 
     def test_node_count(self):
         g = Grid(16, 8, 2.0, 3.0)
@@ -135,7 +137,7 @@ class TestQuadrature:
         assert integrate(f) == pytest.approx(0.5, rel=1e-13)
 
     def test_sine_modes_orthogonal(self, grid):
-        basis = build_basis(grid, 6)
+        basis = GalerkinBasis(grid, 6)
         shape = grid.shape
         for i in range(6):
             for j in range(6):
@@ -190,19 +192,19 @@ class TestDealiasing:
 class TestBasis:
     def test_mode_ordering(self):
         g = Grid(64, 64, 1.0, 1.0)
-        basis = build_basis(g, 4)
+        basis = GalerkinBasis(g, 4)
         assert basis.modes == [(1, 1), (1, 2), (2, 1), (2, 2)]
 
     def test_too_large_rejected(self):
         g = Grid(16, 16)
         with pytest.raises(BasisError):
-            build_basis(g, 7 * 7 + 1)
+            GalerkinBasis(g, 7 * 7 + 1)
         with pytest.raises(BasisError):
-            build_basis(g, 0)
+            GalerkinBasis(g, 0)
 
     def test_modes_vanish_on_boundary(self):
         g = Grid(16, 16, 1.7, 0.8)
-        basis = build_basis(g, 8)
+        basis = GalerkinBasis(g, 8)
         ys = np.linspace(0.0, g.ly, 13)
         xs = np.linspace(0.0, g.lx, 13)
         for m in range(8):
@@ -212,7 +214,7 @@ class TestBasis:
             assert np.abs(basis.mode_values(m, xs, g.ly)).max() <= 1e-13
 
     def test_single_mode_projects_to_unit_coefficient(self, grid):
-        basis = build_basis(grid, 5)
+        basis = GalerkinBasis(grid, 5)
         v = VectorField(grid, basis.phi[0].reshape(grid.shape), np.zeros(grid.shape))
         c = project_velocity(v, basis)
         expected = np.zeros(2 * 5)
@@ -220,7 +222,7 @@ class TestBasis:
         assert np.abs(c - expected).max() <= 1e-13
 
     def test_projection_round_trip(self, grid):
-        basis = build_basis(grid, 7)
+        basis = GalerkinBasis(grid, 7)
         rng = np.random.default_rng(9)
         c = rng.standard_normal(2 * 7)
         v = reconstruct(c, basis)
@@ -228,7 +230,7 @@ class TestBasis:
         assert np.abs(c2 - c).max() <= 1e-12
 
     def test_projection_is_contraction(self, grid):
-        basis = build_basis(grid, 4)
+        basis = GalerkinBasis(grid, 4)
         v = random_ss_vector(grid, 21)
         c = project_velocity(v, basis)
         pv = reconstruct(c, basis)
@@ -237,7 +239,7 @@ class TestBasis:
         assert norm_pv <= norm_v * (1.0 + 1e-12)
 
     def test_out_of_span_projection_shrinks_norm(self, grid):
-        basis = build_basis(grid, 2)
+        basis = GalerkinBasis(grid, 2)
         # mode (3,3) is outside span(basis)
         ax, ay = 3 * np.pi / grid.lx, 3 * np.pi / grid.ly
         v = VectorField(

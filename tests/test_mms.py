@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mhdlab.errors import BasisError
-from mhdlab.grid import Grid, build_basis
+from mhdlab.grid import Grid, GalerkinBasis
 from mhdlab.mms import (
     CosineFactor,
     ManufacturedSolution,
@@ -71,7 +71,7 @@ class TestForcing:
             u=ModalVelocity([]),
         )
         reg = RegParams(epsilon=0.05, delta=0.05, n=2)
-        basis = build_basis(grid, 2)
+        basis = GalerkinBasis(grid, 2)
         forcing = manufactured_forcing(ms, reg, P, grid, basis)
         g_rho, g_b, g_e, g_u = forcing.at(0.0)
         assert np.abs(g_rho).max() <= 1e-12
@@ -82,7 +82,7 @@ class TestForcing:
     def test_exact_state_has_tiny_tendencies(self):
         # forced semi-discrete residual at the exact manufactured state
         grid = Grid(64, 64)
-        basis = build_basis(grid, 4)
+        basis = GalerkinBasis(grid, 4)
         ms = standard_smooth_solution(unsteady=False)
         forcing = manufactured_forcing(ms, REG, P, grid, basis)
         st = initial_state(ms.initial_data(grid), basis)
@@ -94,7 +94,7 @@ class TestForcing:
 
     def test_velocity_mode_outside_basis_rejected(self):
         grid = Grid(32, 32)
-        basis = build_basis(grid, 2)  # modes (1,1), (1,2)
+        basis = GalerkinBasis(grid, 2)  # modes (1,1), (1,2)
         ms = ManufacturedSolution(
             rho=SeparableField(1.0, 0.05, CosineFactor(1), CosineFactor(1)),
             theta=SeparableField(1.0, 0.0, CosineFactor(1), CosineFactor(1)),
@@ -121,7 +121,7 @@ class TestOrderStudies:
 
     def test_unsteady_solution_tracks_exact(self):
         grid = Grid(32, 32)
-        basis = build_basis(grid, 4)
+        basis = GalerkinBasis(grid, 4)
         ms = standard_smooth_solution(unsteady=True)
         forcing = manufactured_forcing(ms, REG, P, grid, basis)
         traj = run(ms.initial_data(grid), REG, P,

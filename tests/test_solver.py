@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from mhdlab.errors import CflError, DomainError, StepFailure
-from mhdlab.grid import Grid, ScalarField, VectorField, build_basis, integrate
+from mhdlab.errors import CflError, DomainError, NewtonError, StepFailure
+from mhdlab.grid import Grid, ScalarField, VectorField, GalerkinBasis, integrate
 from mhdlab.solver import (
     InitialData,
     RegParams,
@@ -38,7 +38,7 @@ def smooth_initial(grid, amp=0.05, n=4, zeta="2"):
     theta = ScalarField.from_function(
         grid, lambda x, y: 1 + amp * np.cos(np.pi * y / grid.ly)
     )
-    basis = build_basis(grid, n)
+    basis = GalerkinBasis(grid, n)
     u = VectorField(grid, amp * basis.phi[0].reshape(grid.shape),
                     np.zeros(grid.shape))
     return InitialData(rho, b, theta, u), basis
@@ -51,7 +51,7 @@ def uniform_state(grid, n=2, rho=1.0, b=1.0, theta=1.0):
         ScalarField.constant(grid, theta),
         VectorField.zero(grid),
     )
-    return initial_state(init, build_basis(grid, n))
+    return initial_state(init, GalerkinBasis(grid, n))
 
 
 class TestRegParams:
@@ -153,7 +153,7 @@ class TestAdvanceScalar:
 
     def test_mass_conserved_with_advection(self):
         g = Grid(32, 32)
-        basis = build_basis(g, 4)
+        basis = GalerkinBasis(g, 4)
         u = VectorField(
             g,
             0.1 * basis.phi[0].reshape(g.shape),
@@ -240,7 +240,7 @@ class TestAdvanceMomentum:
         # dominant generalized eigenvalue reachable from the initial mode
         g = Grid(32, 32, 1.0, 1.0)
         n = 2
-        basis = build_basis(g, n)
+        basis = GalerkinBasis(g, n)
         st = uniform_state(g, n=n)
         amp = 1e-6
         c = np.zeros(2 * n)
@@ -348,7 +348,7 @@ class TestStep:
 
     def test_cfl_guard(self):
         g = Grid(16, 16)
-        basis = build_basis(g, 1)
+        basis = GalerkinBasis(g, 1)
         init = InitialData(
             ScalarField.constant(g, 1.0), ScalarField.constant(g, 1.0),
             ScalarField.constant(g, 1.0),
@@ -389,7 +389,7 @@ class TestRoughDataPipeline:
         assert init.c_star >= raw.c_star - 1e-10
         assert init.c_star_upper <= raw.c_star_upper + 1e-10
 
-        st = initial_state(init, build_basis(g, reg.n))
+        st = initial_state(init, GalerkinBasis(g, reg.n))
         m_rho, m_b = integrate(st.rho), integrate(st.b)
         # the smoothed step drives strong accelerations; stay under CFL
         for _ in range(100):
@@ -421,7 +421,7 @@ class TestRandomizedInvariants:
             vals = bwd2(0.05 * c, (COS, COS))
             return ScalarField(g, base + vals - vals.min() + 0.5)
 
-        basis = build_basis(g, 4)
+        basis = GalerkinBasis(g, 4)
         zeta0 = 1.5 + 0.5 * rng.random()
         rho = random_positive(1.0)
         init = InitialData(rho, ScalarField(g, zeta0 * rho.values),
@@ -453,6 +453,46 @@ class TestPositivityGuard:
         st2.theta.values[0, 0] = 0.0
         with pytest.raises(StepFailure):
             st2.validate_positive()
+
+    # a NaN node compares false both ways, so every guard must fail on it
+
+    @pytest.mark.parametrize("name", ["rho", "b", "theta"])
+    def test_state_validation_rejects_nan(self, name):
+        st = uniform_state(Grid(16, 16))
+        getattr(st, name).values[2, 5] = np.nan
+        with pytest.raises(StepFailure):
+            st.validate_positive()
+
+    def test_nan_temperature_is_not_converged(self):
+        st = uniform_state(Grid(16, 16))
+        st.theta.values[2, 5] = np.nan
+        with pytest.raises(NewtonError):
+            advance_temperature(st, RegParams(epsilon=0.3, delta=0.3), P, 1e-2)
+
+    @pytest.mark.parametrize("name", ["rho", "theta"])
+    def test_step_rejects_nan_state(self, name):
+        st = uniform_state(Grid(16, 16))
+        getattr(st, name).values[2, 5] = np.nan
+        with pytest.raises(StepFailure):
+            step(st, RegParams(epsilon=0.3, delta=0.3, n=2), P, 1e-2)
+
+    def test_initial_data_rejects_nan(self):
+        g = Grid(16, 16)
+        bad = ScalarField.constant(g, 1.0)
+        bad.values[0, 0] = np.nan
+        with pytest.raises(DomainError):
+            InitialData(ScalarField.constant(g, 1.0), ScalarField.constant(g, 1.0),
+                        bad, VectorField.zero(g))
+
+    def test_regularize_rejects_nan(self):
+        g = Grid(16, 16)
+        init = InitialData(
+            ScalarField.constant(g, 1.0), ScalarField.constant(g, 1.0),
+            ScalarField.constant(g, 1.0), VectorField.zero(g),
+        )
+        init.b0.values[4, 4] = np.nan
+        with pytest.raises(DomainError):
+            regularize_initial_data(init, RegParams(epsilon=1e-2, delta=1e-2))
 
 
 class TestTendencies:

@@ -3,7 +3,7 @@ import pytest
 
 from mhdlab import sweeps as sweeps_mod
 from mhdlab.errors import BasisError, DomainError
-from mhdlab.grid import Grid, ScalarField, VectorField, build_basis
+from mhdlab.grid import Grid, ScalarField, VectorField, GalerkinBasis
 from mhdlab.solver import InitialData, RegParams, initial_state
 from mhdlab.sweeps import (
     SweepPlan,
@@ -26,7 +26,7 @@ def make_state(grid, rho_vals, b_vals):
         ScalarField.constant(grid, 1.0),
         VectorField.zero(grid),
     )
-    return initial_state(init, build_basis(grid, 2))
+    return initial_state(init, GalerkinBasis(grid, 2))
 
 
 class TestZetaMetric:
@@ -119,7 +119,7 @@ class TestSweepPlan:
 def setup():
     g = Grid(16, 16, 1.0, 1.0)
     rho = ScalarField(g, 1.0 + 0.05 * np.cos(np.pi * g.X))
-    basis = build_basis(g, 4)
+    basis = GalerkinBasis(g, 4)
     u = VectorField(g, 0.05 * basis.phi[0].reshape(g.shape),
                     np.zeros(g.shape))
     return InitialData(rho, ScalarField(g, 2 * rho.values),
