@@ -78,7 +78,13 @@ def evaluate_expression(expr: str, grid: Grid):
         "cos": np.cos, "sin": np.sin, "exp": np.exp,
         "__builtins__": {},
     }
-    vals = eval(expr, namespace)  # names whitelisted above
+    # invalid or overflowing values are rejected by the caller's checks, so
+    # numpy's warnings about them would only be noise before that error
+    try:
+        with np.errstate(all="ignore"):
+            vals = eval(expr, namespace)  # names whitelisted above
+    except ArithmeticError as exc:
+        raise ValueError(f"expression {expr!r} cannot be evaluated: {exc}") from None
     return np.broadcast_to(np.asarray(vals, dtype=float), grid.shape).copy()
 
 
@@ -227,12 +233,13 @@ def parse_config(text: str) -> Config:
                 fields[name] = evaluate_expression(exprs[name], grid)
             except ValueError as exc:
                 violations.append(f"[initial] {name}: {exc}")
-        for name in ("rho", "b", "theta"):
-            if name in fields and not fields[name].min() > 0.0:
+        for name, vals in fields.items():
+            if name in ("rho", "b", "theta") and not vals.min() > 0.0:
                 violations.append(
-                    f"[initial] {name} must be strictly positive "
-                    f"(min {fields[name].min():g})"
+                    f"[initial] {name} must be strictly positive (min {vals.min():g})"
                 )
+            elif not np.isfinite(vals).all():
+                violations.append(f"[initial] {name} must be finite")
         if schedule is not None and "ux" in fields and "uy" in fields:
             u0 = VectorField(grid, fields["ux"], fields["uy"])
             bound = cfl_bound(u0)

@@ -77,6 +77,11 @@ class Grid:
         ky = np.arange(self.ny) * np.pi / self.ly
         # |k|^2 for the cosine-cosine representation (Neumann Laplacian)
         self.k2_cc = ky[:, None] ** 2 + kx[None, :] ** 2
+        # weight of the cosine-cosine coefficients in the nodal inner product:
+        # sum(f*g) = nx*ny*sum(w_cc*f_cc*g_cc)
+        self.w_cc = np.full(self.shape, 0.25)
+        self.w_cc[0, :] = self.w_cc[:, 0] = 0.5
+        self.w_cc[0, 0] = 1.0
 
     @property
     def shape(self):

@@ -4,11 +4,12 @@ One step advances, in order: the parabolic continuity and magnetic equations
 (advection explicit, eps-diffusion implicit, both diagonal in cosine space),
 the internal-energy equation (safeguarded Newton on nodal temperature with
 the augmented-conductivity diffusion and the delta/theta^2 - eps*theta^5
-source treated implicitly), and the Galerkin momentum equation (viscous
-operator implicit, advection / total pressure / eps grad-rho coupling
-explicit).  This mirrors the fix-velocity-then-solve-scalars structure of
-the underlying construction; an optional second or third Picard sweep
-repeats the cycle with the updated velocity.
+source treated implicitly, each direction by conjugate gradients on cosine
+coefficients in the Kirchhoff variable), and the Galerkin momentum equation
+(viscous operator implicit, advection / total pressure / eps grad-rho
+coupling explicit).  This mirrors the fix-velocity-then-solve-scalars
+structure of the underlying construction; an optional second or third Picard
+sweep repeats the cycle with the updated velocity.
 
 Both scalar advances share one linear update, so fields that start
 proportional stay proportional to round-off, and the k = 0 cosine mode is
@@ -21,7 +22,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
+# unused here: bench/hooks.py binds solver.gmres to count Krylov matvecs
+from scipy.sparse.linalg import gmres  # noqa: F401
 
 from .errors import (
     CflError,
@@ -190,6 +192,9 @@ class Schedule:
 
 @dataclass
 class StepReport:
+    """Per-step record; the temperature counts are those of the last Picard
+    sweep, the Krylov and backtrack counts summed over its Newton loop."""
+
     t: float
     dt: float
     newton_iterations: int
@@ -197,6 +202,8 @@ class StepReport:
     theta_floor_hits: int
     cfl_limit: float
     source_rate: float  # integral of delta/theta^2 - eps*theta^5 at the new level
+    krylov_iterations: int
+    line_search_backtracks: int
 
 
 @dataclass
@@ -455,11 +462,89 @@ def _lap_cc(values, grid: Grid):
     return bwd2(-grid.k2_cc * c, (COS, COS))
 
 
+def _kirchhoff_operator(a, dt: float, grid: Grid):
+    """z_cc -> cosine coefficients of a*z - dt*Lap z.
+
+    This is the temperature Newton operator in the Kirchhoff variable
+    z = kappa_delta*v: symmetric in the inner product sum(w_cc*f*g) (the
+    nodal one) and positive definite when a > 0.
+    """
+    k2dt = dt * grid.k2_cc
+
+    def apply(z_cc):
+        return fwd2(a * bwd2(z_cc, (COS, COS)), (COS, COS)) + k2dt * z_cc
+
+    return apply
+
+
+def _pcg(apply, rhs_cc, symbol, grid: Grid, rtol: float, atol: float,
+         maxiter: int = 200):
+    """Conjugate gradients on cosine coefficients, preconditioned by division
+    by `symbol`; returns (x_cc, iterations).
+
+    Inner products carry grid.w_cc, so norms are the nodal 2-norms and the
+    loop stops at ||r|| <= max(rtol*||rhs||, atol).  A non-finite right-hand
+    side, a breakdown (non-positive or non-finite curvature, for instance
+    from a non-finite operator) and reaching `maxiter` raise NewtonError.
+    """
+    w, nodes = grid.w_cc, rhs_cc.size
+    with np.errstate(all="ignore"):
+        r_norm = float(np.sqrt(nodes * np.sum(w * rhs_cc * rhs_cc)))
+        if not np.isfinite(r_norm):
+            raise NewtonError("temperature linear solve: non-finite right-hand side")
+        tol = max(rtol * r_norm, atol)
+        x, r, p, rz_old = np.zeros_like(rhs_cc), rhs_cc.copy(), None, 0.0
+        iterations = 0
+        while not r_norm <= tol:
+            if iterations == maxiter:
+                raise NewtonError(
+                    f"temperature linear solve: residual {r_norm:.3e} above "
+                    f"{tol:.3e} after {maxiter} PCG iterations"
+                )
+            z = r / symbol
+            rz = float(np.sum(w * r * z))
+            p = z if p is None else z + (rz / rz_old) * p
+            q = apply(p)
+            pq = float(np.sum(w * p * q))
+            if not (0.0 < rz < np.inf and 0.0 < pq < np.inf):
+                raise NewtonError(
+                    f"temperature linear solve broke down (r.Mr = {rz:.3e}, "
+                    f"p.Ap = {pq:.3e})"
+                )
+            alpha = rz / pq
+            x += alpha * p
+            r -= alpha * q
+            rz_old = rz
+            iterations += 1
+            r_norm = float(np.sqrt(nodes * np.sum(w * r * r)))
+    return x, iterations
+
+
+def _newton_direction(res, diag, kd, dt: float, grid: Grid, atol: float):
+    """Solve diag*v - dt*Lap(kd*v) = -res; returns (v, PCG iterations).
+
+    In z = kd*v the system is (diag/kd)*z - dt*Lap z = -res, with the same
+    residual vector, so the tolerance is the inexact-Newton one of the nodal
+    system.  The symbol mean(diag/kd) + dt*|k|^2 is exact at high frequency
+    and for uniform coefficients.
+    """
+    a = diag / kd
+    symbol = float(a.mean()) + dt * grid.k2_cc
+    # inexact Newton: a loose inner tolerance keeps the step cheap
+    z_cc, iterations = _pcg(
+        _kirchhoff_operator(a, dt, grid), fwd2(-res, (COS, COS)), symbol, grid,
+        rtol=1e-6, atol=atol,
+    )
+    return bwd2(z_cc, (COS, COS)) / kd, iterations
+
+
 @dataclass
 class TemperatureSolveInfo:
     iterations: int
     residual: float
     floor_hits: int
+    krylov_iterations: int  # PCG iterations, summed over the Newton loop
+    line_search_backtracks: int
 
 
 def advance_temperature(
@@ -473,6 +558,9 @@ def advance_temperature(
     newton_tol: float = 1e-11,
     max_newton: int = 40,
     workspace: VelocityWorkspace | None = None,
+    *,
+    grad_rho: VectorField | None = None,
+    grads_u=None,
 ):
     """Implicit step of the internal-energy equation; returns (theta, info).
 
@@ -480,10 +568,13 @@ def advance_temperature(
     is Lap(K_delta(theta))) and the singular sources delta/theta^2 and
     -eps*theta^5 are solved implicitly as well; advection, shear heating,
     pressure work and the gradient heating terms are explicit.  The Newton
-    direction comes from a preconditioned GMRES solve (direct spectral solve
-    when the Jacobian coefficients are spatially uniform); a positivity line
-    search keeps iterates in theta > 0, and any node that still lands below
-    the 1e-10 floor is clamped and counted rather than hidden.
+    direction is solved by conjugate gradients on cosine coefficients in the
+    Kirchhoff variable z = kappa_delta*v, where the system is symmetric
+    positive definite and preconditioned by its mean symbol (exact for
+    uniform coefficients); a positivity line search keeps iterates in
+    theta > 0, and any node that still lands below the 1e-10 floor is
+    clamped and counted rather than hidden.  Every failure of the inner
+    solve raises NewtonError.
     """
     grid = state.grid
     if rho_new is None:
@@ -494,9 +585,12 @@ def advance_temperature(
     th_o = state.theta.values
     rho_n = rho_new.values
 
+    if grad_rho is None:
+        grad_rho = gradient(rho_new)
+    if grads_u is None:
+        grads_u = velocity_gradient(state.u)
     explicit = Terms(
-        rho_n, b_new.values, th_o, velocity_gradient(state.u),
-        gradient(rho_new), gradient(b_new), None, reg, p,
+        rho_n, b_new.values, th_o, grads_u, grad_rho, gradient(b_new), None, reg, p,
     ).heating
     if forcing_nodal is not None:
         explicit = explicit + forcing_nodal
@@ -524,8 +618,7 @@ def advance_temperature(
     theta = th_o.copy()
     res = residual(theta)
     res_norm = float(np.abs(res).max()) / scale
-    iterations = 0
-    nn = grid.ny * grid.nx
+    iterations = krylov = backtracks_total = 0
 
     # the comparisons are written so that a NaN residual is never accepted
     while np.isfinite(res_norm) and res_norm > newton_tol and iterations < max_newton:
@@ -534,37 +627,8 @@ def advance_temperature(
             2.0 * reg.delta / theta**3 + 5.0 * reg.epsilon * theta**4
         )
         kd = kappa_delta(theta, p, reg.delta, reg.Gamma)
-        mean_diag = float(diag.mean())
-        mean_kd = float(kd.mean())
-        symbol = mean_diag + dt * mean_kd * grid.k2_cc
-
-        uniform = (
-            float(np.ptp(diag)) <= 1e-12 * abs(mean_diag)
-            and float(np.ptp(kd)) <= 1e-12 * abs(mean_kd)
-        )
-        if uniform:
-            # the preconditioner is the exact Jacobian here
-            dth = bwd2(fwd2(-res, (COS, COS)) / symbol, (COS, COS))
-        else:
-            def matvec(v):
-                v2 = v.reshape(grid.shape)
-                return (diag * v2 - dt * _lap_cc(kd * v2, grid)).ravel()
-
-            def precond(v):
-                v2 = v.reshape(grid.shape)
-                return bwd2(fwd2(v2, (COS, COS)) / symbol, (COS, COS)).ravel()
-
-            op = LinearOperator((nn, nn), matvec=matvec)
-            pre = LinearOperator((nn, nn), matvec=precond)
-            # inexact Newton: a loose inner tolerance keeps the step cheap
-            delta_theta, info = gmres(
-                op, -res.ravel(), M=pre, rtol=1e-6, atol=1e-12 * scale, maxiter=200
-            )
-            if info != 0:
-                raise NewtonError(
-                    f"temperature linear solve failed (gmres info={info})"
-                )
-            dth = delta_theta.reshape(grid.shape)
+        dth, its = _newton_direction(res, diag, kd, dt, grid, 1e-12 * scale)
+        krylov += its
 
         # positivity guard: keep theta + alpha*dth >= 0.1*theta pointwise
         alpha = 1.0
@@ -584,6 +648,7 @@ def advance_temperature(
             backtracks += 1
         theta, res, res_norm = trial, trial_res, trial_norm
         iterations += 1
+        backtracks_total += backtracks
 
     if not res_norm <= newton_tol:
         raise NewtonError(
@@ -595,7 +660,7 @@ def advance_temperature(
     if floor_hits:
         theta = np.maximum(theta, THETA_FLOOR)
     return ScalarField(grid, theta), TemperatureSolveInfo(
-        iterations, res_norm, floor_hits
+        iterations, res_norm, floor_hits, krylov, backtracks_total
     )
 
 
@@ -682,6 +747,9 @@ def advance_momentum(
     forcing_vec=None,
     workspace: VelocityWorkspace | None = None,
     c_old=None,
+    *,
+    grad_rho: VectorField | None = None,
+    grads_u=None,
 ) -> VectorField:
     """One step of the Galerkin momentum equation; returns the new velocity.
 
@@ -709,9 +777,13 @@ def advance_momentum(
 
     if workspace is None:
         workspace = VelocityWorkspace(state.u)
+    if grad_rho is None:
+        grad_rho = gradient(rho_new)
+    if grads_u is None:
+        grads_u = velocity_gradient(state.u)
     rhs = _momentum_load(
         basis, workspace, rho_cc, rho_new.values, b_new.values, theta_new.values,
-        gradient(rho_new), velocity_gradient(state.u), reg, p,
+        grad_rho, grads_u, reg, p,
     )
     if forcing_vec is not None:
         rhs = rhs + forcing_vec
@@ -768,14 +840,16 @@ def step(
         b_new = advance_scalar(
             state.b, u_current, reg.epsilon, dt, workspace=uw, forcing_cc=f_b
         )
+        # both advances read these; form them once per sweep
+        grho, grads_u = gradient(rho_new), velocity_gradient(u_current)
         theta_new, info = advance_temperature(
             work, reg, p, dt, rho_new=rho_new, b_new=b_new, forcing_nodal=f_e,
-            workspace=uw,
+            workspace=uw, grad_rho=grho, grads_u=grads_u,
         )
         u_new = advance_momentum(
             work, reg, p, dt,
             rho_new=rho_new, b_new=b_new, theta_new=theta_new, forcing_vec=f_u,
-            workspace=uw, c_old=state.u.coeffs,
+            workspace=uw, c_old=state.u.coeffs, grad_rho=grho, grads_u=grads_u,
         )
         u_current = u_new
 
@@ -798,6 +872,8 @@ def step(
         theta_floor_hits=info.floor_hits,
         cfl_limit=bound,
         source_rate=source_rate,
+        krylov_iterations=info.krylov_iterations,
+        line_search_backtracks=info.line_search_backtracks,
     )
     return new_state, report
 

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,17 @@ theta = -1
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert "rho must be strictly positive" in str(err.value)
+
+    @pytest.mark.parametrize("line", [
+        "rho = (x - 2)**0.5", "rho = 1/(x - x)", "ux = (x - 2)**0.5",
+        "theta = 1/0", "b = 10.0**400",
+    ])
+    def test_invalid_values_raise_only_config_error(self, line):
+        # no numpy warning reaches the user ahead of the rejection
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError):
+                parse_config(MINIMAL + f"\n[initial]\n{line}\n")
 
     def test_cfl_checked_at_load(self):
         text = MINIMAL + "\n[initial]\nux = 10*sin(pi*x)*sin(pi*y)\n"

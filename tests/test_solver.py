@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
 from mhdlab.errors import CflError, DomainError, NewtonError, StepFailure
-from mhdlab.grid import Grid, ScalarField, VectorField, GalerkinBasis, integrate
+from mhdlab.grid import (
+    COS, Grid, ScalarField, VectorField, GalerkinBasis, fwd2, integrate,
+)
 from mhdlab.solver import (
     InitialData,
     RegParams,
@@ -18,8 +22,12 @@ from mhdlab.solver import (
     run,
     step,
     tendencies,
+    _kirchhoff_operator,
+    _lap_cc,
+    _newton_direction,
+    _pcg,
 )
-from mhdlab.thermo import EosParams
+from mhdlab.thermo import EosParams, kappa_delta, rho_e_dtheta
 
 P = EosParams()
 
@@ -185,6 +193,7 @@ class TestAdvanceTemperature:
         theta, info = advance_temperature(st, reg, P, 1e-2)
         assert np.abs(theta.values - 1.0).max() <= 1e-12
         assert info.iterations == 0
+        assert info.krylov_iterations == info.line_search_backtracks == 0
 
     def test_relaxes_toward_power_balance(self):
         # uniform state: theta drifts toward (delta/eps)^{1/7}
@@ -224,6 +233,94 @@ class TestAdvanceTemperature:
         rate = -np.log(mode_amp(cur) / amp0) / (nsteps * dt)
         expected = P.kappa(1.0) * np.pi**2 / (P.c_V * 1.0 + 4.0 * P.a)
         assert rate == pytest.approx(expected, rel=0.02)
+
+
+class TestKirchhoffPcg:
+    """The temperature Newton direction: PCG on cosine coefficients in the
+    Kirchhoff variable, against the dense nodal Jacobian."""
+
+    DT = 1e-2
+    REG = RegParams(epsilon=1e-2, delta=1e-2)
+
+    def newton_system(self, g, seed=0):
+        # theta varies by 30 %; res is rough, so every mode is excited
+        rng = np.random.default_rng(seed)
+        theta = 1.0 + 0.3 * np.cos(np.pi * g.X / g.lx) * np.cos(np.pi * g.Y / g.ly)
+        rho = 1.0 + 0.2 * np.cos(np.pi * g.Y / g.ly)
+        reg, dt = self.REG, self.DT
+        diag = rho_e_dtheta(rho, theta, P) + dt * (
+            2.0 * reg.delta / theta**3 + 5.0 * reg.epsilon * theta**4
+        )
+        kd = kappa_delta(theta, P, reg.delta, reg.Gamma)
+        return rng.standard_normal(g.shape), diag, kd
+
+    def test_direction_matches_dense_nodal_jacobian(self):
+        g = Grid(16, 16, 1.3, 0.8)
+        res, diag, kd = self.newton_system(g)
+        nn = g.nx * g.ny
+        lap = np.stack(
+            [_lap_cc(e.reshape(g.shape), g).ravel() for e in np.eye(nn)], axis=1
+        )
+        jac = np.diag(diag.ravel()) - self.DT * lap * kd.ravel()[None, :]
+        v_ref = np.linalg.solve(jac, -res.ravel()).reshape(g.shape)
+        v, iterations = _newton_direction(res, diag, kd, self.DT, g, atol=0.0)
+        assert 1 < iterations < 50
+        err = np.linalg.norm(v - v_ref) / np.linalg.norm(v_ref)
+        assert err <= 1e-5
+
+    def test_operator_symmetric_in_coefficient_weight(self):
+        g = Grid(16, 32, 1.3, 0.8)
+        _, diag, kd = self.newton_system(g)
+        apply = _kirchhoff_operator(diag / kd, self.DT, g)
+        rng = np.random.default_rng(1)
+        x, y = rng.standard_normal((2,) + g.shape)
+        xay = np.sum(g.w_cc * apply(x) * y)
+        axy = np.sum(g.w_cc * x * apply(y))
+        assert abs(xay - axy) <= 1e-12 * abs(xay)
+        # the weight is the nodal inner product of cosine coefficients
+        f, h = rng.standard_normal((2,) + g.shape)
+        nodal = np.sum(f * h)
+        coeff = g.nx * g.ny * np.sum(g.w_cc * fwd2(f, (COS, COS)) * fwd2(h, (COS, COS)))
+        assert coeff == pytest.approx(nodal, rel=1e-12)
+
+    def test_uniform_coefficients_converge_in_one_iteration(self):
+        g = Grid(32, 16)
+        a = np.full(g.shape, 3.7)
+        symbol = 3.7 + self.DT * g.k2_cc
+        rhs = np.random.default_rng(2).standard_normal(g.shape)
+        x, iterations = _pcg(
+            _kirchhoff_operator(a, self.DT, g), rhs, symbol, g, rtol=1e-6, atol=0.0
+        )
+        assert iterations == 1
+        assert np.abs(x - rhs / symbol).max() <= 1e-12 * np.abs(rhs / symbol).max()
+
+    @pytest.mark.parametrize("case", [
+        "nan_rhs", "inf_rhs", "nan_operator", "negative_curvature",
+        "zero_preconditioner", "iteration_cap",
+    ])
+    def test_failures_raise_newton_error(self, case):
+        g = Grid(16, 16)
+        res, diag, kd = self.newton_system(g)
+        a, rhs = diag / kd, fwd2(-res, (COS, COS))
+        symbol = float(a.mean()) + self.DT * g.k2_cc
+        dt, maxiter = self.DT, 200
+        if case == "nan_rhs":
+            rhs[3, 4] = np.nan
+        elif case == "inf_rhs":
+            rhs[0, 0] = np.inf
+        elif case == "nan_operator":
+            a[5, 2] = np.nan
+        elif case == "negative_curvature":
+            a, dt = -a, -dt  # the operator's negative, the symbol unchanged
+        elif case == "zero_preconditioner":
+            symbol = np.zeros(g.shape)
+        else:
+            maxiter = 1
+        apply = _kirchhoff_operator(a, dt, g)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(NewtonError):
+                _pcg(apply, rhs, symbol, g, rtol=1e-6, atol=0.0, maxiter=maxiter)
 
 
 class TestAdvanceMomentum:
@@ -325,6 +422,7 @@ class TestStep:
         assert np.abs(new.theta.values - 1.0).max() <= 1e-12
         assert np.abs(new.u.coeffs).max() <= 1e-12
         assert rep.theta_floor_hits == 0
+        assert rep.krylov_iterations == rep.line_search_backtracks == 0
 
     def test_proportional_fields_stay_proportional(self):
         g = Grid(32, 32)
