@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
-from .grid import Grid, GridMismatchError, ScalarField, VectorField
+from .errors import BasisError, ConfigError
+from .grid import Grid, GridMismatchError, ScalarField, VectorField, check_basis_size
 from .solver import InitialData, RegParams, Schedule, cfl_bound
 from .thermo import DomainError, EosParams
+from .tolerances import TOLERANCES
 
 __all__ = ["Config", "parse_config", "load_config", "evaluate_expression"]
 
@@ -194,25 +195,23 @@ def parse_config(text: str) -> Config:
     reg = None
     if None not in (epsilon, delta, gamma_cap, n_modes, theta_bar):
         gamma_val = eos.gamma if eos is not None else 5.0 / 3.0
-        if gamma_cap < max(4.0, 2.0 * gamma_val):
+        gamma_min = max(TOLERANCES["gamma_cap_min"], 2.0 * gamma_val)
+        if not gamma_cap >= gamma_min:  # written so that NaN fails
             violations.append(
                 f"[reg] gamma_cap = {gamma_cap:g} violates the constraint "
-                f"gamma_cap >= max(4, 2*gamma) = "
-                f"{max(4.0, 2.0 * gamma_val):g}"
+                f"gamma_cap >= max({TOLERANCES['gamma_cap_min']:g}, 2*gamma) = "
+                f"{gamma_min:g}"
             )
         else:
             try:
                 reg = RegParams(epsilon, delta, gamma_cap, n_modes, theta_bar)
+                if grid is not None:
+                    check_basis_size(grid, n_modes)
+            except BasisError as exc:
+                violations.append(f"[reg] {exc}")
+                reg = None
             except DomainError as exc:
                 violations.append(f"[reg] {exc}")
-            if reg is not None and grid is not None:
-                kmax = (grid.nx // 2 - 1) * (grid.ny // 2 - 1)
-                if n_modes > kmax:
-                    violations.append(
-                        f"[reg] n = {n_modes} exceeds the {kmax} modes the "
-                        f"grid supports"
-                    )
-                    reg = None
 
     t_final = number("time", "t_final")
     dt = number("time", "dt")

@@ -28,6 +28,7 @@ from .grid import (
     bwd2,
     deriv_nodal,
     gradient,
+    laplacian_neumann,
     velocity_gradient,
 )
 from .solver import (
@@ -116,7 +117,8 @@ def _entropy_production_terms(t: Terms, grid: Grid):
     """Production side of the pointwise entropy balance (full-delta form):
     sigma15 + eps*(Lap rho / theta)(theta*s - e - p/rho) - eps*theta^4."""
     rho, th, eps = t.rho, t.theta, t.reg.epsilon
-    gibbs_coupling = eps * _solver._lap_cc(rho, grid) / th * gibbs_bracket(rho, th, t.p)
+    lap_rho = laplacian_neumann(ScalarField(grid, rho)).values
+    gibbs_coupling = eps * lap_rho / th * gibbs_bracket(rho, th, t.p)
     return t.sigma15 + gibbs_coupling - eps * th**4
 
 
@@ -384,7 +386,7 @@ def _trapz(values, times):
     return float(_np_trapezoid(np.asarray(values), np.asarray(times)))
 
 
-def weak_residuals(trajectory, tests, p: EosParams, reg: RegParams | None = None):
+def weak_residuals(trajectory, tests, p: EosParams, reg: RegParams):
     """Residuals of the weak identities for the regularized system.
 
     Returns {(equation, test name): value} over the stored snapshots, with
@@ -396,8 +398,6 @@ def weak_residuals(trajectory, tests, p: EosParams, reg: RegParams | None = None
     Pure over immutable snapshots; distinct (trajectory, test) pairs can be
     evaluated concurrently by the caller.
     """
-    if reg is None:
-        reg = trajectory.reg
     states = trajectory.states
     if len(states) < 2:
         raise DomainError("weak residuals need at least two snapshots")
@@ -597,7 +597,7 @@ def renormalized_residual(window, k: float, reg: RegParams,
     div_u = u1x + u2y
     defect = ((tfp_c * f_c - tf_c) * div_u).sum() * w
 
-    lap_f = _solver._lap_cc(f_c, grid)
+    lap_f = laplacian_neumann(getattr(center, which)).values
     diffusion = eps * (tfp_c * lap_f).sum() * w
 
     return float(ddt + div_flux + defect - diffusion)
@@ -607,27 +607,32 @@ def renormalized_residual(window, k: float, reg: RegParams,
 # empirical inequality constants
 # ---------------------------------------------------------------------------
 
-def _random_neumann_scalar(grid: Grid, rng, modes=8, decay=0.4):
+# random samples: coefficients up to mode _SAMPLE_MODES per axis, decaying
+# like exp(-_SAMPLE_DECAY*(k + l))
+_SAMPLE_MODES = 8
+_SAMPLE_DECAY = 0.4
+
+
+def _random_neumann_scalar(grid: Grid, rng):
     c = np.zeros(grid.shape)
-    kx = min(modes, grid.nx - 1)
-    ky = min(modes, grid.ny - 1)
+    kx = min(_SAMPLE_MODES, grid.nx - 1)
+    ky = min(_SAMPLE_MODES, grid.ny - 1)
     block = rng.standard_normal((ky + 1, kx + 1))
     block *= np.exp(
-        -decay * (np.arange(ky + 1)[:, None] + np.arange(kx + 1)[None, :])
+        -_SAMPLE_DECAY * (np.arange(ky + 1)[:, None] + np.arange(kx + 1)[None, :])
     )
     c[: ky + 1, : kx + 1] = block
     return ScalarField(grid, bwd2(c, (COS, COS)))
 
 
-def _random_noslip_vector(grid: Grid, rng, modes=8, decay=0.4):
+def _random_noslip_vector(grid: Grid, rng):
+    m = _SAMPLE_MODES
     comps = []
     for _ in range(2):
         c = np.zeros(grid.shape)
-        block = rng.standard_normal((modes, modes))
-        block *= np.exp(
-            -decay * (np.arange(modes)[:, None] + np.arange(modes)[None, :])
-        )
-        c[:modes, :modes] = block
+        block = rng.standard_normal((m, m))
+        block *= np.exp(-_SAMPLE_DECAY * (np.arange(m)[:, None] + np.arange(m)[None, :]))
+        c[:m, :m] = block
         comps.append(bwd2(c, (SIN, SIN)))
     return VectorField(grid, comps[0], comps[1])
 

@@ -143,10 +143,6 @@ class ScalarField:
     def constant(cls, grid: Grid, value: float):
         return cls(grid, np.full(grid.shape, float(value)))
 
-    def coeffs(self):
-        """Cosine-cosine coefficients (the discrete L2 projection)."""
-        return fwd2(self.values, (COS, COS))
-
     def copy(self):
         return ScalarField(self.grid, self.values.copy())
 
@@ -351,12 +347,6 @@ def laplacian_neumann(f: ScalarField) -> ScalarField:
     g = f.grid
     c = fwd2(f.values, (COS, COS))
     return ScalarField(g, bwd2(-g.k2_cc * c, (COS, COS)))
-
-
-def _values_of(f):
-    if isinstance(f, ScalarField):
-        return f.values
-    return np.asarray(f, dtype=float)
 
 
 def integrate(f) -> float:

@@ -33,10 +33,12 @@ from .grid import (
 from .solver import (
     InitialData,
     RegParams,
+    Schedule,
     State,
     Terms,
     momentum_pressure,
     rho_gradient_coupling,
+    run,
 )
 from .thermo import EosParams, kappa_delta, rho_e, rho_e_drho, rho_e_dtheta
 
@@ -383,6 +385,26 @@ def manufactured_forcing(ms: ManufacturedSolution, reg: RegParams, p: EosParams,
     return MmsForcing(ms, reg, p, grid, basis)
 
 
+def _order_study(ms: ManufacturedSolution, reg: RegParams, p: EosParams, cases,
+                 t_final: float):
+    """Run the forced solver once per (grid, dt) case; returns (errors, orders)
+    with the orders log2 of consecutive error ratios."""
+    errors = []
+    for grid, dt in cases:
+        basis = GalerkinBasis(grid, reg.n)
+        traj = run(
+            ms.initial_data(grid), reg, p,
+            Schedule(t_final=t_final, dt=dt, snapshot_stride=10**9),
+            forcing=manufactured_forcing(ms, reg, p, grid, basis),
+            diagnostics_every=0, basis=basis,
+        )
+        errors.append(ms.combined_error(traj.final()))
+    orders = [
+        float(np.log2(errors[i] / errors[i + 1])) for i in range(len(errors) - 1)
+    ]
+    return errors, orders
+
+
 def spatial_order_study(
     reg: RegParams,
     p: EosParams,
@@ -396,24 +418,8 @@ def spatial_order_study(
     Returns (errors, orders); the solution is steady, so the discrete fixed
     point is independent of dt and the measured error is purely spatial.
     """
-    from .solver import Schedule, run
-
-    errors = []
-    for n_side in grid_sizes:
-        grid = Grid(n_side, n_side, 1.0, 1.0)
-        basis = GalerkinBasis(grid, reg.n)
-        ms = spectral_probe_solution(r)
-        forcing = manufactured_forcing(ms, reg, p, grid, basis)
-        traj = run(
-            ms.initial_data(grid), reg, p,
-            Schedule(t_final=t_final, dt=dt, snapshot_stride=10**9),
-            forcing=forcing, diagnostics_every=0, basis=basis,
-        )
-        errors.append(ms.combined_error(traj.final()))
-    orders = [
-        float(np.log2(errors[i] / errors[i + 1])) for i in range(len(errors) - 1)
-    ]
-    return errors, orders
+    cases = [(Grid(n_side, n_side, 1.0, 1.0), dt) for n_side in grid_sizes]
+    return _order_study(spectral_probe_solution(r), reg, p, cases, t_final)
 
 
 def temporal_order_study(
@@ -428,24 +434,9 @@ def temporal_order_study(
     Returns (errors, orders); the fields are exactly representable, so the
     spatial error is negligible and the measured order is temporal.
     """
-    from .solver import Schedule, run
-
     grid = Grid(grid_size, grid_size, 1.0, 1.0)
-    errors = []
-    for dt in dts:
-        basis = GalerkinBasis(grid, reg.n)
-        ms = standard_smooth_solution(unsteady=True)
-        forcing = manufactured_forcing(ms, reg, p, grid, basis)
-        traj = run(
-            ms.initial_data(grid), reg, p,
-            Schedule(t_final=t_final, dt=dt, snapshot_stride=10**9),
-            forcing=forcing, diagnostics_every=0, basis=basis,
-        )
-        errors.append(ms.combined_error(traj.final()))
-    orders = [
-        float(np.log2(errors[i] / errors[i + 1])) for i in range(len(errors) - 1)
-    ]
-    return errors, orders
+    cases = [(grid, dt) for dt in dts]
+    return _order_study(standard_smooth_solution(unsteady=True), reg, p, cases, t_final)
 
 
 def standard_smooth_solution(unsteady: bool = True) -> ManufacturedSolution:

@@ -45,6 +45,7 @@ from .grid import (
     fwd2,
     galerkin_load,
     gradient,
+    laplacian_neumann,
     project_velocity,
     reconstruct,
     to_fine,
@@ -84,6 +85,9 @@ __all__ = [
 ]
 
 THETA_FLOOR = TOLERANCES["theta_floor"]
+# temperature Newton: scaled max-norm residual to reach, and the iteration cap
+NEWTON_TOL = 1e-11
+MAX_NEWTON = 40
 
 
 @dataclass(frozen=True)
@@ -92,8 +96,8 @@ class RegParams:
 
     epsilon : artificial viscosity in the continuity/magnetic equations
     delta   : artificial pressure weight
-    Gamma   : artificial pressure exponent (>= 4; config load also enforces
-              Gamma >= 2*gamma against the EOS)
+    Gamma   : artificial pressure exponent (>= TOLERANCES["gamma_cap_min"];
+              config load also enforces Gamma >= 2*gamma against the EOS)
     n       : Galerkin dimension (modes per velocity component)
     theta_bar : reference temperature for the Helmholtz diagnostics
     """
@@ -105,16 +109,18 @@ class RegParams:
     theta_bar: float = 1.0
 
     def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise DomainError(f"epsilon must be > 0, got {self.epsilon}")
-        if not self.delta > 0.0:
-            raise DomainError(f"delta must be > 0, got {self.delta}")
-        if self.Gamma < 4.0:
-            raise DomainError(f"Gamma must be >= 4, got {self.Gamma}")
-        if self.n < 1:
+        # the comparisons are written so that NaN fails them
+        for name in ("epsilon", "delta", "theta_bar"):
+            val = getattr(self, name)
+            if not 0.0 < val < np.inf:
+                raise DomainError(f"{name} must be finite and > 0, got {val}")
+        gamma_min = TOLERANCES["gamma_cap_min"]
+        if not gamma_min <= self.Gamma < np.inf:
+            raise DomainError(
+                f"Gamma must be finite and >= {gamma_min:g}, got {self.Gamma}"
+            )
+        if not self.n >= 1:
             raise DomainError(f"n must be >= 1, got {self.n}")
-        if not self.theta_bar > 0.0:
-            raise DomainError(f"theta_bar must be > 0, got {self.theta_bar}")
 
 
 @dataclass
@@ -158,8 +164,8 @@ class InitialData:
     b0: ScalarField
     theta0: ScalarField
     u0: VectorField
-    c_star: float = 0.0
-    c_star_upper: float = 0.0
+    c_star: float = field(init=False)  # min and max of b0/rho0
+    c_star_upper: float = field(init=False)
 
     def __post_init__(self):
         for name, f in (("rho0", self.rho0), ("b0", self.b0), ("theta0", self.theta0)):
@@ -179,8 +185,11 @@ class Schedule:
     snapshot_stride: int = 1
 
     def __post_init__(self):
-        if not (self.t_final > 0.0 and self.dt > 0.0):
-            raise DomainError("t_final and dt must be > 0")
+        # written so that NaN fails
+        if not (0.0 < self.t_final < np.inf and 0.0 < self.dt < np.inf):
+            raise DomainError(
+                f"t_final and dt must be finite and > 0, got {self.t_final}, {self.dt}"
+            )
         if self.snapshot_stride < 1:
             raise DomainError("snapshot_stride must be >= 1")
 
@@ -213,12 +222,8 @@ class Trajectory:
     diagnostics: list
     dt: float
     stride: int
-    reg: "RegParams | None" = None
-    eos: "EosParams | None" = None
-
-    @property
-    def times(self):
-        return [s.t for s in self.states]
+    reg: RegParams
+    eos: EosParams
 
     def final(self) -> State:
         return self.states[-1]
@@ -238,12 +243,11 @@ def _heat_filter(values, grid: Grid, tau: float):
     return bwd2(np.exp(-tau * grid.k2_cc) * c, (COS, COS))
 
 
-def regularize_initial_data(
-    raw: InitialData, reg: RegParams, mollify_time: float | None = None
-) -> InitialData:
+def regularize_initial_data(raw: InitialData, reg: RegParams) -> InitialData:
     """Spectrally mollify initial data, preserving bounds and domination.
 
-    Every scalar is smoothed with the same positive heat kernel, so the
+    Every scalar is smoothed with the same positive heat kernel, run for the
+    time 4.5*h^2 with h the smaller grid spacing, so the
     two-sided bounds of each field and the pointwise domination
     c_star*rho0 <= b0 <= c_star_upper*rho0 are preserved (up to kernel
     truncation, far below 1e-10); the output has exact Neumann structure.
@@ -252,9 +256,8 @@ def regularize_initial_data(
     for name, f in (("rho0", raw.rho0), ("b0", raw.b0), ("theta0", raw.theta0)):
         if not f.values.min() > 0.0:
             raise DomainError(f"{name} must be strictly positive")
-    if mollify_time is None:
-        h = min(grid.hx, grid.hy)
-        mollify_time = 4.5 * h * h
+    h = min(grid.hx, grid.hy)
+    mollify_time = 4.5 * h * h
     rho = ScalarField(grid, _heat_filter(raw.rho0.values, grid, mollify_time))
     b = ScalarField(grid, _heat_filter(raw.b0.values, grid, mollify_time))
     theta = ScalarField(grid, _heat_filter(raw.theta0.values, grid, mollify_time))
@@ -457,11 +460,6 @@ def advance_scalar(
 # temperature advance
 # ---------------------------------------------------------------------------
 
-def _lap_cc(values, grid: Grid):
-    c = fwd2(values, (COS, COS))
-    return bwd2(-grid.k2_cc * c, (COS, COS))
-
-
 def _kirchhoff_operator(a, dt: float, grid: Grid):
     """z_cc -> cosine coefficients of a*z - dt*Lap z.
 
@@ -555,8 +553,6 @@ def advance_temperature(
     rho_new: ScalarField | None = None,
     b_new: ScalarField | None = None,
     forcing_nodal=None,
-    newton_tol: float = 1e-11,
-    max_newton: int = 40,
     workspace: VelocityWorkspace | None = None,
     *,
     grad_rho: VectorField | None = None,
@@ -608,9 +604,10 @@ def advance_temperature(
     scale = max(1.0, float(np.abs(w).max()))
 
     def residual(theta):
+        kirchhoff = ScalarField(grid, K_delta(theta, p, reg.delta, reg.Gamma))
         return (
             rho_e(rho_n, theta, p)
-            - dt * _lap_cc(K_delta(theta, p, reg.delta, reg.Gamma), grid)
+            - dt * laplacian_neumann(kirchhoff).values
             - dt * heat_source(theta, reg)
             - w
         )
@@ -621,7 +618,7 @@ def advance_temperature(
     iterations = krylov = backtracks_total = 0
 
     # the comparisons are written so that a NaN residual is never accepted
-    while np.isfinite(res_norm) and res_norm > newton_tol and iterations < max_newton:
+    while np.isfinite(res_norm) and res_norm > NEWTON_TOL and iterations < MAX_NEWTON:
         # d(rho e)/dtheta minus dt times the derivative of the heat source
         diag = rho_e_dtheta(rho_n, theta, p) + dt * (
             2.0 * reg.delta / theta**3 + 5.0 * reg.epsilon * theta**4
@@ -650,7 +647,7 @@ def advance_temperature(
         iterations += 1
         backtracks_total += backtracks
 
-    if not res_norm <= newton_tol:
+    if not res_norm <= NEWTON_TOL:
         raise NewtonError(
             f"temperature Newton stalled at residual {res_norm:.3e} "
             f"after {iterations} iterations"
@@ -736,6 +733,11 @@ def _momentum_load(basis, uw, rho_cc, rho, b, theta, grho, grads_u, reg, p):
     )
 
 
+def _basis_coeffs(u: VectorField, basis: GalerkinBasis):
+    """The basis coefficients u carries, else its projection onto the basis."""
+    return u.coeffs if u.coeffs is not None else project_velocity(u, basis)
+
+
 def advance_momentum(
     state: State,
     reg: RegParams,
@@ -746,7 +748,6 @@ def advance_momentum(
     theta_new: ScalarField | None = None,
     forcing_vec=None,
     workspace: VelocityWorkspace | None = None,
-    c_old=None,
     *,
     grad_rho: VectorField | None = None,
     grads_u=None,
@@ -757,8 +758,9 @@ def advance_momentum(
     f collecting the explicit advection tensor, the total-pressure work and
     the eps*(grad rho . grad) u coupling; the dense symmetric system has
     dimension 2n.  No-slip holds exactly because every basis mode does.
-    Under Picard re-sweeps the explicit terms use the improved velocity in
-    `state.u` while `c_old` stays anchored at the time-t coefficients.
+    Under Picard re-sweeps the step passes the improved velocity through
+    `workspace` and `grads_u`, while c_old stays the time-t coefficients of
+    `state.u`, the velocity the step started from.
     """
     basis = state.u.basis
     if basis is None:
@@ -792,10 +794,7 @@ def advance_momentum(
     lhs[:n, :n] += m_new
     lhs[n:, n:] += m_new
 
-    if c_old is None:
-        c_old = state.u.coeffs
-    if c_old is None:
-        c_old = project_velocity(state.u, basis)
+    c_old = _basis_coeffs(state.u, basis)
     b_vec = (c_old.reshape(2, n) @ m_old).ravel() + dt * rhs
     try:
         c_new = np.linalg.solve(lhs, b_vec)
@@ -831,8 +830,8 @@ def step(
     rho_new = b_new = theta_new = u_new = None
     info = None
     for _ in range(sweeps):
-        work = State(state.t, state.rho, state.b, state.theta, u_current,
-                     state.floor_violations)
+        # the advances start from the time-t state; every velocity-dependent
+        # input comes from the current sweep's velocity
         uw = VelocityWorkspace(u_current)
         rho_new = advance_scalar(
             state.rho, u_current, reg.epsilon, dt, workspace=uw, forcing_cc=f_rho
@@ -843,13 +842,13 @@ def step(
         # both advances read these; form them once per sweep
         grho, grads_u = gradient(rho_new), velocity_gradient(u_current)
         theta_new, info = advance_temperature(
-            work, reg, p, dt, rho_new=rho_new, b_new=b_new, forcing_nodal=f_e,
+            state, reg, p, dt, rho_new=rho_new, b_new=b_new, forcing_nodal=f_e,
             workspace=uw, grad_rho=grho, grads_u=grads_u,
         )
         u_new = advance_momentum(
-            work, reg, p, dt,
+            state, reg, p, dt,
             rho_new=rho_new, b_new=b_new, theta_new=theta_new, forcing_vec=f_u,
-            workspace=uw, c_old=state.u.coeffs, grad_rho=grho, grads_u=grads_u,
+            workspace=uw, grad_rho=grho, grads_u=grads_u,
         )
         u_current = u_new
 
@@ -922,9 +921,10 @@ def tendencies(state: State, reg: RegParams, p: EosParams, forcing=None) -> Tend
         _advective_divergence_cc(fwd2(rho_e(rho, th, p), (COS, COS)), uw, grid),
         (COS, COS),
     )
+    kirchhoff = ScalarField(grid, K_delta(th, p, reg.delta, reg.Gamma))
     rhoe_dot = (
         -adv_e
-        + _lap_cc(K_delta(th, p, reg.delta, reg.Gamma), grid)
+        + laplacian_neumann(kirchhoff).values
         + terms.heating
         + terms.source
     )
@@ -937,9 +937,7 @@ def tendencies(state: State, reg: RegParams, p: EosParams, forcing=None) -> Tend
     )
     if f_u is not None:
         rhs = rhs + f_u
-    c = state.u.coeffs
-    if c is None:
-        c = project_velocity(state.u, basis)
+    c = _basis_coeffs(state.u, basis)
     rhs -= _viscous_matrix(th, basis, p) @ c
     # d/dt (M c) = rhs, so M c_dot = rhs - dM/dt c with dM/dt = M(rho_dot)
     rhs -= (c.reshape(2, n) @ _mass_matrix(rates_cc[0], basis)).ravel()

@@ -13,14 +13,13 @@ subsequences; this gap is documented, not hidden).
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError, GridMismatchError, MhdError
 from .grid import ScalarField, check_basis_size
-from .solver import InitialData, RegParams, Schedule, State, Trajectory, run
+from .solver import InitialData, RegParams, Schedule, State, run
 from .thermo import EosParams
 
 __all__ = [
@@ -38,6 +37,8 @@ DISTANCE_COLUMNS = [
     "dist_l1_theta", "dist_l2_theta", "dist_l2_u",
 ]
 NORM_COLUMNS = ["art_rho_pow", "art_rho_sq", "art_b_pow", "art_b_sq", "art_theta_inv"]
+# b/rho is undefined where rho vanishes; the metric weights those nodes by rho
+ZETA_FALLBACK = 0.0
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,6 @@ class SweepPlan:
     base: RegParams
     t_cmp: float = 0.5
     dt: float = 2.5e-3
-    sweeps: int = 1
 
     def __post_init__(self):
         if self.which not in ("n", "epsilon", "delta"):
@@ -68,8 +68,11 @@ class SweepPlan:
                 raise DomainError("n-ladder must be strictly increasing")
         elif not np.all(diffs < 0):
             raise DomainError(f"{self.which}-ladder must be strictly decreasing")
-        if not self.t_cmp > 0.0:
-            raise DomainError("t_cmp must be > 0")
+        # written so that NaN fails
+        if not 0.0 < self.t_cmp < np.inf:
+            raise DomainError(f"t_cmp must be finite and > 0, got {self.t_cmp}")
+        if not 0.0 < self.dt < np.inf:
+            raise DomainError(f"dt must be finite and > 0, got {self.dt}")
         object.__setattr__(self, "ladder", ladder)
 
     def reg_for(self, value) -> RegParams:
@@ -89,22 +92,21 @@ class ConvergenceReport:
     failed_rung: object = None
 
 
-def zeta_field(state: State, fallback: float = 0.0) -> ScalarField:
-    """b/rho where rho > 0, the supplied midpoint value elsewhere."""
+def zeta_field(state: State) -> ScalarField:
+    """b/rho where rho > 0, ZETA_FALLBACK elsewhere."""
     rho = state.rho.values
     vals = np.where(rho > 0.0, state.b.values / np.where(rho > 0.0, rho, 1.0),
-                    fallback)
+                    ZETA_FALLBACK)
     return ScalarField(state.grid, vals)
 
 
-def zeta_metric(state: State, reference_zeta: ScalarField, pexp: float = 1.0,
-                fallback: float = 0.0) -> float:
+def zeta_metric(state: State, reference_zeta: ScalarField, pexp: float = 1.0) -> float:
     """Compactness metric int rho |zeta - zeta_ref|^p dx (>= 0)."""
     if pexp < 1.0:
         raise DomainError(f"pexp must be >= 1, got {pexp}")
     if reference_zeta.grid != state.grid:
         raise GridMismatchError("reference zeta lives on a different grid")
-    zeta = zeta_field(state, fallback).values
+    zeta = zeta_field(state).values
     diff = np.abs(zeta - reference_zeta.values) ** pexp
     return float((state.rho.values * diff).sum() * state.grid.weight)
 
@@ -148,47 +150,26 @@ def _distances(state: State, ref: State) -> dict:
     }
 
 
-def sweep(plan: SweepPlan, initial: InitialData, p: EosParams,
-          max_workers: int = 1) -> ConvergenceReport:
-    """Run every ladder rung and compare against the finest one.
+def sweep(plan: SweepPlan, initial: InitialData, p: EosParams) -> ConvergenceReport:
+    """Run every ladder rung in sequence and compare against the finest one.
 
-    Rungs are independent solver runs (optionally threaded); a failing rung
-    aborts the sweep and the partial report records which one.  An n-ladder
-    whose finest rung exceeds the grid's basis size raises BasisError before
-    any rung runs.
+    A failing rung aborts the sweep and the partial report records which
+    one.  An n-ladder whose finest rung exceeds the grid's basis size raises
+    BasisError before any rung runs.
     """
     if plan.which == "n":
         check_basis_size(initial.rho0.grid, int(plan.ladder[-1]))
     schedule = Schedule(t_final=plan.t_cmp, dt=plan.dt, snapshot_stride=10**9)
 
-    def run_one(value) -> Trajectory:
-        reg = plan.reg_for(value)
-        return run(initial, reg, p, schedule, sweeps=plan.sweeps,
-                   diagnostics_every=0)
-
     finals = []
-    failed = None
     values = list(plan.ladder)
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(run_one, v) for v in values]
-            for v, fut in zip(values, futures):
-                try:
-                    finals.append(fut.result().final())
-                except MhdError:
-                    failed = v
-                    break
-    else:
-        for v in values:
-            try:
-                finals.append(run_one(v).final())
-            except MhdError:
-                failed = v
-                break
-
-    if failed is not None:
-        done = values[: len(finals)]
-        return ConvergenceReport(plan.which, done, [], [], [], {}, failed)
+    for v in values:
+        try:
+            finals.append(run(initial, plan.reg_for(v), p, schedule,
+                              diagnostics_every=0).final())
+        except MhdError:
+            return ConvergenceReport(plan.which, values[: len(finals)], [], [], [],
+                                     {}, v)
 
     ref = finals[-1]
     ref_zeta = zeta_field(ref)

@@ -78,12 +78,13 @@ class EosParams:
     kappa3: float = 1.0
 
     def __post_init__(self):
-        if not self.gamma > 1.0:
-            raise DomainError(f"gamma must be > 1, got {self.gamma}")
+        # the comparisons are written so that NaN fails them
+        if not 1.0 < self.gamma < np.inf:
+            raise DomainError(f"gamma must be finite and > 1, got {self.gamma}")
         for name in ("a", "c_V", "mu0", "mu1", "kappa0", "kappa2", "kappa3"):
             val = getattr(self, name)
-            if not val > 0.0:
-                raise DomainError(f"{name} must be > 0, got {val}")
+            if not 0.0 < val < np.inf:
+                raise DomainError(f"{name} must be finite and > 0, got {val}")
 
     def mu(self, theta):
         """Shear viscosity mu(theta) = mu0 + mu1*theta."""
@@ -125,10 +126,8 @@ def pressure(pt: ThermoPoint, p: EosParams):
 
 def internal_energy_split(pt: ThermoPoint, p: EosParams):
     """Molecular and radiative specific internal energy parts (e_M, e_R)."""
-    rho, theta = pt.rho, pt.theta
-    e_m = rho ** (p.gamma - 1.0) / (p.gamma - 1.0) + p.c_V * theta
-    e_r = p.a * theta**4 / rho
-    return e_m, e_r
+    rho_e_m, rho_e_r = _rho_e_parts(pt.rho, pt.theta, p)
+    return rho_e_m / pt.rho, rho_e_r / pt.rho
 
 
 def internal_energy(pt: ThermoPoint, p: EosParams):
@@ -138,10 +137,8 @@ def internal_energy(pt: ThermoPoint, p: EosParams):
 
 def entropy_split(pt: ThermoPoint, p: EosParams):
     """Molecular and radiative specific entropy parts (s_M, s_R)."""
-    rho, theta = pt.rho, pt.theta
-    s_m = p.c_V * np.log(theta) - np.log(rho)
-    s_r = (4.0 * p.a / 3.0) * theta**3 / rho
-    return s_m, s_r
+    rho_s_m, rho_s_r = _rho_s_parts(pt.rho, pt.theta, p)
+    return rho_s_m / pt.rho, rho_s_r / pt.rho
 
 
 def entropy(pt: ThermoPoint, p: EosParams):
@@ -308,14 +305,26 @@ def pressure_drho(rho, theta, p: EosParams):
     return theta + p.gamma * rho ** (p.gamma - 1.0)
 
 
+def _rho_e_parts(rho, theta, p: EosParams):
+    """Molecular and radiative volumetric internal energy (rho e_M, rho e_R)."""
+    return rho**p.gamma / (p.gamma - 1.0) + p.c_V * rho * theta, p.a * theta**4
+
+
 def rho_e(rho, theta, p: EosParams):
     """Volumetric internal energy rho*e(rho, theta)."""
-    return rho**p.gamma / (p.gamma - 1.0) + p.c_V * rho * theta + p.a * theta**4
+    rho_e_m, rho_e_r = _rho_e_parts(rho, theta, p)
+    return rho_e_m + rho_e_r
+
+
+def _rho_s_parts(rho, theta, p: EosParams):
+    """Molecular and radiative volumetric entropy (rho s_M, rho s_R)."""
+    return p.c_V * rho * np.log(theta) - rho * np.log(rho), (4.0 * p.a / 3.0) * theta**3
 
 
 def rho_s(rho, theta, p: EosParams):
     """Volumetric entropy rho*s(rho, theta)."""
-    return p.c_V * rho * np.log(theta) - rho * np.log(rho) + (4.0 * p.a / 3.0) * theta**3
+    rho_s_m, rho_s_r = _rho_s_parts(rho, theta, p)
+    return rho_s_m + rho_s_r
 
 
 # partials of the volumetric densities, each at fixed other variable

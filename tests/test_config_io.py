@@ -1,3 +1,4 @@
+import re
 import struct
 import warnings
 
@@ -25,6 +26,14 @@ delta = 0.01
 t_final = 0.05
 dt = 0.005
 """
+
+
+def with_value(section, key, value):
+    """MINIMAL with `key = value` in [section], replacing any earlier value."""
+    text = re.sub(rf"(?m)^{key} = .*\n", "", MINIMAL)
+    if f"[{section}]" in text:
+        return text.replace(f"[{section}]", f"[{section}]\n{key} = {value}")
+    return text + f"\n[{section}]\n{key} = {value}\n"
 
 
 class TestParseConfig:
@@ -91,6 +100,18 @@ theta = -1
             warnings.simplefilter("error")
             with pytest.raises(ConfigError):
                 parse_config(MINIMAL + f"\n[initial]\n{line}\n")
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("time", "t_final", "inf"),
+        ("reg", "gamma_cap", "nan"), ("reg", "gamma_cap", "inf"),
+        ("reg", "epsilon", "inf"), ("reg", "delta", "inf"),
+        ("reg", "theta_bar", "inf"), ("eos", "mu0", "inf"), ("eos", "a", "inf"),
+    ])
+    def test_non_finite_parameter_rejected(self, section, key, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config(with_value(section, key, value))
+        assert len(err.value.violations) == 1
+        assert err.value.violations[0].startswith(f"[{section}]")
 
     def test_cfl_checked_at_load(self):
         text = MINIMAL + "\n[initial]\nux = 10*sin(pi*x)*sin(pi*y)\n"
@@ -313,6 +334,14 @@ class TestCli:
         cfg.write_text(MINIMAL + "\n[grid]\nfoo = 1\n")
         code = cli.main(["run", "--config", str(cfg)])
         assert code == 2
+
+    def test_run_rejects_infinite_t_final(self, tmp_path, capsys):
+        cfg = tmp_path / "inf.ini"
+        cfg.write_text(with_value("time", "t_final", "inf"))
+        code = cli.main(["run", "--config", str(cfg),
+                         "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "t_final" in capsys.readouterr().out
 
     def test_check_passes(self, capsys):
         code = cli.main(["check", "--grid", "16", "--samples", "100"])

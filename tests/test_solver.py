@@ -7,6 +7,7 @@ from scipy.integrate import dblquad
 from mhdlab.errors import CflError, DomainError, NewtonError, StepFailure
 from mhdlab.grid import (
     COS, Grid, ScalarField, VectorField, GalerkinBasis, fwd2, integrate,
+    laplacian_neumann,
 )
 from mhdlab.solver import (
     InitialData,
@@ -23,7 +24,6 @@ from mhdlab.solver import (
     step,
     tendencies,
     _kirchhoff_operator,
-    _lap_cc,
     _newton_direction,
     _pcg,
 )
@@ -259,7 +259,8 @@ class TestKirchhoffPcg:
         res, diag, kd = self.newton_system(g)
         nn = g.nx * g.ny
         lap = np.stack(
-            [_lap_cc(e.reshape(g.shape), g).ravel() for e in np.eye(nn)], axis=1
+            [laplacian_neumann(ScalarField(g, e.reshape(g.shape))).values.ravel()
+             for e in np.eye(nn)], axis=1
         )
         jac = np.diag(diag.ravel()) - self.DT * lap * kd.ravel()[None, :]
         v_ref = np.linalg.solve(jac, -res.ravel()).reshape(g.shape)

@@ -7,20 +7,31 @@ from mhdlab.errors import DomainError
 from mhdlab.thermo import (
     EosParams,
     ThermoPoint,
+    _central4,
     coercivity_margin,
     entropy,
     entropy_split,
+    eos_pressure,
+    gibbs_bracket,
     gibbs_residual,
     heat_flux,
     helmholtz,
     internal_energy,
     internal_energy_split,
     pressure,
+    pressure_drho,
     pressure_split,
+    rho_e,
+    rho_e_drho,
+    rho_e_dtheta,
+    rho_s,
+    rho_s_drho,
+    rho_s_dtheta,
     stability_check,
     transport,
     viscous_stress,
 )
+from mhdlab.tolerances import TOLERANCES
 
 P_A3 = EosParams(gamma=5.0 / 3.0, a=3.0, c_V=1.0)
 
@@ -106,6 +117,38 @@ class TestGibbs:
             gibbs_residual(ThermoPoint(0.3, 1.0), P_A3, 0.2)
         with pytest.raises(DomainError):
             gibbs_residual(ThermoPoint(1.0, 1.0), P_A3, -1e-4)
+
+
+class TestNodalPartials:
+    @pytest.mark.parametrize("p", [EosParams(), P_A3], ids=["default", "a3"])
+    def test_partials_match_central_differences(self, p):
+        # closed-form partials of the nodal forms against fourth-order central
+        # differences of rho_e, rho_s and eos_pressure on the thermo grid
+        vals = np.linspace(
+            TOLERANCES["thermo_grid_lo"], TOLERANCES["thermo_grid_hi"], 34
+        )
+        rr, tt = np.meshgrid(vals, vals)
+        rho, theta = rr.ravel(), tt.ravel()
+        h = TOLERANCES["gibbs_fd_step"]
+
+        def d_rho(f):
+            return _central4(lambda r: f(r, theta, p), rho, h)
+
+        def d_theta(f):
+            return _central4(lambda t: f(rho, t, p), theta, h)
+
+        differences = {
+            pressure_drho: d_rho(eos_pressure),
+            rho_e_drho: d_rho(rho_e),
+            rho_e_dtheta: d_theta(rho_e),
+            rho_s_drho: d_rho(rho_s),
+            rho_s_dtheta: d_theta(rho_s),
+            gibbs_bracket: theta * d_rho(rho_s) - d_rho(rho_e),
+        }
+        for partial, fd in differences.items():
+            exact = partial(rho, theta, p)
+            err = np.max(np.abs(fd - exact) / np.maximum(1.0, np.abs(exact)))
+            assert err <= TOLERANCES["gibbs_relative_residual"], partial.__name__
 
 
 class TestStability:
