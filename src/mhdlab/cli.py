@@ -88,6 +88,22 @@ def _parse_ladder(text: str, which: str) -> tuple:
     return ladder
 
 
+def _parse_grid_sizes(text: str) -> tuple:
+    """Comma-separated sizes of admissible grids: at least two, strictly
+    increasing."""
+    try:
+        sizes = tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise DomainError(f"grid sizes must be integers, got {text!r}") from None
+    if len(sizes) < 2 or any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise DomainError(
+            f"grid sizes must be at least two, strictly increasing, got {text!r}"
+        )
+    for n in sizes:
+        Grid(n, n)  # GridMismatchError for a size no grid takes
+    return sizes
+
+
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     try:
@@ -167,6 +183,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_mms(args) -> int:
+    try:
+        sizes = _parse_grid_sizes(args.grid_sizes)
+    except MhdError as exc:
+        return _fail(str(exc), 2)
     if args.config:
         cfg = load_config(args.config)
         reg, eos = cfg.reg, cfg.eos
@@ -175,7 +195,6 @@ def cmd_mms(args) -> int:
 
         reg, eos = RegParams(epsilon=1e-2, delta=1e-2, Gamma=8.0, n=4), EosParams()
 
-    sizes = tuple(int(s) for s in args.grid_sizes.split(","))
     errors, orders = mms_mod.spatial_order_study(reg, eos, grid_sizes=sizes)
     print("mms: spatial errors:", " ".join(f"{e:.3e}" for e in errors))
     print("mms: spatial orders:", " ".join(f"{o:.2f}" for o in orders))
@@ -229,9 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _dispatch(args) -> int:
     try:
         return args.fn(args)
     except ConfigError as exc:
@@ -241,6 +258,19 @@ def main(argv=None) -> int:
         return 2
     except MhdError as exc:
         return _fail(str(exc), 1)
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        status = _dispatch(args)
+        sys.stdout.flush()  # a closed pipe then fails here, not at exit
+    except BrokenPipeError:
+        # stdout closed early (say, piped into `head`): send the rest of the
+        # output, and the flush at exit, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

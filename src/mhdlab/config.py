@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,7 +99,6 @@ class Config:
     snapshot_path: str | None
     output_dir: str
     output_formats: tuple
-    raw: dict = field(default_factory=dict, repr=False)
 
     def build_initial_data(self) -> InitialData:
         if self.snapshot_path is not None:
@@ -267,7 +266,6 @@ def parse_config(text: str) -> Config:
         snapshot_path=snapshot_path,
         output_dir=out_dir,
         output_formats=formats,
-        raw={f"{s}.{k}": v for (s, k), v in values.items()},
     )
 
 

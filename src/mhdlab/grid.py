@@ -153,7 +153,8 @@ class VectorField:
 
     Velocity instances are reconstructed from a GalerkinBasis and carry the
     basis coefficients (length 2n, x-block then y-block); their components
-    vanish identically on the walls.
+    vanish identically on the walls.  `coeffs` and `basis` are set together
+    or not at all.
     """
 
     grid: Grid
@@ -170,6 +171,8 @@ class VectorField:
                 raise GridMismatchError(
                     f"component shape {comp.shape} != grid shape {self.grid.shape}"
                 )
+        if (self.coeffs is None) != (self.basis is None):
+            raise BasisError("a velocity carries its coefficients with their basis")
 
     @classmethod
     def zero(cls, grid: Grid):

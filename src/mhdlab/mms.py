@@ -389,6 +389,8 @@ def _order_study(ms: ManufacturedSolution, reg: RegParams, p: EosParams, cases,
                  t_final: float):
     """Run the forced solver once per (grid, dt) case; returns (errors, orders)
     with the orders log2 of consecutive error ratios."""
+    if len(cases) < 2:
+        raise DomainError(f"an order study needs at least two cases, got {len(cases)}")
     errors = []
     for grid, dt in cases:
         basis = GalerkinBasis(grid, reg.n)

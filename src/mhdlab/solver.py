@@ -8,8 +8,7 @@ source treated implicitly, each direction by conjugate gradients on cosine
 coefficients in the Kirchhoff variable), and the Galerkin momentum equation
 (viscous operator implicit, advection / total pressure / eps grad-rho
 coupling explicit).  This mirrors the fix-velocity-then-solve-scalars
-structure of the underlying construction; an optional second or third Picard
-sweep repeats the cycle with the updated velocity.
+structure of the underlying construction, in one pass per step.
 
 Both scalar advances share one linear update, so fields that start
 proportional stay proportional to round-off, and the k = 0 cosine mode is
@@ -201,8 +200,8 @@ class Schedule:
 
 @dataclass
 class StepReport:
-    """Per-step record; the temperature counts are those of the last Picard
-    sweep, the Krylov and backtrack counts summed over its Newton loop."""
+    """Per-step record; the Krylov and backtrack counts are summed over the
+    temperature Newton loop."""
 
     t: float
     dt: float
@@ -394,8 +393,9 @@ def cfl_bound(u: VectorField) -> float:
 # ---------------------------------------------------------------------------
 
 class VelocityWorkspace:
-    """Per-step cache of the velocity on the 3/2 fine grid (u_fine, stacked
-    x then y components).
+    """The one evaluation of a step's velocity: its CFL bound `cfl_limit`,
+    the velocity on the 3/2 fine grid (u_fine, stacked x then y components)
+    and, on first use, its Jacobian `grads_u`.
 
     A velocity reconstructed from a basis carries its sine-sine
     coefficients, which are scattered into place instead of transforming
@@ -404,11 +404,17 @@ class VelocityWorkspace:
 
     def __init__(self, u: VectorField):
         self.u = u
-        if u.coeffs is not None and u.basis is not None:
+        self.cfl_limit = cfl_bound(u)
+        if u.coeffs is not None:
             u_ss = u.basis.scatter(u.coeffs)
         else:
             u_ss = fwd2(np.stack([u.vx, u.vy]), (SIN, SIN))
         self.u_fine = to_fine(u_ss, (SIN, SIN))
+
+    @cached_property
+    def grads_u(self):
+        """(u1x, u1y, u2x, u2y)."""
+        return velocity_gradient(self.u)
 
 
 def _advective_divergence_cc(f_cc, uw: VelocityWorkspace, grid: Grid):
@@ -428,6 +434,12 @@ def _advective_divergence_cc(f_cc, uw: VelocityWorkspace, grid: Grid):
     return adv
 
 
+def _energy_advection(rhoe, uw: VelocityWorkspace):
+    """Nodal div(rho*e u), dealiased like the scalar advances' fluxes."""
+    adv_cc = _advective_divergence_cc(fwd2(rhoe, (COS, COS)), uw, uw.u.grid)
+    return bwd2(adv_cc, (COS, COS))
+
+
 def advance_scalar(
     f: ScalarField,
     u: VectorField,
@@ -439,14 +451,13 @@ def advance_scalar(
     """One IMEX step of d_t f + div(f u) = eps*Lap(f) with Neumann walls."""
     if dt <= 0.0:
         raise DomainError(f"dt must be > 0, got {dt}")
-    bound = cfl_bound(u)
-    if dt > bound:
-        raise CflError(dt, bound)
+    if workspace is None:
+        workspace = VelocityWorkspace(u)
+    if dt > workspace.cfl_limit:
+        raise CflError(dt, workspace.cfl_limit)
     grid = f.grid
     if u.grid != grid:
         raise GridMismatchError("scalar and velocity grids differ")
-    if workspace is None:
-        workspace = VelocityWorkspace(u)
     f_cc = fwd2(f.values, (COS, COS))
     adv = _advective_divergence_cc(f_cc, workspace, grid)
     rhs = f_cc - dt * adv
@@ -473,6 +484,12 @@ def _kirchhoff_operator(a, dt: float, grid: Grid):
         return fwd2(a * bwd2(z_cc, (COS, COS)), (COS, COS)) + k2dt * z_cc
 
     return apply
+
+
+def _kirchhoff_laplacian(theta, grid: Grid, reg: RegParams, p: EosParams):
+    """Nodal Lap K_delta(theta), the conduction term of the energy equation."""
+    kirchhoff = ScalarField(grid, K_delta(theta, p, reg.delta, reg.Gamma))
+    return laplacian_neumann(kirchhoff).values
 
 
 def _pcg(apply, rhs_cc, symbol, grid: Grid, rtol: float, atol: float,
@@ -556,7 +573,6 @@ def advance_temperature(
     workspace: VelocityWorkspace | None = None,
     *,
     grad_rho: VectorField | None = None,
-    grads_u=None,
 ):
     """Implicit step of the internal-energy equation; returns (theta, info).
 
@@ -581,33 +597,28 @@ def advance_temperature(
     th_o = state.theta.values
     rho_n = rho_new.values
 
+    if workspace is None:
+        workspace = VelocityWorkspace(state.u)
     if grad_rho is None:
         grad_rho = gradient(rho_new)
-    if grads_u is None:
-        grads_u = velocity_gradient(state.u)
     explicit = Terms(
-        rho_n, b_new.values, th_o, grads_u, grad_rho, gradient(b_new), None, reg, p,
+        rho_n, b_new.values, th_o, workspace.grads_u, grad_rho, gradient(b_new),
+        None, reg, p,
     ).heating
     if forcing_nodal is not None:
         explicit = explicit + forcing_nodal
 
     # advective internal-energy flux, explicit at the old level
     rhoe_old = rho_e(rho_o, th_o, p)
-    if workspace is None:
-        workspace = VelocityWorkspace(state.u)
-    adv = bwd2(
-        _advective_divergence_cc(fwd2(rhoe_old, (COS, COS)), workspace, grid),
-        (COS, COS),
-    )
+    adv = _energy_advection(rhoe_old, workspace)
 
     w = rhoe_old - dt * adv + dt * explicit
     scale = max(1.0, float(np.abs(w).max()))
 
     def residual(theta):
-        kirchhoff = ScalarField(grid, K_delta(theta, p, reg.delta, reg.Gamma))
         return (
             rho_e(rho_n, theta, p)
-            - dt * laplacian_neumann(kirchhoff).values
+            - dt * _kirchhoff_laplacian(theta, grid, reg, p)
             - dt * heat_source(theta, reg)
             - w
         )
@@ -733,11 +744,6 @@ def _momentum_load(basis, uw, rho_cc, rho, b, theta, grho, grads_u, reg, p):
     )
 
 
-def _basis_coeffs(u: VectorField, basis: GalerkinBasis):
-    """The basis coefficients u carries, else its projection onto the basis."""
-    return u.coeffs if u.coeffs is not None else project_velocity(u, basis)
-
-
 def advance_momentum(
     state: State,
     reg: RegParams,
@@ -750,7 +756,6 @@ def advance_momentum(
     workspace: VelocityWorkspace | None = None,
     *,
     grad_rho: VectorField | None = None,
-    grads_u=None,
 ) -> VectorField:
     """One step of the Galerkin momentum equation; returns the new velocity.
 
@@ -758,9 +763,6 @@ def advance_momentum(
     f collecting the explicit advection tensor, the total-pressure work and
     the eps*(grad rho . grad) u coupling; the dense symmetric system has
     dimension 2n.  No-slip holds exactly because every basis mode does.
-    Under Picard re-sweeps the step passes the improved velocity through
-    `workspace` and `grads_u`, while c_old stays the time-t coefficients of
-    `state.u`, the velocity the step started from.
     """
     basis = state.u.basis
     if basis is None:
@@ -781,11 +783,9 @@ def advance_momentum(
         workspace = VelocityWorkspace(state.u)
     if grad_rho is None:
         grad_rho = gradient(rho_new)
-    if grads_u is None:
-        grads_u = velocity_gradient(state.u)
     rhs = _momentum_load(
         basis, workspace, rho_cc, rho_new.values, b_new.values, theta_new.values,
-        grad_rho, grads_u, reg, p,
+        grad_rho, workspace.grads_u, reg, p,
     )
     if forcing_vec is not None:
         rhs = rhs + forcing_vec
@@ -794,8 +794,7 @@ def advance_momentum(
     lhs[:n, :n] += m_new
     lhs[n:, n:] += m_new
 
-    c_old = _basis_coeffs(state.u, basis)
-    b_vec = (c_old.reshape(2, n) @ m_old).ravel() + dt * rhs
+    b_vec = (state.u.coeffs.reshape(2, n) @ m_old).ravel() + dt * rhs
     try:
         c_new = np.linalg.solve(lhs, b_vec)
     except np.linalg.LinAlgError as exc:
@@ -812,45 +811,35 @@ def step(
     reg: RegParams,
     p: EosParams,
     dt: float,
-    sweeps: int = 1,
     forcing=None,
 ) -> tuple[State, StepReport]:
-    """Advance the coupled system by dt with `sweeps` Picard iterations."""
-    if sweeps < 1:
-        raise DomainError("at least one Picard sweep is required")
-    bound = cfl_bound(state.u)
-    if dt > bound:
-        raise CflError(dt, bound)
+    """Advance the coupled system by dt in one pass with the time-t velocity:
+    rho and b, then theta, then u."""
+    uw = VelocityWorkspace(state.u)
+    if dt > uw.cfl_limit:
+        raise CflError(dt, uw.cfl_limit)
 
     f_rho = f_b = f_e = f_u = None
     if forcing is not None:
         f_rho, f_b, f_e, f_u = forcing.at(state.t)
 
-    u_current = state.u
-    rho_new = b_new = theta_new = u_new = None
-    info = None
-    for _ in range(sweeps):
-        # the advances start from the time-t state; every velocity-dependent
-        # input comes from the current sweep's velocity
-        uw = VelocityWorkspace(u_current)
-        rho_new = advance_scalar(
-            state.rho, u_current, reg.epsilon, dt, workspace=uw, forcing_cc=f_rho
-        )
-        b_new = advance_scalar(
-            state.b, u_current, reg.epsilon, dt, workspace=uw, forcing_cc=f_b
-        )
-        # both advances read these; form them once per sweep
-        grho, grads_u = gradient(rho_new), velocity_gradient(u_current)
-        theta_new, info = advance_temperature(
-            state, reg, p, dt, rho_new=rho_new, b_new=b_new, forcing_nodal=f_e,
-            workspace=uw, grad_rho=grho, grads_u=grads_u,
-        )
-        u_new = advance_momentum(
-            state, reg, p, dt,
-            rho_new=rho_new, b_new=b_new, theta_new=theta_new, forcing_vec=f_u,
-            workspace=uw, grad_rho=grho, grads_u=grads_u,
-        )
-        u_current = u_new
+    rho_new = advance_scalar(
+        state.rho, state.u, reg.epsilon, dt, workspace=uw, forcing_cc=f_rho
+    )
+    b_new = advance_scalar(
+        state.b, state.u, reg.epsilon, dt, workspace=uw, forcing_cc=f_b
+    )
+    # both advances read grad rho_new; form it once
+    grho = gradient(rho_new)
+    theta_new, info = advance_temperature(
+        state, reg, p, dt, rho_new=rho_new, b_new=b_new, forcing_nodal=f_e,
+        workspace=uw, grad_rho=grho,
+    )
+    u_new = advance_momentum(
+        state, reg, p, dt,
+        rho_new=rho_new, b_new=b_new, theta_new=theta_new, forcing_vec=f_u,
+        workspace=uw, grad_rho=grho,
+    )
 
     new_state = State(
         state.t + dt,
@@ -869,7 +858,7 @@ def step(
         newton_iterations=info.iterations,
         newton_residual=info.residual,
         theta_floor_hits=info.floor_hits,
-        cfl_limit=bound,
+        cfl_limit=uw.cfl_limit,
         source_rate=source_rate,
         krylov_iterations=info.krylov_iterations,
         line_search_backtracks=info.line_search_backtracks,
@@ -917,14 +906,9 @@ def tendencies(state: State, reg: RegParams, p: EosParams, forcing=None) -> Tend
     rho_dot, b_dot = bwd2(np.stack(rates_cc), (COS, COS))
 
     terms = state_terms(state, reg, p)
-    adv_e = bwd2(
-        _advective_divergence_cc(fwd2(rho_e(rho, th, p), (COS, COS)), uw, grid),
-        (COS, COS),
-    )
-    kirchhoff = ScalarField(grid, K_delta(th, p, reg.delta, reg.Gamma))
     rhoe_dot = (
-        -adv_e
-        + laplacian_neumann(kirchhoff).values
+        -_energy_advection(rho_e(rho, th, p), uw)
+        + _kirchhoff_laplacian(th, grid, reg, p)
         + terms.heating
         + terms.source
     )
@@ -937,7 +921,7 @@ def tendencies(state: State, reg: RegParams, p: EosParams, forcing=None) -> Tend
     )
     if f_u is not None:
         rhs = rhs + f_u
-    c = _basis_coeffs(state.u, basis)
+    c = state.u.coeffs
     rhs -= _viscous_matrix(th, basis, p) @ c
     # d/dt (M c) = rhs, so M c_dot = rhs - dM/dt c with dM/dt = M(rho_dot)
     rhs -= (c.reshape(2, n) @ _mass_matrix(rates_cc[0], basis)).ravel()
@@ -965,7 +949,6 @@ def run(
     p: EosParams,
     schedule: Schedule,
     forcing=None,
-    sweeps: int = 1,
     diagnostics_every: int = 1,
     basis: GalerkinBasis | None = None,
 ) -> Trajectory:
@@ -987,7 +970,7 @@ def run(
     if diag_fn is not None:
         diags.append(diag_fn(state, reg, p))
     for k in range(schedule.n_steps):
-        state, rep = step(state, reg, p, schedule.dt, sweeps=sweeps, forcing=forcing)
+        state, rep = step(state, reg, p, schedule.dt, forcing=forcing)
         reports.append(rep)
         if (k + 1) % schedule.snapshot_stride == 0 or k + 1 == schedule.n_steps:
             states.append(state.copy())

@@ -1,6 +1,10 @@
+import os
 import re
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -358,3 +362,25 @@ class TestCli:
         assert code == 0
         assert "spatial orders" in out
         assert "temporal orders" in out
+
+    @pytest.mark.parametrize("sizes", ["32", "x", "64,32", "12,16"])
+    def test_mms_rejects_bad_grid_sizes(self, sizes, monkeypatch):
+        # one size measures no order; a bad list exits 2 before any study runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("an order study ran")
+
+        monkeypatch.setattr(cli.mms_mod, "spatial_order_study", refuse)
+        monkeypatch.setattr(cli.mms_mod, "temporal_order_study", refuse)
+        assert cli.main(["mms", "--grid-sizes", sizes]) == 2
+
+    def test_closed_stdout_ends_without_traceback(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": "1"}
+        with subprocess.Popen(
+            [sys.executable, "-m", "mhdlab.cli", "check", "--grid", "16"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            proc.stdout.close()  # the reader goes away before the first line
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=120) == 1
+        assert "Traceback" not in err

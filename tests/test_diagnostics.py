@@ -13,6 +13,7 @@ from mhdlab.solver import (
     run,
 )
 from mhdlab.thermo import EosParams
+from mhdlab.tolerances import TOLERANCES
 
 P = EosParams()
 REG = RegParams(epsilon=1e-2, delta=1e-2, Gamma=8.0, n=4)
@@ -203,7 +204,7 @@ class TestRenormalized:
         ddt = (
             window[2].rho.values.sum() - window[0].rho.values.sum()
         ) * window[1].grid.weight / (window[2].t - window[0].t)
-        assert abs(renorm - ddt) <= 1e-12
+        assert abs(renorm - ddt) <= TOLERANCES["renormalized_vs_continuity"]
 
     def test_uniform_state_zero(self):
         g = Grid(16, 16)

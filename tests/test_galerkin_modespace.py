@@ -155,7 +155,7 @@ def analytic_state(grid, n):
 def test_step_tendencies_report_forcing_read_no_tables(no_tables):
     grid, reg = Grid(16, 16, 1.2, 0.8), RegParams(epsilon=0.05, delta=0.05, n=6)
     st = analytic_state(grid, reg.n)
-    new, _ = step(st, reg, P, 1e-3, sweeps=2)
+    new, _ = step(st, reg, P, 1e-3)
     assert np.isfinite(tendencies(new, reg, P).c_dot).all()
     assert np.isfinite(diagnostics.report(new, reg, P).t)
     basis = GalerkinBasis(Grid(16, 16), 4)

@@ -21,6 +21,7 @@ from mhdlab.grid import (
     reconstruct,
     velocity_gradient,
 )
+from mhdlab.tolerances import TOLERANCES
 
 
 @pytest.fixture
@@ -81,9 +82,10 @@ class TestTransforms:
                 c[tuple(sl)] = 0.0
         vals = bwd2(c, parity)
         c2 = fwd2(vals, parity)
-        assert np.abs(c2 - c).max() <= 1e-12 * max(1.0, np.abs(c).max())
+        tol = TOLERANCES["transform_round_trip"]
+        assert np.abs(c2 - c).max() <= tol * max(1.0, np.abs(c).max())
         vals2 = bwd2(c2, parity)
-        assert np.abs(vals2 - vals).max() <= 1e-12 * max(1.0, np.abs(vals).max())
+        assert np.abs(vals2 - vals).max() <= tol * max(1.0, np.abs(vals).max())
 
 
 class TestOperators:
@@ -91,7 +93,7 @@ class TestOperators:
         f = ScalarField.from_function(grid, lambda x, y: np.cos(np.pi * x / grid.lx))
         v = gradient(f)
         exact = -(np.pi / grid.lx) * np.sin(np.pi * grid.X / grid.lx)
-        assert np.abs(v.vx - exact).max() <= 1e-10
+        assert np.abs(v.vx - exact).max() <= TOLERANCES["spectral_derivative"]
         assert np.abs(v.vy).max() <= 1e-12
 
     def test_laplacian_of_constant_is_zero(self, grid):
@@ -110,7 +112,8 @@ class TestOperators:
         v = random_ss_vector(grid, 2)
         lhs = inner_product(gradient(f), v)
         rhs = -inner_product(f, divergence(v))
-        assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, abs(rhs)))
+        tol = TOLERANCES["integration_by_parts"]
+        assert lhs == pytest.approx(rhs, abs=tol * max(1.0, abs(rhs)))
 
     def test_velocity_gradient_matches_analytic(self, grid):
         ax, ay = np.pi / grid.lx, 2 * np.pi / grid.ly
@@ -120,8 +123,9 @@ class TestOperators:
             np.zeros(grid.shape),
         )
         u1x, u1y, u2x, u2y = velocity_gradient(u)
-        assert np.abs(u1x - ax * np.cos(ax * grid.X) * np.sin(ay * grid.Y)).max() <= 1e-10
-        assert np.abs(u1y - ay * np.sin(ax * grid.X) * np.cos(ay * grid.Y)).max() <= 1e-10
+        tol = TOLERANCES["spectral_derivative"]
+        assert np.abs(u1x - ax * np.cos(ax * grid.X) * np.sin(ay * grid.Y)).max() <= tol
+        assert np.abs(u1y - ay * np.sin(ax * grid.X) * np.cos(ay * grid.Y)).max() <= tol
         assert np.abs(u2x).max() == 0.0
         assert np.abs(u2y).max() == 0.0
 
@@ -227,7 +231,7 @@ class TestBasis:
         c = rng.standard_normal(2 * 7)
         v = reconstruct(c, basis)
         c2 = project_velocity(v, basis)
-        assert np.abs(c2 - c).max() <= 1e-12
+        assert np.abs(c2 - c).max() <= TOLERANCES["projection_round_trip"]
 
     def test_projection_is_contraction(self, grid):
         basis = GalerkinBasis(grid, 4)
@@ -237,6 +241,13 @@ class TestBasis:
         norm_v = inner_product(v, v)
         norm_pv = inner_product(pv, pv)
         assert norm_pv <= norm_v * (1.0 + 1e-12)
+
+    def test_coefficients_travel_with_their_basis(self, grid):
+        basis, zero = GalerkinBasis(grid, 2), np.zeros(grid.shape)
+        with pytest.raises(BasisError):
+            VectorField(grid, zero, zero, basis=basis)
+        with pytest.raises(BasisError):
+            VectorField(grid, zero, zero, coeffs=np.zeros(4))
 
     def test_out_of_span_projection_shrinks_norm(self, grid):
         basis = GalerkinBasis(grid, 2)

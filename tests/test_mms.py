@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mhdlab.errors import BasisError
+from mhdlab.errors import BasisError, DomainError
 from mhdlab.grid import Grid, GalerkinBasis
 from mhdlab.mms import (
     CosineFactor,
@@ -106,6 +106,10 @@ class TestForcing:
 
 
 class TestOrderStudies:
+    def test_single_case_measures_no_order(self):
+        with pytest.raises(DomainError):
+            spatial_order_study(REG, P, grid_sizes=(32,))
+
     def test_spatial_probe_converges_on_coarse_pair(self):
         errors, orders = spatial_order_study(
             REG, P, grid_sizes=(16, 32), t_final=0.2, dt=4e-3
