@@ -123,7 +123,12 @@ def _entropy_production_terms(t: Terms, grid: Grid):
 
 
 def report(state: State, reg: RegParams, p: EosParams) -> DiagnosticsReport:
-    """One time slice of every certified quantity; pure in its inputs."""
+    """One time slice of every certified quantity.
+
+    The fields are only read; the transport terms come from (and, on first
+    use, are cached in) `state.workspace`, which a step from this state then
+    reuses.
+    """
     grid = state.grid
     w = grid.weight
     rho, b, th = state.rho.values, state.b.values, state.theta.values
@@ -395,8 +400,8 @@ def weak_residuals(trajectory, tests, p: EosParams, reg: RegParams):
     eps grad-rho couplings) are kept inside the tested identities so the
     residuals measure pure time-discretization error; the entropy entry is
     the signed slack of the production inequality (<= 0 up to that error).
-    Pure over immutable snapshots; distinct (trajectory, test) pairs can be
-    evaluated concurrently by the caller.
+    The snapshots' fields are only read; each snapshot's velocity Jacobian
+    is formed once and cached in its `workspace`.
     """
     states = trajectory.states
     if len(states) < 2:
@@ -593,7 +598,7 @@ def renormalized_residual(window, k: float, reg: RegParams,
         deriv_nodal(flux1, 1, SIN, grid.lx) + deriv_nodal(flux2, 0, SIN, grid.ly)
     ).sum() * w
 
-    u1x, _, _, u2y = velocity_gradient(center.u)
+    u1x, _, _, u2y = center.workspace.grads_u
     div_u = u1x + u2y
     defect = ((tfp_c * f_c - tf_c) * div_u).sum() * w
 

@@ -10,9 +10,11 @@ coefficients in the Kirchhoff variable), and the Galerkin momentum equation
 coupling explicit).  This mirrors the fix-velocity-then-solve-scalars
 structure of the underlying construction, in one pass per step.
 
-Both scalar advances share one linear update, so fields that start
+rho and b advance in one stacked linear update, so fields that start
 proportional stay proportional to round-off, and the k = 0 cosine mode is
 untouched, so nodal masses are conserved exactly.
+The time-t transport terms come from `State.workspace`, the state's one
+evaluation, which a report on the same state shares.
 """
 
 from __future__ import annotations
@@ -137,7 +139,14 @@ class State:
     def grid(self) -> Grid:
         return self.rho.grid
 
+    @cached_property
+    def workspace(self) -> VelocityWorkspace:
+        """The state's one evaluation of its transport terms, formed part by
+        part on first use and shared by every reader of this state."""
+        return VelocityWorkspace(self.rho, self.b, self.u)
+
     def copy(self):
+        """Copies of the fields; the copy carries no evaluation."""
         return State(
             self.t,
             self.rho.copy(),
@@ -191,11 +200,16 @@ class Schedule:
             )
         if self.snapshot_stride < 1:
             raise DomainError("snapshot_stride must be >= 1")
+        # a run takes whole steps, so it ends at t_final only on a multiple
+        ratio = self.t_final / self.dt
+        whole = np.rint(ratio)  # inf stays inf and then fails the comparison
+        if not (whole >= 1.0 and abs(ratio - whole) <= 1e-9 * ratio):
+            raise DomainError(f"t_final = {self.t_final:g} is not a whole number "
+                              f"of steps of dt = {self.dt:g} ({ratio:.12g})")
 
     @property
     def n_steps(self) -> int:
-        n = int(round(self.t_final / self.dt))
-        return max(n, 1)
+        return round(self.t_final / self.dt)
 
 
 @dataclass
@@ -371,10 +385,10 @@ class Terms:
 
 
 def state_terms(state: State, reg: RegParams, p: EosParams) -> Terms:
-    """The terms of a state, with spectral derivatives."""
+    """The terms of a state, with spectral derivatives and its workspace's grads_u."""
     return Terms(
         state.rho.values, state.b.values, state.theta.values,
-        velocity_gradient(state.u), gradient(state.rho), gradient(state.b),
+        state.workspace.grads_u, gradient(state.rho), gradient(state.b),
         gradient(state.theta), reg, p,
     )
 
@@ -393,28 +407,59 @@ def cfl_bound(u: VectorField) -> float:
 # ---------------------------------------------------------------------------
 
 class VelocityWorkspace:
-    """The one evaluation of a step's velocity: its CFL bound `cfl_limit`,
-    the velocity on the 3/2 fine grid (u_fine, stacked x then y components)
-    and, on first use, its Jacobian `grads_u`.
+    """A state's one evaluation, each part formed on first use: the CFL bound
+    `cfl_limit`, the velocity on the 3/2 fine grid `u_fine` (x then y), its
+    Jacobian `grads_u`, the cosine coefficients of (rho, b) `scalar_cc`,
+    their advective divergences `scalar_adv_cc` and the `advection_tensor`.
 
-    A velocity reconstructed from a basis carries its sine-sine
-    coefficients, which are scattered into place instead of transforming
-    the nodal field again.
+    It holds the state's fields, never the state, so a dropped state is
+    freed at once.  A velocity from a basis has its sine-sine coefficients
+    scattered into place instead of transforming the nodal field again.
     """
 
-    def __init__(self, u: VectorField):
-        self.u = u
-        self.cfl_limit = cfl_bound(u)
+    def __init__(self, rho: ScalarField, b: ScalarField, u: VectorField):
+        self.rho, self.b, self.u = rho, b, u
+
+    @cached_property
+    def cfl_limit(self) -> float:
+        return cfl_bound(self.u)
+
+    @cached_property
+    def u_fine(self):
+        u = self.u
         if u.coeffs is not None:
             u_ss = u.basis.scatter(u.coeffs)
         else:
             u_ss = fwd2(np.stack([u.vx, u.vy]), (SIN, SIN))
-        self.u_fine = to_fine(u_ss, (SIN, SIN))
+        return to_fine(u_ss, (SIN, SIN))
 
     @cached_property
     def grads_u(self):
         """(u1x, u1y, u2x, u2y)."""
         return velocity_gradient(self.u)
+
+    @cached_property
+    def scalar_cc(self):
+        return fwd2(np.stack([self.rho.values, self.b.values]), (COS, COS))
+
+    @cached_property
+    def scalar_adv_cc(self):
+        grid = self.u.grid
+        return np.stack(
+            [_advective_divergence_cc(f_cc, self, grid) for f_cc in self.scalar_cc]
+        )
+
+    @cached_property
+    def advection_tensor(self):
+        """Nodal rho*u_i*u_j (stacked t11, t12, t22) with pairwise
+        3/2-dealiased products."""
+        shape = self.u.grid.shape
+        rho_fine = to_fine(self.scalar_cc[0], (COS, COS))
+        ru = from_fine(rho_fine * self.u_fine, (SIN, SIN), shape)
+        ru_fine = to_fine(ru, (SIN, SIN))
+        u1, u2 = self.u_fine
+        prods = np.stack([ru_fine[0] * u1, ru_fine[0] * u2, ru_fine[1] * u2])
+        return bwd2(from_fine(prods, (COS, COS), shape), (COS, COS))
 
 
 def _advective_divergence_cc(f_cc, uw: VelocityWorkspace, grid: Grid):
@@ -440,31 +485,23 @@ def _energy_advection(rhoe, uw: VelocityWorkspace):
     return bwd2(adv_cc, (COS, COS))
 
 
-def advance_scalar(
-    f: ScalarField,
-    u: VectorField,
-    epsilon: float,
-    dt: float,
-    workspace: VelocityWorkspace | None = None,
-    forcing_cc=None,
-) -> ScalarField:
-    """One IMEX step of d_t f + div(f u) = eps*Lap(f) with Neumann walls."""
+def advance_scalar(state: State, epsilon: float, dt: float, forcing_cc=None):
+    """One IMEX step of d_t f + div(f u) = eps*Lap(f) with Neumann walls for
+    f = rho, b stacked (forcing_cc too, in cosine coefficients); returns
+    (rho_new, b_new)."""
     if dt <= 0.0:
         raise DomainError(f"dt must be > 0, got {dt}")
-    if workspace is None:
-        workspace = VelocityWorkspace(u)
-    if dt > workspace.cfl_limit:
-        raise CflError(dt, workspace.cfl_limit)
-    grid = f.grid
-    if u.grid != grid:
+    uw = state.workspace
+    if dt > uw.cfl_limit:
+        raise CflError(dt, uw.cfl_limit)
+    grid = state.grid
+    if state.u.grid != grid or state.b.grid != grid:
         raise GridMismatchError("scalar and velocity grids differ")
-    f_cc = fwd2(f.values, (COS, COS))
-    adv = _advective_divergence_cc(f_cc, workspace, grid)
-    rhs = f_cc - dt * adv
+    rhs = uw.scalar_cc - dt * uw.scalar_adv_cc
     if forcing_cc is not None:
         rhs = rhs + dt * forcing_cc
-    new_cc = rhs / (1.0 + dt * epsilon * grid.k2_cc)
-    return ScalarField(grid, bwd2(new_cc, (COS, COS)))
+    rho_new, b_new = bwd2(rhs / (1.0 + dt * epsilon * grid.k2_cc), (COS, COS))
+    return ScalarField(grid, rho_new), ScalarField(grid, b_new)
 
 
 # ---------------------------------------------------------------------------
@@ -567,14 +604,13 @@ def advance_temperature(
     reg: RegParams,
     p: EosParams,
     dt: float,
-    rho_new: ScalarField | None = None,
-    b_new: ScalarField | None = None,
+    rho_new: ScalarField,
+    b_new: ScalarField,
+    grad_rho: VectorField,
     forcing_nodal=None,
-    workspace: VelocityWorkspace | None = None,
-    *,
-    grad_rho: VectorField | None = None,
 ):
-    """Implicit step of the internal-energy equation; returns (theta, info).
+    """Implicit step of the internal-energy equation from `state` to the new
+    rho and b (grad_rho is the gradient of rho_new); returns (theta, info).
 
     Diffusion enters through the primitive K_delta (so the implicit operator
     is Lap(K_delta(theta))) and the singular sources delta/theta^2 and
@@ -589,20 +625,13 @@ def advance_temperature(
     solve raises NewtonError.
     """
     grid = state.grid
-    if rho_new is None:
-        rho_new = state.rho
-    if b_new is None:
-        b_new = state.b
+    uw = state.workspace
     rho_o = state.rho.values
     th_o = state.theta.values
     rho_n = rho_new.values
 
-    if workspace is None:
-        workspace = VelocityWorkspace(state.u)
-    if grad_rho is None:
-        grad_rho = gradient(rho_new)
     explicit = Terms(
-        rho_n, b_new.values, th_o, workspace.grads_u, grad_rho, gradient(b_new),
+        rho_n, b_new.values, th_o, uw.grads_u, grad_rho, gradient(b_new),
         None, reg, p,
     ).heating
     if forcing_nodal is not None:
@@ -610,7 +639,7 @@ def advance_temperature(
 
     # advective internal-energy flux, explicit at the old level
     rhoe_old = rho_e(rho_o, th_o, p)
-    adv = _energy_advection(rhoe_old, workspace)
+    adv = _energy_advection(rhoe_old, uw)
 
     w = rhoe_old - dt * adv + dt * explicit
     scale = max(1.0, float(np.abs(w).max()))
@@ -719,27 +748,17 @@ def _viscous_matrix(theta, basis: GalerkinBasis, p: EosParams):
     return np.block([[p_blk, q_blk], [q_blk.T, p_blk]])
 
 
-def _advection_tensor(rho_cc, uw: VelocityWorkspace, shape):
-    """Nodal rho*u_i*u_j (stacked t11, t12, t22) with pairwise 3/2-dealiased
-    products."""
-    rho_fine = to_fine(rho_cc, (COS, COS))
-    ru_fine = to_fine(from_fine(rho_fine * uw.u_fine, (SIN, SIN), shape), (SIN, SIN))
-    u1, u2 = uw.u_fine
-    prods = np.stack([ru_fine[0] * u1, ru_fine[0] * u2, ru_fine[1] * u2])
-    return bwd2(from_fine(prods, (COS, COS), shape), (COS, COS))
-
-
-def _momentum_load(basis, uw, rho_cc, rho, b, theta, grho, grads_u, reg, p):
+def _momentum_load(uw: VelocityWorkspace, rho, b, theta, grho, reg, p):
     """Galerkin load of the explicit momentum terms.
 
-    The advection tensor comes from rho_cc and the workspace velocity; the
-    momentum pressure from (rho, b, theta) and the eps*(grad rho . grad) u
-    coupling from grho and grads_u = (u1x, u1y, u2x, u2y).
+    The advection tensor and the velocity Jacobian come from the workspace
+    of the time-t state; the momentum pressure from (rho, b, theta) and the
+    eps*(grad rho . grad) u coupling from grho.
     """
-    t11, t12, t22 = _advection_tensor(rho_cc, uw, basis.grid.shape)
+    t11, t12, t22 = uw.advection_tensor
     p_tot = momentum_pressure(rho, b, theta, reg, p)
     return galerkin_load(
-        basis, -rho_gradient_coupling(grho, grads_u, reg),
+        uw.u.basis, -rho_gradient_coupling(grho, uw.grads_u, reg),
         np.stack([t11 + p_tot, t12]), np.stack([t12, t22 + p_tot]),
     )
 
@@ -749,13 +768,11 @@ def advance_momentum(
     reg: RegParams,
     p: EosParams,
     dt: float,
-    rho_new: ScalarField | None = None,
-    b_new: ScalarField | None = None,
-    theta_new: ScalarField | None = None,
+    rho_new: ScalarField,
+    b_new: ScalarField,
+    theta_new: ScalarField,
+    grad_rho: VectorField,
     forcing_vec=None,
-    workspace: VelocityWorkspace | None = None,
-    *,
-    grad_rho: VectorField | None = None,
 ) -> VectorField:
     """One step of the Galerkin momentum equation; returns the new velocity.
 
@@ -767,25 +784,13 @@ def advance_momentum(
     basis = state.u.basis
     if basis is None:
         raise StepFailure("momentum advance requires a velocity with a basis")
-    if rho_new is None:
-        rho_new = state.rho
-    if b_new is None:
-        b_new = state.b
-    if theta_new is None:
-        theta_new = state.theta
     n = basis.n
+    uw = state.workspace
+    m_old = _mass_matrix(uw.scalar_cc[0], basis)
+    m_new = _mass_matrix(fwd2(rho_new.values, (COS, COS)), basis)
 
-    rho_cc, rho_new_cc = fwd2(np.stack([state.rho.values, rho_new.values]), (COS, COS))
-    m_old = _mass_matrix(rho_cc, basis)
-    m_new = _mass_matrix(rho_new_cc, basis)
-
-    if workspace is None:
-        workspace = VelocityWorkspace(state.u)
-    if grad_rho is None:
-        grad_rho = gradient(rho_new)
     rhs = _momentum_load(
-        basis, workspace, rho_cc, rho_new.values, b_new.values, theta_new.values,
-        grad_rho, workspace.grads_u, reg, p,
+        uw, rho_new.values, b_new.values, theta_new.values, grad_rho, reg, p
     )
     if forcing_vec is not None:
         rhs = rhs + forcing_vec
@@ -814,31 +819,21 @@ def step(
     forcing=None,
 ) -> tuple[State, StepReport]:
     """Advance the coupled system by dt in one pass with the time-t velocity:
-    rho and b, then theta, then u."""
-    uw = VelocityWorkspace(state.u)
-    if dt > uw.cfl_limit:
-        raise CflError(dt, uw.cfl_limit)
-
-    f_rho = f_b = f_e = f_u = None
+    rho and b, then theta, then u.  The time-t terms come from
+    `state.workspace`, shared with a report on the same state."""
+    f_scalar = f_e = f_u = None
     if forcing is not None:
         f_rho, f_b, f_e, f_u = forcing.at(state.t)
+        f_scalar = np.stack([f_rho, f_b])
 
-    rho_new = advance_scalar(
-        state.rho, state.u, reg.epsilon, dt, workspace=uw, forcing_cc=f_rho
-    )
-    b_new = advance_scalar(
-        state.b, state.u, reg.epsilon, dt, workspace=uw, forcing_cc=f_b
-    )
+    rho_new, b_new = advance_scalar(state, reg.epsilon, dt, f_scalar)
     # both advances read grad rho_new; form it once
     grho = gradient(rho_new)
     theta_new, info = advance_temperature(
-        state, reg, p, dt, rho_new=rho_new, b_new=b_new, forcing_nodal=f_e,
-        workspace=uw, grad_rho=grho,
+        state, reg, p, dt, rho_new, b_new, grho, f_e
     )
     u_new = advance_momentum(
-        state, reg, p, dt,
-        rho_new=rho_new, b_new=b_new, theta_new=theta_new, forcing_vec=f_u,
-        workspace=uw, grad_rho=grho,
+        state, reg, p, dt, rho_new, b_new, theta_new, grho, f_u
     )
 
     new_state = State(
@@ -858,7 +853,7 @@ def step(
         newton_iterations=info.iterations,
         newton_residual=info.residual,
         theta_floor_hits=info.floor_hits,
-        cfl_limit=uw.cfl_limit,
+        cfl_limit=state.workspace.cfl_limit,
         source_rate=source_rate,
         krylov_iterations=info.krylov_iterations,
         line_search_backtracks=info.line_search_backtracks,
@@ -892,18 +887,13 @@ def tendencies(state: State, reg: RegParams, p: EosParams, forcing=None) -> Tend
         raise StepFailure("tendencies require a velocity with a basis")
     rho, b, th = state.rho.values, state.b.values, state.theta.values
 
-    f_rho = f_b = f_e = f_u = None
+    f_e = f_u = None
+    uw = state.workspace
+    rates_cc = -uw.scalar_adv_cc - reg.epsilon * grid.k2_cc * uw.scalar_cc
     if forcing is not None:
         f_rho, f_b, f_e, f_u = forcing.at(state.t)
-
-    uw = VelocityWorkspace(state.u)
-    rho_cc, b_cc = fwd2(np.stack([rho, b]), (COS, COS))
-    rates_cc = []
-    for f_cc, f_f in ((rho_cc, f_rho), (b_cc, f_b)):
-        rate = -_advective_divergence_cc(f_cc, uw, grid) \
-            - reg.epsilon * grid.k2_cc * f_cc
-        rates_cc.append(rate if f_f is None else rate + f_f)
-    rho_dot, b_dot = bwd2(np.stack(rates_cc), (COS, COS))
+        rates_cc = rates_cc + np.stack([f_rho, f_b])
+    rho_dot, b_dot = bwd2(rates_cc, (COS, COS))
 
     terms = state_terms(state, reg, p)
     rhoe_dot = (
@@ -916,16 +906,16 @@ def tendencies(state: State, reg: RegParams, p: EosParams, forcing=None) -> Tend
         rhoe_dot = rhoe_dot + f_e
 
     n = basis.n
-    rhs = _momentum_load(
-        basis, uw, rho_cc, rho, b, th, terms.grad_rho, terms.grads_u, reg, p
-    )
+    rhs = _momentum_load(uw, rho, b, th, terms.grad_rho, reg, p)
     if f_u is not None:
         rhs = rhs + f_u
     c = state.u.coeffs
     rhs -= _viscous_matrix(th, basis, p) @ c
     # d/dt (M c) = rhs, so M c_dot = rhs - dM/dt c with dM/dt = M(rho_dot)
     rhs -= (c.reshape(2, n) @ _mass_matrix(rates_cc[0], basis)).ravel()
-    c_dot = np.linalg.solve(_mass_matrix(rho_cc, basis), rhs.reshape(2, n).T).T.ravel()
+    c_dot = np.linalg.solve(
+        _mass_matrix(uw.scalar_cc[0], basis), rhs.reshape(2, n).T
+    ).T.ravel()
     return Tendencies(
         rho_dot, b_dot, rhoe_dot, c_dot, reconstruct(c_dot, basis), terms
     )

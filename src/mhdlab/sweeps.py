@@ -13,7 +13,7 @@ subsequences; this gap is documented, not hidden).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,7 +47,9 @@ class SweepPlan:
 
     The ladder must be strictly monotone with at least three entries:
     decreasing for epsilon/delta, increasing for n.  The last entry is the
-    finest rung and serves as the reference.
+    finest rung and serves as the reference.  Every rung's RegParams and the
+    schedule (t_cmp finite and a whole number of steps of dt) are checked
+    here, before any rung runs.
     """
 
     which: str
@@ -55,6 +57,7 @@ class SweepPlan:
     base: RegParams
     t_cmp: float = 0.5
     dt: float = 2.5e-3
+    schedule: Schedule = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.which not in ("n", "epsilon", "delta"):
@@ -68,12 +71,13 @@ class SweepPlan:
                 raise DomainError("n-ladder must be strictly increasing")
         elif not np.all(diffs < 0):
             raise DomainError(f"{self.which}-ladder must be strictly decreasing")
-        # written so that NaN fails
-        if not 0.0 < self.t_cmp < np.inf:
-            raise DomainError(f"t_cmp must be finite and > 0, got {self.t_cmp}")
-        if not 0.0 < self.dt < np.inf:
-            raise DomainError(f"dt must be finite and > 0, got {self.dt}")
+        for v in ladder:
+            self.reg_for(v)
         object.__setattr__(self, "ladder", ladder)
+        # runs to t_cmp (its t_final); it rejects non-finite and partial steps
+        object.__setattr__(
+            self, "schedule", Schedule(self.t_cmp, self.dt, snapshot_stride=10**9)
+        )
 
     def reg_for(self, value) -> RegParams:
         if self.which == "n":
@@ -159,13 +163,11 @@ def sweep(plan: SweepPlan, initial: InitialData, p: EosParams) -> ConvergenceRep
     """
     if plan.which == "n":
         check_basis_size(initial.rho0.grid, int(plan.ladder[-1]))
-    schedule = Schedule(t_final=plan.t_cmp, dt=plan.dt, snapshot_stride=10**9)
-
     finals = []
     values = list(plan.ladder)
     for v in values:
         try:
-            finals.append(run(initial, plan.reg_for(v), p, schedule,
+            finals.append(run(initial, plan.reg_for(v), p, plan.schedule,
                               diagnostics_every=0).final())
         except MhdError:
             return ConvergenceReport(plan.which, values[: len(finals)], [], [], [],

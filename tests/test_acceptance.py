@@ -19,6 +19,7 @@ from mhdlab.solver import (
     InitialData,
     RegParams,
     Schedule,
+    State,
     advance_scalar,
     initial_state,
     run,
@@ -270,7 +271,7 @@ def test_c08_scalar_transport_oracle():
     f = ScalarField(grid, 1.0 + 0.1 * np.cos(np.pi * grid.X))
     u = VectorField.zero(grid)
     for _ in range(int(round(t_final / dt))):
-        f = advance_scalar(f, u, eps, dt)
+        f, _ = advance_scalar(State(0.0, f, f, f, u), eps, dt)
     amp = float((f.values * np.cos(np.pi * grid.X)).sum() * grid.weight
                 / (grid.area / 2.0))
     exact = 0.1 * np.exp(-eps * (np.pi / grid.lx) ** 2 * t_final)

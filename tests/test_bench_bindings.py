@@ -10,7 +10,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # five 16^2, n = 4 steps with diagnostics, under both hooks, as a traced
-# benchmark repetition installs them
+# benchmark repetition installs them; the span counts of the traced layers
+# show that each still runs where the per-layer metrics look for it
 SCRIPT = """
 import json, sys
 
@@ -36,8 +37,10 @@ traj = solver.run(
     init, solver.RegParams(epsilon=1e-2, delta=1e-2, n=4), EosParams(),
     solver.Schedule(t_final=1.25e-2, dt=2.5e-3), diagnostics_every=1,
 )
+summary = tracer.summary()
 json.dump({"metrics": sorted(tracer.metrics()), "finals": len(clock.finals),
-           "steps": len(traj.step_reports)}, sys.stdout)
+           "steps": len(traj.step_reports),
+           "calls": {name: c[0] for name, c in summary.items()}}, sys.stdout)
 """
 
 
@@ -59,3 +62,13 @@ def test_benchmark_hooks_bind_and_report_every_layer():
     assert wanted <= set(out["metrics"])
     assert out["finals"] == 1
     assert out["steps"] == 5
+    # every step advances the scalars, the temperature and the momentum once;
+    # each of the six states (five stepped from, and the final one) is
+    # reported on and evaluated once
+    calls = out["calls"]
+    for layer in ("solver.step", "solver.advance_scalar",
+                  "solver.advance_temperature", "solver.advance_momentum"):
+        assert calls.get(layer) == 5, layer
+    for layer in ("diagnostics.report", "solver.tendencies",
+                  "solver.VelocityWorkspace"):
+        assert calls.get(layer) == 6, layer

@@ -117,6 +117,17 @@ theta = -1
         assert len(err.value.violations) == 1
         assert err.value.violations[0].startswith(f"[{section}]")
 
+    @pytest.mark.parametrize("t_final, dt", [("0.25", "0.1"), ("0.004", "0.01")])
+    def test_end_time_must_be_whole_steps(self, t_final, dt):
+        # rounding t_final/dt would end the run at 0.2, or at 0.01
+        text = MINIMAL.replace("t_final = 0.05\ndt = 0.005",
+                               f"t_final = {t_final}\ndt = {dt}")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert len(err.value.violations) == 1
+        assert err.value.violations[0].startswith("[time]")
+        assert "whole number of steps" in err.value.violations[0]
+
     def test_cfl_checked_at_load(self):
         text = MINIMAL + "\n[initial]\nux = 10*sin(pi*x)*sin(pi*y)\n"
         with pytest.raises(ConfigError) as err:
@@ -321,6 +332,29 @@ class TestCli:
                          "--ladder", ladder, "--output-dir", str(out_dir)])
         assert code == 2
         assert "ladder" in capsys.readouterr().out
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("which, ladder", [
+        ("epsilon", "0.1,0.05,-0.01"),
+        ("n", "0,4,8"),
+        ("delta", "0.1,0.05,0"),
+    ])
+    def test_sweep_rejects_bad_rung_before_any_rung_runs(
+        self, tmp_path, capsys, monkeypatch, which, ladder
+    ):
+        from mhdlab import sweeps
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a rung ran")
+
+        monkeypatch.setattr(sweeps, "run", no_run)
+        cfg = tmp_path / "eq.ini"
+        cfg.write_text(MINIMAL)
+        out_dir = tmp_path / "out"
+        code = cli.main(["sweep", "--config", str(cfg), "--which", which,
+                         "--ladder", ladder, "--output-dir", str(out_dir)])
+        assert code == 2
+        assert f"{which} must be" in capsys.readouterr().out
         assert not out_dir.exists()
 
     def test_sweep_rejects_n_beyond_basis(self, tmp_path, capsys):

@@ -1,4 +1,6 @@
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from scipy.integrate import dblquad
 
 from mhdlab.errors import CflError, DomainError, NewtonError, StepFailure
 from mhdlab.grid import (
-    COS, Grid, ScalarField, VectorField, GalerkinBasis, fwd2, integrate,
+    COS, Grid, ScalarField, VectorField, GalerkinBasis, fwd2, gradient, integrate,
     laplacian_neumann,
 )
 from mhdlab.solver import (
@@ -61,6 +63,41 @@ def uniform_state(grid, n=2, rho=1.0, b=1.0, theta=1.0):
         VectorField.zero(grid),
     )
     return initial_state(init, GalerkinBasis(grid, n))
+
+
+def advance_one_scalar(f, u, epsilon, dt):
+    """`advance_scalar` of f alone: a state whose rho and b are both f."""
+    rho_new, _ = advance_scalar(State(0.0, f, f, f, u), epsilon, dt)
+    return rho_new
+
+
+def frozen_temperature(st, reg, dt):
+    """`advance_temperature` with rho and b held at their time-t values."""
+    return advance_temperature(st, reg, P, dt, st.rho, st.b, gradient(st.rho))
+
+
+def frozen_momentum(st, reg, dt):
+    """`advance_momentum` with rho, b and theta held at their time-t values."""
+    return advance_momentum(
+        st, reg, P, dt, st.rho, st.b, st.theta, gradient(st.rho)
+    )
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("t_final, dt", [
+        (0.25, 0.1),    # would stop at t = 0.2
+        (0.04, 0.1),    # would take one full step to t = 0.1
+        (0.3 + 1e-8, 0.1),
+    ])
+    def test_end_time_off_the_step_grid_rejected(self, t_final, dt):
+        with pytest.raises(DomainError):
+            Schedule(t_final=t_final, dt=dt)
+
+    @pytest.mark.parametrize("t_final, dt, n", [
+        (0.3, 0.1, 3), (0.5, 2.5e-3, 200), (0.4, 8e-3, 50), (1e-3, 1e-3, 1),
+    ])
+    def test_whole_multiples_accepted(self, t_final, dt, n):
+        assert Schedule(t_final=t_final, dt=dt).n_steps == n
 
 
 class TestRegParams:
@@ -142,7 +179,7 @@ class TestAdvanceScalar:
     def test_constant_unchanged(self):
         g = Grid(16, 16)
         f = ScalarField.constant(g, 2.3)
-        out = advance_scalar(f, VectorField.zero(g), 0.05, 1e-2)
+        out = advance_one_scalar(f, VectorField.zero(g), 0.05, 1e-2)
         assert np.abs(out.values - 2.3).max() <= 1e-14
 
     def test_diffusive_decay_matches_heat_kernel(self):
@@ -153,7 +190,7 @@ class TestAdvanceScalar:
         f = ScalarField.from_function(g, lambda x, y: 1 + 0.1 * np.cos(np.pi * x))
         u = VectorField.zero(g)
         for _ in range(int(round(t_final / dt))):
-            f = advance_scalar(f, u, eps, dt)
+            f = advance_one_scalar(f, u, eps, dt)
         amp = float(
             (f.values * np.cos(np.pi * g.X)).sum() * g.weight / (g.area / 2.0)
         )
@@ -173,7 +210,7 @@ class TestAdvanceScalar:
         )
         m0 = integrate(f)
         for _ in range(20):
-            f = advance_scalar(f, u, 1e-2, 5e-3)
+            f = advance_one_scalar(f, u, 1e-2, 5e-3)
         assert abs(integrate(f) - m0) <= 1e-12 * abs(m0)
 
     def test_cfl_violation_reports_suggested_dt(self):
@@ -182,7 +219,7 @@ class TestAdvanceScalar:
                         np.zeros(g.shape))
         f = ScalarField.constant(g, 1.0)
         with pytest.raises(CflError) as err:
-            advance_scalar(f, u, 1e-2, 1.0)
+            advance_one_scalar(f, u, 1e-2, 1.0)
         assert err.value.suggested_dt == pytest.approx(cfl_bound(u))
 
 
@@ -191,7 +228,7 @@ class TestAdvanceTemperature:
         g = Grid(16, 16)
         st = uniform_state(g)
         reg = RegParams(epsilon=0.3, delta=0.3)
-        theta, info = advance_temperature(st, reg, P, 1e-2)
+        theta, info = frozen_temperature(st, reg, 1e-2)
         assert np.abs(theta.values - 1.0).max() <= 1e-12
         assert info.iterations == 0
         assert info.krylov_iterations == info.line_search_backtracks == 0
@@ -204,9 +241,7 @@ class TestAdvanceTemperature:
         theta_star = 2.0 ** (1.0 / 7.0)
         th = st.theta
         for _ in range(50):
-            th, _ = advance_temperature(
-                State(0.0, st.rho, st.b, th, st.u), reg, P, 5e-3
-            )
+            th, _ = frozen_temperature(State(0.0, st.rho, st.b, th, st.u), reg, 5e-3)
         assert abs(th.values.mean() - 1.2) > 0.01  # moved
         assert np.abs(th.values - theta_star).max() < abs(1.2 - theta_star)
 
@@ -228,9 +263,7 @@ class TestAdvanceTemperature:
 
         cur = th
         for _ in range(nsteps):
-            cur, _ = advance_temperature(
-                State(0.0, st.rho, st.b, cur, st.u), reg, P, dt
-            )
+            cur, _ = frozen_temperature(State(0.0, st.rho, st.b, cur, st.u), reg, dt)
         rate = -np.log(mode_amp(cur) / amp0) / (nsteps * dt)
         expected = P.kappa(1.0) * np.pi**2 / (P.c_V * 1.0 + 4.0 * P.a)
         assert rate == pytest.approx(expected, rel=0.02)
@@ -330,7 +363,7 @@ class TestAdvanceMomentum:
         g = Grid(16, 16)
         st = uniform_state(g, n=4)
         reg = RegParams(epsilon=1e-2, delta=1e-2, n=4)
-        u = advance_momentum(st, reg, P, 1e-2)
+        u = frozen_momentum(st, reg, 1e-2)
         assert np.abs(u.coeffs).max() <= 1e-13
 
     def test_single_mode_decay_matches_stokes_eigenvalue(self):
@@ -401,10 +434,10 @@ class TestAdvanceMomentum:
         c_pred = c.copy()
         current = st
         for _ in range(30):
-            u_new = advance_momentum(current, reg, P, dt)
+            u_new = frozen_momentum(current, reg, dt)
             c_pred = iteration @ c_pred
             current = State(0.0, st.rho, st.b, st.theta, u_new)
-        measured = advance_momentum(current, reg, P, dt).coeffs
+        measured = frozen_momentum(current, reg, dt).coeffs
         factor_meas = np.linalg.norm(measured) / np.linalg.norm(
             current.u.coeffs
         )
@@ -462,22 +495,54 @@ class TestStep:
             step(st, RegParams(epsilon=1e-2, delta=1e-2, n=1), P, 0.5)
 
     def test_step_evaluates_its_velocity_once(self, monkeypatch):
-        # one workspace per step carries the CFL bound and the Jacobian that
-        # the check, both scalar advances, temperature and momentum read
-        from mhdlab import solver
-
+        # the state's one workspace carries the CFL bound, the Jacobian and
+        # the advective divergences of rho and b that the stages read; the
+        # third divergence is the energy advection
         st = initial_state(*smooth_initial(Grid(16, 16), amp=0.02))
-        calls = {"cfl_bound": 0, "velocity_gradient": 0, "__init__": 0}
-        for owner, name in ((solver, "cfl_bound"), (solver, "velocity_gradient"),
-                            (solver.VelocityWorkspace, "__init__")):
-            def counted(*args, _orig=getattr(owner, name), _name=name, **kwargs):
-                calls[_name] += 1
-                return _orig(*args, **kwargs)
-
-            monkeypatch.setattr(owner, name, counted)
+        calls = count_evaluations(monkeypatch)
         _, rep = step(st, RegParams(epsilon=1e-2, delta=1e-2, n=4), P, 2e-3)
-        assert calls == {"cfl_bound": 1, "velocity_gradient": 1, "__init__": 1}
+        assert calls == {"cfl_bound": 1, "velocity_gradient": 1, "__init__": 1,
+                         "_advective_divergence_cc": 3}
         assert rep.cfl_limit == cfl_bound(st.u)
+        assert st.workspace is st.workspace
+        assert "workspace" not in vars(st.copy())
+
+    def test_stepped_state_is_freed_without_the_cycle_collector(self):
+        # the workspace holds the state's fields, never the state, so a
+        # state that was reported on, stepped from and dropped dies at once
+        from mhdlab.diagnostics import report
+
+        reg = RegParams(epsilon=1e-2, delta=1e-2, n=4)
+        st = initial_state(*smooth_initial(Grid(16, 16), amp=0.02))
+        gc.collect()
+        gc.disable()
+        try:
+            report(st, reg, P)
+            new, _ = step(st, reg, P, 2e-3)
+            ref = weakref.ref(st)
+            del st
+            assert ref() is None
+            assert new.workspace.u is new.u
+        finally:
+            gc.enable()
+
+
+def count_evaluations(monkeypatch):
+    """Count the workspaces, CFL bounds, velocity gradients and advective
+    divergences formed from here on."""
+    from mhdlab import solver
+
+    calls = {"cfl_bound": 0, "velocity_gradient": 0, "__init__": 0,
+             "_advective_divergence_cc": 0}
+    for owner, name in ((solver, "cfl_bound"), (solver, "velocity_gradient"),
+                        (solver.VelocityWorkspace, "__init__"),
+                        (solver, "_advective_divergence_cc")):
+        def counted(*args, _orig=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 class TestRoughDataPipeline:
@@ -576,7 +641,7 @@ class TestPositivityGuard:
         st = uniform_state(Grid(16, 16))
         st.theta.values[2, 5] = np.nan
         with pytest.raises(NewtonError):
-            advance_temperature(st, RegParams(epsilon=0.3, delta=0.3), P, 1e-2)
+            frozen_temperature(st, RegParams(epsilon=0.3, delta=0.3), 1e-2)
 
     @pytest.mark.parametrize("name", ["rho", "theta"])
     def test_step_rejects_nan_state(self, name):
@@ -635,6 +700,18 @@ class TestRun:
             assert abs(d.entropy_balance_residual) <= 1e-10
             assert abs(d.mass_rho - 1.0) <= 1e-12
         assert len(traj.states) == 11
+
+    def test_run_evaluates_each_state_once(self, monkeypatch):
+        # 5 steps and 6 reports: the report on a state and the step from it
+        # share its workspace; the final state needs no CFL bound, and each
+        # report and step forms its own energy advection
+        init, basis = smooth_initial(Grid(16, 16), amp=0.05)
+        calls = count_evaluations(monkeypatch)
+        traj = run(init, RegParams(epsilon=1e-2, delta=1e-2, n=4), P,
+                   Schedule(t_final=1.25e-2, dt=2.5e-3), basis=basis)
+        assert len(traj.diagnostics) == 6
+        assert calls == {"__init__": 6, "cfl_bound": 5, "velocity_gradient": 6,
+                         "_advective_divergence_cc": 23}
 
     def test_snapshot_stride(self):
         g = Grid(16, 16)

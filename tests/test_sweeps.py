@@ -114,6 +114,18 @@ class TestSweepPlan:
         with pytest.raises(DomainError):
             SweepPlan("epsilon", (0.1, 0.05, 0.025), base, **{field: value})
 
+    @pytest.mark.parametrize("which, ladder", [
+        ("epsilon", (0.1, 0.05, -0.01)), ("n", (0, 4, 8)), ("delta", (0.1, 0.05, 0.0)),
+    ])
+    def test_rung_outside_reg_params_rejected(self, which, ladder):
+        with pytest.raises(DomainError):
+            SweepPlan(which, ladder, RegParams(epsilon=0.05, delta=0.01))
+
+    def test_comparison_time_off_the_step_grid_rejected(self):
+        base = RegParams(epsilon=0.05, delta=0.01)
+        with pytest.raises(DomainError):
+            SweepPlan("epsilon", (0.1, 0.05, 0.025), base, t_cmp=0.051, dt=5e-3)
+
     def test_reg_override(self):
         base = RegParams(epsilon=0.05, delta=0.01, n=4)
         plan = SweepPlan("delta", (0.1, 0.05, 0.025), base)
