@@ -26,7 +26,7 @@ from .grid import (
     ScalarField,
     VectorField,
     bwd2,
-    deriv_nodal,
+    divergence,
     gradient,
     laplacian_neumann,
     velocity_gradient,
@@ -592,11 +592,8 @@ def renormalized_residual(window, k: float, reg: RegParams,
 
     ddt = (tf_a.sum() - tf_b.sum()) * w / dt2
 
-    flux1 = tf_c * center.u.vx
-    flux2 = tf_c * center.u.vy
-    div_flux = (
-        deriv_nodal(flux1, 1, SIN, grid.lx) + deriv_nodal(flux2, 0, SIN, grid.ly)
-    ).sum() * w
+    flux = VectorField(grid, tf_c * center.u.vx, tf_c * center.u.vy)
+    div_flux = divergence(flux).values.sum() * w
 
     u1x, _, _, u2y = center.workspace.grads_u
     div_u = u1x + u2y

@@ -18,12 +18,22 @@ follow the same axis order, e.g. ("c", "s") means even (cosine) in y and odd
 Nyquist sine mode is dropped.  The 2D transforms and the dealiasing helpers
 act on the last two axes, so a stack of fields (k, ny, nx) transforms in one
 call.
+
+Each axis takes one of two transform paths, chosen by its length alone, so
+a 128x64 grid takes one path in y and the other in x.  Up to 96 nodes (the
+16^2 to 64^2 grids and their 3/2 fine grids of 24, 48 and 96) an axis is one
+product with a cached dense matrix: at those lengths a scipy.fft call costs
+mostly dispatch, and a chain of axis operators folds into one matrix (the
+derivative, the zero-pad-then-evaluate of `to_fine`, the analyse-then-
+truncate of `from_fine`).  From 128 nodes on, the O(n^2) work per line
+loses to pocketfft, which serves those axes.  Both paths map a constant
+exactly onto the first cosine slot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.fft import dct, dst, idct, idst
@@ -188,13 +198,22 @@ class VectorField:
 # one-dimensional transform primitives
 # ---------------------------------------------------------------------------
 
+# Axis lengths up to this take cached dense matrices, longer ones pocketfft.
+# A 2D cosine transform, forward / backward, on one BLAS thread of a 2-core
+# Xeon: 12-21 / 6-11 us as matrix products against 21-57 / 22-34 us through
+# scipy.fft at 16-48 nodes per axis, 69 / 54 against 78 / 82 us at 96, but
+# 184 / 155 against 147 / 143 us at 128 and 906 / 539 against 292 / 325 us
+# at 192.
+_DENSE_MAX = 96
+
+
 def _sl(ndim, axis, index):
     sl = [slice(None)] * ndim
     sl[axis] = index
     return tuple(sl)
 
 
-def _fwd1(values, axis, parity, overwrite=False):
+def _fft_fwd1(values, axis, parity, overwrite=False):
     v = np.asarray(values, dtype=float)
     n = v.shape[axis]
     if parity == COS:
@@ -208,7 +227,7 @@ def _fwd1(values, axis, parity, overwrite=False):
     return c
 
 
-def _bwd1(coeffs, axis, parity, overwrite=False):
+def _fft_bwd1(coeffs, axis, parity, overwrite=False):
     c = np.asarray(coeffs, dtype=float)
     if overwrite:
         c *= c.shape[axis]
@@ -220,8 +239,96 @@ def _bwd1(coeffs, axis, parity, overwrite=False):
     return idst(c, type=2, axis=axis, overwrite_x=True)
 
 
-# The second pass of a 2D transform works in place on the first pass's
-# output: a fresh output per pass costs up to 1.5x on stacked fine grids.
+def _trig(n, parity):
+    """T[s, i] = cos or sin(pi k (i + 1/2)/n) for the mode k held by slot s.
+
+    The phase k(2i + 1) is reduced mod 4n in integers first, so every entry
+    is within a few ulp of exact whatever the mode.
+    """
+    k = np.arange(n) + (parity == SIN)
+    phase = np.outer(k, 2 * np.arange(n) + 1) % (4 * n)
+    return (np.cos if parity == COS else np.sin)(phase * (np.pi / (2 * n)))
+
+
+def _build(kind, n, parity):
+    """Dense matrix (output by input) of one axis operator on n inputs."""
+    if kind == "fwd":
+        mat = (2.0 / n) * _trig(n, parity)
+        if parity == COS:
+            mat[0] *= 0.5
+        else:
+            mat[-1] = 0.0  # Nyquist sine mode dropped
+        return mat
+    if kind == "bwd":
+        mat = _trig(n, parity).T.copy()
+        if parity == SIN:
+            mat[:, -1] *= 0.5  # what idst gives the Nyquist slot
+        return mat
+    if kind == "deriv":  # on an axis of length pi (wavenumbers k, to an ulp)
+        dc, flipped = _deriv_coeffs(_build("fwd", n, parity), 0, parity, np.pi)
+        return _build("bwd", n, flipped) @ dc
+    if kind == "to_fine":  # zero-pad n slots to 3n/2, then evaluate
+        return _truncate_axis(_build("bwd", 3 * n // 2, parity), 1, parity, n)
+    # from_fine: analyse n fine nodes, then keep the first 2n/3 slots
+    return _truncate_axis(_build("fwd", n, parity), 0, parity, 2 * n // 3)
+
+
+@cache
+def _matrix(kind, n, parity):
+    """The dense matrix M of a one-axis operator on an input axis of n nodes
+    or slots, stored read-only as a C-contiguous M.T.
+
+    Along the last axis `v @ M.T` reads it as stored, along the others
+    `M @ v` reads its transposed view; either way BLAS gets no transposed
+    right operand, which is up to 1.7x faster than `v @ M.T` on a stored M.
+    Keyed by kind, length and parity only: the derivative is built for an
+    axis of length pi and scaled by `deriv_nodal`, so the cache stays bounded
+    whatever the grid's lx and ly.
+    """
+    mt = np.ascontiguousarray(_build(kind, n, parity).T)
+    mt.flags.writeable = False
+    return mt
+
+
+def _dense(kind, values, axis, parity):
+    """Apply a cached matrix along one axis of an array or a stack.
+
+    Cosine analysis maps a constant exactly onto slot 0, as pocketfft does
+    (a Neumann Laplacian of a constant is 0.0, not round-off): rows past
+    slot 0, and the derivative, annihilate constants, so the product acts on
+    v - v0, v0 the first node along the axis, and v0 goes back into slot 0.
+    """
+    v = np.asarray(values, dtype=float)
+    mt = _matrix(kind, v.shape[axis], parity)
+    shift = parity == COS and kind in ("fwd", "deriv", "from_fine")
+    if shift:
+        first = _sl(v.ndim, axis, slice(0, 1))
+        v0 = v[first]
+        v = v - v0
+    if axis % v.ndim == v.ndim - 1:
+        out = v @ mt
+    else:
+        out = (mt.T @ v.swapaxes(axis, -2)).swapaxes(axis, -2)
+    if shift and kind != "deriv":
+        out[first] += v0
+    return out
+
+
+def _fwd1(values, axis, parity, overwrite=False):
+    if np.shape(values)[axis] <= _DENSE_MAX:
+        return _dense("fwd", values, axis, parity)
+    return _fft_fwd1(values, axis, parity, overwrite)
+
+
+def _bwd1(coeffs, axis, parity, overwrite=False):
+    if np.shape(coeffs)[axis] <= _DENSE_MAX:
+        return _dense("bwd", coeffs, axis, parity)
+    return _fft_bwd1(coeffs, axis, parity, overwrite)
+
+
+# On the pocketfft path the second pass of a 2D transform works in place on
+# the first pass's output: a fresh output per pass costs up to 1.5x on
+# stacked fine grids.
 def fwd2(values, parity):
     """Nodal -> coefficients, parity given per axis (y, x)."""
     return _fwd1(_fwd1(values, -1, parity[1]), -2, parity[0], overwrite=True)
@@ -234,23 +341,28 @@ def bwd2(coeffs, parity):
 
 def _deriv_coeffs(coeffs, axis, parity, length):
     """Differentiate a coefficient array along one axis; returns flipped parity."""
+    nd = coeffs.ndim
     n = coeffs.shape[axis]
     out = np.zeros_like(coeffs)
-    m = np.arange(1, n) * np.pi / length
-    if axis == 0:
-        m = m[:, None]
+    shape = [1] * nd
+    shape[axis] = n - 1
+    m = (np.arange(1, n) * np.pi / length).reshape(shape)
     if parity == COS:
-        out[_sl(2, axis, slice(0, n - 1))] = -m * coeffs[_sl(2, axis, slice(1, n))]
+        out[_sl(nd, axis, slice(0, n - 1))] = -m * coeffs[_sl(nd, axis, slice(1, n))]
         return out, SIN
-    out[_sl(2, axis, slice(1, n))] = m * coeffs[_sl(2, axis, slice(0, n - 1))]
+    out[_sl(nd, axis, slice(1, n))] = m * coeffs[_sl(nd, axis, slice(0, n - 1))]
     return out, COS
 
 
 def deriv_nodal(values, axis, parity, length):
-    """Spectral derivative of a nodal array along one axis."""
-    c = _fwd1(values, axis, parity)
+    """Spectral derivative of a nodal array, or a stack, along one axis."""
+    if np.shape(values)[axis] <= _DENSE_MAX:
+        d = _dense("deriv", values, axis, parity)
+        d *= np.pi / length
+        return d
+    c = _fft_fwd1(values, axis, parity)
     dc, new_parity = _deriv_coeffs(c, axis, parity, length)
-    return _bwd1(dc, axis, new_parity)
+    return _fft_bwd1(dc, axis, new_parity, overwrite=True)
 
 
 def _pad_axis(c, axis, parity, m):
@@ -286,20 +398,29 @@ def fine_shape(shape):
     return (3 * shape[0] // 2, 3 * shape[1] // 2)
 
 
+def _to_fine1(coeffs, axis, parity):
+    m = 3 * coeffs.shape[axis] // 2
+    if m <= _DENSE_MAX:
+        return _dense("to_fine", coeffs, axis, parity)
+    return _fft_bwd1(_pad_axis(coeffs, axis, parity, m), axis, parity, overwrite=True)
+
+
+def _from_fine1(fine_values, axis, parity):
+    m = fine_values.shape[axis]
+    if m <= _DENSE_MAX:
+        return _dense("from_fine", fine_values, axis, parity)
+    return _truncate_axis(_fft_fwd1(fine_values, axis, parity), axis, parity, 2 * m // 3)
+
+
 def to_fine(coeffs, parity):
     """Evaluate a coefficient-space field on the 3/2 zero-padded nodal grid."""
-    my, mx = fine_shape(coeffs.shape[-2:])
-    return bwd2(
-        _pad_axis(_pad_axis(coeffs, -1, parity[1], mx), -2, parity[0], my), parity
-    )
+    return _to_fine1(_to_fine1(coeffs, -1, parity[1]), -2, parity[0])
 
 
-def from_fine(fine_values, parity, coarse_shape):
-    """Project fine-grid nodal values back onto the coarse coefficient slots."""
-    c = fwd2(fine_values, parity)
-    return _truncate_axis(
-        _truncate_axis(c, -1, parity[1], coarse_shape[1]), -2, parity[0], coarse_shape[0]
-    )
+def from_fine(fine_values, parity):
+    """Project fine-grid nodal values back onto the coarse coefficient slots
+    (two thirds of the fine ones per axis, as `fine_shape` sizes them)."""
+    return _from_fine1(_from_fine1(fine_values, -1, parity[1]), -2, parity[0])
 
 
 def dealiased_product(ca, pa, cb, pb):
@@ -311,7 +432,7 @@ def dealiased_product(ca, pa, cb, pb):
     """
     pp = (_mul_parity(pa[0], pb[0]), _mul_parity(pa[1], pb[1]))
     prod = to_fine(ca, pa) * to_fine(cb, pb)
-    return from_fine(prod, pp, ca.shape), pp
+    return from_fine(prod, pp), pp
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +459,9 @@ def divergence(v: VectorField) -> ScalarField:
 def velocity_gradient(u: VectorField):
     """Full Jacobian (u1x, u1y, u2x, u2y) of a sine-sine velocity field."""
     g = u.grid
-    u1x = deriv_nodal(u.vx, 1, SIN, g.lx)
-    u1y = deriv_nodal(u.vx, 0, SIN, g.ly)
-    u2x = deriv_nodal(u.vy, 1, SIN, g.lx)
-    u2y = deriv_nodal(u.vy, 0, SIN, g.ly)
+    uv = np.stack([u.vx, u.vy])
+    u1x, u2x = deriv_nodal(uv, -1, SIN, g.lx)
+    u1y, u2y = deriv_nodal(uv, -2, SIN, g.ly)
     return u1x, u1y, u2x, u2y
 
 

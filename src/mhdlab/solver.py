@@ -453,13 +453,12 @@ class VelocityWorkspace:
     def advection_tensor(self):
         """Nodal rho*u_i*u_j (stacked t11, t12, t22) with pairwise
         3/2-dealiased products."""
-        shape = self.u.grid.shape
         rho_fine = to_fine(self.scalar_cc[0], (COS, COS))
-        ru = from_fine(rho_fine * self.u_fine, (SIN, SIN), shape)
+        ru = from_fine(rho_fine * self.u_fine, (SIN, SIN))
         ru_fine = to_fine(ru, (SIN, SIN))
         u1, u2 = self.u_fine
         prods = np.stack([ru_fine[0] * u1, ru_fine[0] * u2, ru_fine[1] * u2])
-        return bwd2(from_fine(prods, (COS, COS), shape), (COS, COS))
+        return bwd2(from_fine(prods, (COS, COS)), (COS, COS))
 
 
 def _advective_divergence_cc(f_cc, uw: VelocityWorkspace, grid: Grid):
@@ -471,7 +470,7 @@ def _advective_divergence_cc(f_cc, uw: VelocityWorkspace, grid: Grid):
     advance exactly conservative).
     """
     f_fine = to_fine(f_cc, (COS, COS))
-    q1, q2 = from_fine(f_fine * uw.u_fine, (SIN, SIN), grid.shape)
+    q1, q2 = from_fine(f_fine * uw.u_fine, (SIN, SIN))
     dq1, px = _deriv_coeffs(q1, 1, SIN, grid.lx)
     dq2, py = _deriv_coeffs(q2, 0, SIN, grid.ly)
     adv = fwd2(bwd2(dq1, (SIN, px)) + bwd2(dq2, (py, SIN)), (COS, COS))

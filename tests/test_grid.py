@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mhdlab import grid as grid_module
 from mhdlab.errors import BasisError, GridMismatchError
 from mhdlab.grid import (
     COS,
@@ -11,7 +12,10 @@ from mhdlab.grid import (
     GalerkinBasis,
     bwd2,
     dealiased_product,
+    deriv_nodal,
     divergence,
+    fine_shape,
+    from_fine,
     fwd2,
     gradient,
     inner_product,
@@ -19,6 +23,7 @@ from mhdlab.grid import (
     laplacian_neumann,
     project_velocity,
     reconstruct,
+    to_fine,
     velocity_gradient,
 )
 from mhdlab.tolerances import TOLERANCES
@@ -86,6 +91,154 @@ class TestTransforms:
         assert np.abs(c2 - c).max() <= tol * max(1.0, np.abs(c).max())
         vals2 = bwd2(c2, parity)
         assert np.abs(vals2 - vals).max() <= tol * max(1.0, np.abs(vals).max())
+
+
+PARITIES = [(COS, COS), (SIN, SIN), (COS, SIN), (SIN, COS)]
+
+
+def fft_axis(kind, v, axis, parity):
+    """pocketfft reference for one axis operator (deriv on an axis of length pi)."""
+    g = grid_module
+    n = v.shape[axis]
+    if kind == "fwd":
+        return g._fft_fwd1(v, axis, parity)
+    if kind == "bwd":
+        return g._fft_bwd1(v, axis, parity)
+    if kind == "deriv":
+        dc, flipped = g._deriv_coeffs(g._fft_fwd1(v, axis, parity), axis, parity, np.pi)
+        return g._fft_bwd1(dc, axis, flipped)
+    if kind == "to_fine":
+        return g._fft_bwd1(g._pad_axis(v, axis, parity, 3 * n // 2), axis, parity)
+    return g._truncate_axis(g._fft_fwd1(v, axis, parity), axis, parity, 2 * n // 3)
+
+
+def fft_2d(kind, v, parity):
+    return fft_axis(kind, fft_axis(kind, v, -1, parity[1]), -2, parity[0])
+
+
+def assert_close(got, ref, n):
+    assert np.abs(got - ref).max() <= 1e-15 * n * np.abs(ref).max()
+
+
+class TestDenseTransforms:
+    """The matrix path against the pocketfft primitives it replaces up to
+    96 nodes per axis; the path is chosen per axis length, never per grid."""
+
+    @pytest.mark.parametrize("n, kind", [
+        (n, kind)
+        for n in (8, 12, 16, 24, 32, 48, 64, 96, 128, 192)
+        for kind in ("fwd", "bwd", "deriv", "to_fine", "from_fine")
+        if kind != "from_fine" or n % 3 == 0  # from_fine reads a 3/2 fine axis
+    ])
+    def test_matrix_matches_pocketfft(self, n, kind):
+        rng = np.random.default_rng(n)
+        for parity in PARITIES:
+            for shape in ((n, n), (3, n, n)):
+                v = rng.standard_normal(shape)
+                got = v
+                for axis, p in ((-1, parity[1]), (-2, parity[0])):
+                    got = grid_module._dense(kind, got, axis, p)
+                assert_close(got, fft_2d(kind, v, parity), n)
+
+    @pytest.mark.parametrize("shape", [(16, 16), (64, 64), (64, 128), (128, 64), (128, 128)])
+    def test_public_transforms_match_pocketfft(self, shape):
+        ny, nx = shape
+        g = Grid(nx, ny, 1.3, 0.9)
+        rng = np.random.default_rng(nx + ny)
+        n = max(nx, ny)
+        for parity in PARITIES:
+            for stack in ((), (3,)):
+                v = rng.standard_normal(stack + g.shape)
+                assert_close(fwd2(v, parity), fft_2d("fwd", v, parity), n)
+                assert_close(bwd2(v, parity), fft_2d("bwd", v, parity), n)
+                fine = to_fine(v, parity)
+                assert_close(fine, fft_2d("to_fine", v, parity), n)
+                padded = v
+                for axis, p, m in ((-1, parity[1], 3 * nx // 2), (-2, parity[0], 3 * ny // 2)):
+                    padded = grid_module._pad_axis(padded, axis, p, m)
+                assert_close(fine, bwd2(padded, parity), n)
+                assert_close(from_fine(fine, parity), fft_2d("from_fine", fine, parity), n)
+                for axis, length, p in ((-1, g.lx, parity[1]), (-2, g.ly, parity[0])):
+                    ref = fft_axis("deriv", v, axis, p) * (np.pi / length)
+                    assert_close(deriv_nodal(v, axis, p, length), ref, n)
+
+    @pytest.mark.parametrize("shape", [(64, 128), (128, 64), (128, 128)])
+    def test_each_axis_takes_its_own_path(self, shape):
+        def axis_path(kind, v, axis, parity):
+            if v.shape[axis] <= 96:
+                return grid_module._dense(kind, v, axis, parity)
+            return fft_axis(kind, v, axis, parity)
+
+        coarse = np.random.default_rng(4).standard_normal((3,) + shape)
+        fine = np.random.default_rng(5).standard_normal((3,) + fine_shape(shape))
+        for parity in PARITIES:
+            for kind, op, v in (("fwd", fwd2, coarse), ("bwd", bwd2, coarse),
+                                ("to_fine", to_fine, coarse),
+                                ("from_fine", from_fine, fine)):
+                ref = axis_path(kind, axis_path(kind, v, -1, parity[1]), -2, parity[0])
+                assert np.array_equal(op(v, parity), ref), (kind, parity)
+
+    def test_grids_of_128_build_no_matrix(self):
+        g = Grid(128, 128, 1.3, 0.9)
+        f = random_cc_field(g, 6)
+        grid_module._matrix.cache_clear()
+        divergence(gradient(f))
+        laplacian_neumann(f)
+        velocity_gradient(random_ss_vector(g, 7))
+        dealiased_product(fwd2(f.values, (COS, COS)), (COS, COS),
+                          fwd2(f.values, (COS, COS)), (COS, COS))
+        assert grid_module._matrix.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("shape", [(16, 16), (64, 64), (128, 128), (64, 128)])
+    def test_constant_is_exact(self, shape):
+        ny, nx = shape
+        g = Grid(nx, ny, 1.3, 0.9)
+        f = ScalarField.constant(g, 3.7)
+        assert np.abs(laplacian_neumann(f).values).max() == 0.0
+        grad = gradient(f)
+        assert np.abs(grad.vx).max() == 0.0
+        assert np.abs(grad.vy).max() == 0.0
+        assert np.abs(divergence(grad).values).max() == 0.0
+        c = fwd2(f.values, (COS, COS))
+        assert c[0, 0] == 3.7
+        c[0, 0] = 0.0
+        assert np.abs(c).max() == 0.0
+
+    def test_cache_does_not_grow_with_the_domain(self):
+        rng = np.random.default_rng(6)
+        values = rng.standard_normal((32, 32))
+        sizes = []
+        for lx in (1.0, 1.3, 0.7, 2.9, 0.25):
+            gradient(ScalarField(Grid(32, 32, lx, 0.9), values))
+            sizes.append(grid_module._matrix.cache_info().currsize)
+        assert max(sizes) == sizes[0]
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_stacked_derivative_matches_each_field(self, n):
+        stack = np.random.default_rng(7).standard_normal((3, n, n))
+        for parity in (COS, SIN):
+            for axis in (-1, -2):
+                got = deriv_nodal(stack, axis, parity, 1.3)
+                for k in range(3):
+                    assert_close(got[k], deriv_nodal(stack[k], axis % 2, parity, 1.3), n)
+                dc, flipped = grid_module._deriv_coeffs(stack, axis, parity, 1.3)
+                for k in range(3):
+                    one, same = grid_module._deriv_coeffs(stack[k], axis % 2, parity, 1.3)
+                    assert np.array_equal(dc[k], one) and flipped == same
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_velocity_gradient_differentiates_the_stack_twice(self, n, monkeypatch):
+        calls = []
+        orig = grid_module.deriv_nodal
+
+        def counted(values, axis, parity, length):
+            calls.append(np.shape(values))
+            return orig(values, axis, parity, length)
+
+        monkeypatch.setattr(grid_module, "deriv_nodal", counted)
+        g = Grid(n, n, 1.3, 0.9)
+        velocity_gradient(random_ss_vector(g, 8))
+        assert calls == [(2, n, n), (2, n, n)]
 
 
 class TestOperators:
