@@ -10,6 +10,11 @@ coefficients in the Kirchhoff variable), and the Galerkin momentum equation
 coupling explicit).  This mirrors the fix-velocity-then-solve-scalars
 structure of the underlying construction, in one pass per step.
 
+The Galerkin momentum system for the 2n coefficients (c_x, c_y) is solved
+as one n x n complex system in z = c_x + i*c_y.  Its viscous coupling block
+Q = A - A^T is antisymmetric, so M(rho) (x) I_2 + dt*V(theta) is the real
+form of the Hermitian positive-definite H = M + dt*(P - i*Q).
+
 rho and b advance in one stacked linear update, so fields that start
 proportional stay proportional to round-off, and the k = 0 cosine mode is
 untouched, so nodal masses are conserved exactly.
@@ -410,7 +415,8 @@ class VelocityWorkspace:
     """A state's one evaluation, each part formed on first use: the CFL bound
     `cfl_limit`, the velocity on the 3/2 fine grid `u_fine` (x then y), its
     Jacobian `grads_u`, the cosine coefficients of (rho, b) `scalar_cc`,
-    their advective divergences `scalar_adv_cc` and the `advection_tensor`.
+    their advective divergences `scalar_adv_cc`, the `advection_tensor` and
+    the Galerkin `mass` matrix M(rho) in the velocity's basis.
 
     It holds the state's fields, never the state, so a dropped state is
     freed at once.  A velocity from a basis has its sine-sine coefficients
@@ -460,6 +466,10 @@ class VelocityWorkspace:
         prods = np.stack([ru_fine[0] * u1, ru_fine[0] * u2, ru_fine[1] * u2])
         return bwd2(from_fine(prods, (COS, COS)), (COS, COS))
 
+    @cached_property
+    def mass(self):
+        return _mass_matrix(self.scalar_cc[0], self.u.basis)
+
 
 def _advective_divergence_cc(f_cc, uw: VelocityWorkspace, grid: Grid):
     """Cosine-space projection of div(f*u) from coefficient inputs.
@@ -491,6 +501,10 @@ def advance_scalar(state: State, epsilon: float, dt: float, forcing_cc=None):
     if dt <= 0.0:
         raise DomainError(f"dt must be > 0, got {dt}")
     uw = state.workspace
+    # written so that NaN fails: a non-finite velocity bounds dt by nan or 0
+    if not uw.cfl_limit > 0.0:
+        raise StepFailure(f"velocity is not finite at t = {state.t:g} "
+                          f"(CFL bound {uw.cfl_limit:g})")
     if dt > uw.cfl_limit:
         raise CflError(dt, uw.cfl_limit)
     grid = state.grid
@@ -722,14 +736,18 @@ def _mass_matrix(rho_cc, basis: GalerkinBasis):
 
 
 def _viscous_matrix(theta, basis: GalerkinBasis, p: EosParams):
-    """Galerkin matrix of u -> S(theta, grad u) tested against the basis.
+    """Galerkin matrix of u -> S(theta, grad u) tested against the basis, as
+    the n x n complex Hermitian P - i*Q acting on c_x + i*c_y.
 
     With D = d_x u1 - d_y u2 and A12 = d_y u1 + d_x u2 the weak form is
-    int mu (D D' + A12 A12'), so the diagonal blocks hold
-    P = int mu (phi_x phi_x' + phi_y phi_y') and the coupling block is
-    Q = A - A^T with A = int mu phi_y phi_x'.  phi_x phi_x' and phi_y phi_y'
-    are cosine-cosine modes and phi_y phi_x' are sine-sine modes, so both
-    are lookups into the coefficients of mu(theta).
+    int mu (D D' + A12 A12'), so the real 2n x 2n matrix is
+    [[P, Q], [Q^T, P]] with P = int mu (phi_x phi_x' + phi_y phi_y')
+    symmetric and Q = A - A^T, A = int mu phi_y phi_x'.  Q^T = -Q exactly,
+    so that matrix is the real form of P - i*Q, which is stored instead:
+    half the entries, and one complex solve in place of a real one of twice
+    the dimension.  phi_x phi_x' and phi_y phi_y' are cosine-cosine modes and
+    phi_y phi_x' are sine-sine modes, so both parts are lookups into the
+    coefficients of mu(theta).
     """
     mu = p.mu(np.asarray(theta))
     c = _cosine_integrals(fwd2(mu, (COS, COS)), basis)
@@ -739,12 +757,30 @@ def _viscous_matrix(theta, basis: GalerkinBasis, p: EosParams):
     dd, ds, sd, ss, sgn_x, sgn_y = basis.pair_slots
     aa = np.outer(basis.ax, basis.ax)
     bb = np.outer(basis.ay, basis.ay)
-    p_blk = 0.25 * ((aa + bb) * (c[dd] - c[ss]) + (aa - bb) * (c[ds] - c[sd]))
-    a_blk = 0.25 * np.outer(basis.ay, basis.ax) * (
-        s[ss] + sgn_y * s[ds] + sgn_x * (s[sd] + sgn_y * s[dd])
-    )
-    q_blk = a_blk - a_blk.T
-    return np.block([[p_blk, q_blk], [q_blk.T, p_blk]])
+    v = np.empty(dd.shape, dtype=complex)
+    # formed in place: the assembly is bound by memory traffic, and each
+    # n x n temporary is a fresh allocation (512 kB at n = 256)
+    # P = ((aa + bb)(c_dd - c_ss) + (aa - bb)(c_ds - c_sd))/4
+    p_blk = c.take(dd)
+    p_blk -= c.take(ss)
+    p_blk *= aa + bb
+    t = c.take(ds)
+    t -= c.take(sd)
+    t *= aa - bb
+    p_blk += t
+    np.multiply(p_blk, 0.25, out=v.real)
+    # A = ay ax'/4 (s_ss + sgn_y s_ds + sgn_x (s_sd + sgn_y s_dd))
+    a_blk = s.take(dd)
+    a_blk *= sgn_y
+    a_blk += s.take(sd)
+    a_blk *= sgn_x
+    t = s.take(ds)
+    t *= sgn_y
+    t += s.take(ss)
+    a_blk += t
+    a_blk *= 0.25 * np.outer(basis.ay, basis.ax)
+    np.subtract(a_blk.T, a_blk, out=v.imag)
+    return v
 
 
 def _momentum_load(uw: VelocityWorkspace, rho, b, theta, grho, reg, p):
@@ -777,33 +813,35 @@ def advance_momentum(
 
     Solves (M(rho_new) + dt*V(theta_new)) c = M(rho_old) c_old + dt*f with
     f collecting the explicit advection tensor, the total-pressure work and
-    the eps*(grad rho . grad) u coupling; the dense symmetric system has
-    dimension 2n.  No-slip holds exactly because every basis mode does.
+    the eps*(grad rho . grad) u coupling.  The 2n-dimensional real system is
+    the real form of the n x n Hermitian positive-definite one in
+    z = c_x + i*c_y (see `_viscous_matrix`), which is the one solved.
+    No-slip holds exactly because every basis mode does.
     """
     basis = state.u.basis
     if basis is None:
         raise StepFailure("momentum advance requires a velocity with a basis")
     n = basis.n
     uw = state.workspace
-    m_old = _mass_matrix(uw.scalar_cc[0], basis)
-    m_new = _mass_matrix(fwd2(rho_new.values, (COS, COS)), basis)
 
     rhs = _momentum_load(
         uw, rho_new.values, b_new.values, theta_new.values, grad_rho, reg, p
     )
     if forcing_vec is not None:
         rhs = rhs + forcing_vec
+    rhs = state.u.coeffs.reshape(2, n) @ uw.mass + dt * rhs.reshape(2, n)
 
-    lhs = dt * _viscous_matrix(theta_new.values, basis, p)
-    lhs[:n, :n] += m_new
-    lhs[n:, n:] += m_new
-
-    b_vec = (state.u.coeffs.reshape(2, n) @ m_old).ravel() + dt * rhs
+    lhs = _viscous_matrix(theta_new.values, basis, p)
+    lhs *= dt
+    lhs.real += _mass_matrix(fwd2(rho_new.values, (COS, COS)), basis)
     try:
-        c_new = np.linalg.solve(lhs, b_vec)
+        z = np.linalg.solve(lhs, rhs[0] + 1j * rhs[1])
     except np.linalg.LinAlgError as exc:
         raise StepFailure(f"momentum linear solve failed: {exc}") from exc
-    return reconstruct(c_new, basis)
+    if not np.isfinite(z).all():
+        raise StepFailure(f"momentum linear solve at t = {state.t:g} returned "
+                          "non-finite coefficients")
+    return reconstruct(np.concatenate([z.real, z.imag]), basis)
 
 
 # ---------------------------------------------------------------------------
@@ -908,13 +946,12 @@ def tendencies(state: State, reg: RegParams, p: EosParams, forcing=None) -> Tend
     rhs = _momentum_load(uw, rho, b, th, terms.grad_rho, reg, p)
     if f_u is not None:
         rhs = rhs + f_u
-    c = state.u.coeffs
-    rhs -= _viscous_matrix(th, basis, p) @ c
+    c = state.u.coeffs.reshape(2, n)
+    vz = _viscous_matrix(th, basis, p) @ (c[0] + 1j * c[1])
+    rhs = rhs.reshape(2, n) - np.stack([vz.real, vz.imag])
     # d/dt (M c) = rhs, so M c_dot = rhs - dM/dt c with dM/dt = M(rho_dot)
-    rhs -= (c.reshape(2, n) @ _mass_matrix(rates_cc[0], basis)).ravel()
-    c_dot = np.linalg.solve(
-        _mass_matrix(uw.scalar_cc[0], basis), rhs.reshape(2, n).T
-    ).T.ravel()
+    rhs -= c @ _mass_matrix(rates_cc[0], basis)
+    c_dot = np.linalg.solve(uw.mass, rhs.T).T.ravel()
     return Tendencies(
         rho_dot, b_dot, rhoe_dot, c_dot, reconstruct(c_dot, basis), terms
     )

@@ -1,5 +1,7 @@
-"""The benchmark rebinds names of the package to timing wrappers; a change
-to the package that drops one of them fails here, not in a benchmark run."""
+"""The benchmark rebinds names of the package to timing wrappers, checks
+gates and compares final fields with recorded fingerprints; a change to the
+package that drops one of those names, or moves the numbers of a workload,
+fails here, not in a benchmark run."""
 
 import json
 import os
@@ -44,7 +46,33 @@ json.dump({"metrics": sorted(tracer.metrics()), "finals": len(clock.finals),
 """
 
 
-def test_benchmark_hooks_bind_and_report_every_layer():
+# one repetition of a workload's seed-0 input, as bench/worker.py runs it
+WORKLOAD_SCRIPT = """
+import json, sys, tempfile
+
+from hooks import StepClock
+
+clock = StepClock().install()
+
+from workloads import WORKLOADS, fingerprint, fingerprint_mismatch
+
+name, reference = sys.argv[1], sys.argv[2]
+workload = WORKLOADS[name]
+variant = workload.variant(0)
+with tempfile.TemporaryDirectory() as workdir:
+    outcome = workload.run(workload.prepare(variant, workdir), workdir)
+    gates = workload.check(outcome, clock.finals)
+with open(reference, encoding="utf-8") as fh:
+    ref = json.load(fh)[name][str(variant)]
+got = [fingerprint(s) for s in clock.finals]
+json.dump({"gates": {k: bool(ok) for k, ok in gates.items()},
+           "mismatch": fingerprint_mismatch(got, ref)}, sys.stdout)
+"""
+
+
+def run_with_bench(script, *args):
+    """Run `script` with src/ and bench/ importable and one BLAS thread;
+    returns its JSON output."""
     env = {
         **os.environ,
         "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]),
@@ -52,11 +80,15 @@ def test_benchmark_hooks_bind_and_report_every_layer():
         "OPENBLAS_NUM_THREADS": "1",
     }
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT], cwd=ROOT, env=env,
+        [sys.executable, "-c", script, *args], cwd=ROOT, env=env,
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_benchmark_hooks_bind_and_report_every_layer():
+    out = run_with_bench(SCRIPT)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     wanted = {m["name"] for m in declared} - {"trace.overhead_frac"}
     assert wanted <= set(out["metrics"])
@@ -72,3 +104,11 @@ def test_benchmark_hooks_bind_and_report_every_layer():
     for layer in ("diagnostics.report", "solver.tendencies",
                   "solver.VelocityWorkspace"):
         assert calls.get(layer) == 6, layer
+
+
+def test_n_ladder_passes_its_gates_and_reference():
+    # the heaviest Galerkin solve the benchmark runs (n = 256 on 64^2)
+    out = run_with_bench(WORKLOAD_SCRIPT, "n_ladder_64",
+                         str(ROOT / "bench" / "reference.json"))
+    assert out["gates"] and all(out["gates"].values()), out["gates"]
+    assert out["mismatch"] is None, out["mismatch"]

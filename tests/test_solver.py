@@ -9,7 +9,7 @@ from scipy.integrate import dblquad
 from mhdlab.errors import CflError, DomainError, NewtonError, StepFailure
 from mhdlab.grid import (
     COS, Grid, ScalarField, VectorField, GalerkinBasis, fwd2, gradient, integrate,
-    laplacian_neumann,
+    laplacian_neumann, reconstruct,
 )
 from mhdlab.solver import (
     InitialData,
@@ -222,6 +222,20 @@ class TestAdvanceScalar:
             advance_one_scalar(f, u, 1e-2, 1.0)
         assert err.value.suggested_dt == pytest.approx(cfl_bound(u))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_velocity_fails_the_cfl_check(self, bad):
+        # cfl_bound is nan (or 0) for such a velocity; the step must stop at
+        # the check, naming the velocity, before rho and b turn non-finite
+        # and the temperature Newton reports a misleading stall
+        init, basis = smooth_initial(Grid(16, 16))
+        st = initial_state(init, basis)
+        c = st.u.coeffs.copy()
+        c[1] = bad
+        st = State(0.0, st.rho, st.b, st.theta, reconstruct(c, basis))
+        with pytest.raises(StepFailure, match="velocity is not finite") as err:
+            step(st, RegParams(epsilon=1e-2, delta=1e-2, n=4), P, 1e-3)
+        assert type(err.value) is StepFailure
+
 
 class TestAdvanceTemperature:
     def test_equilibrium_fixed_point(self):
@@ -366,6 +380,16 @@ class TestAdvanceMomentum:
         u = frozen_momentum(st, reg, 1e-2)
         assert np.abs(u.coeffs).max() <= 1e-13
 
+    def test_non_finite_solution_raises_step_failure(self):
+        # np.linalg.solve returns NaN for a NaN right-hand side, it does not raise
+        init, basis = smooth_initial(Grid(16, 16))
+        st = initial_state(init, basis)
+        f_u = np.zeros(2 * basis.n)
+        f_u[0] = np.nan
+        with pytest.raises(StepFailure, match="non-finite coefficients"):
+            advance_momentum(st, RegParams(epsilon=1e-2, delta=1e-2, n=4), P,
+                             1e-3, st.rho, st.b, st.theta, gradient(st.rho), f_u)
+
     def test_single_mode_decay_matches_stokes_eigenvalue(self):
         # oracle: assemble mass and viscous matrices independently with
         # adaptive quadrature, predict the per-step decay factor from the
@@ -377,8 +401,6 @@ class TestAdvanceMomentum:
         amp = 1e-6
         c = np.zeros(2 * n)
         c[0] = amp
-        from mhdlab.grid import reconstruct
-
         st = State(0.0, st.rho, st.b, st.theta, reconstruct(c, basis))
         reg = RegParams(epsilon=1e-2, delta=1e-2, n=n)
         dt = 5e-3
@@ -502,7 +524,7 @@ class TestStep:
         calls = count_evaluations(monkeypatch)
         _, rep = step(st, RegParams(epsilon=1e-2, delta=1e-2, n=4), P, 2e-3)
         assert calls == {"cfl_bound": 1, "velocity_gradient": 1, "__init__": 1,
-                         "_advective_divergence_cc": 3}
+                         "_advective_divergence_cc": 3, "_mass_matrix": 2}
         assert rep.cfl_limit == cfl_bound(st.u)
         assert st.workspace is st.workspace
         assert "workspace" not in vars(st.copy())
@@ -528,15 +550,16 @@ class TestStep:
 
 
 def count_evaluations(monkeypatch):
-    """Count the workspaces, CFL bounds, velocity gradients and advective
-    divergences formed from here on."""
+    """Count the workspaces, CFL bounds, velocity gradients, advective
+    divergences and Galerkin mass matrices formed from here on."""
     from mhdlab import solver
 
     calls = {"cfl_bound": 0, "velocity_gradient": 0, "__init__": 0,
-             "_advective_divergence_cc": 0}
+             "_advective_divergence_cc": 0, "_mass_matrix": 0}
     for owner, name in ((solver, "cfl_bound"), (solver, "velocity_gradient"),
                         (solver.VelocityWorkspace, "__init__"),
-                        (solver, "_advective_divergence_cc")):
+                        (solver, "_advective_divergence_cc"),
+                        (solver, "_mass_matrix")):
         def counted(*args, _orig=getattr(owner, name), _name=name, **kwargs):
             calls[_name] += 1
             return _orig(*args, **kwargs)
@@ -703,15 +726,16 @@ class TestRun:
 
     def test_run_evaluates_each_state_once(self, monkeypatch):
         # 5 steps and 6 reports: the report on a state and the step from it
-        # share its workspace; the final state needs no CFL bound, and each
-        # report and step forms its own energy advection
+        # share its workspace, M(rho) included; the final state needs no CFL
+        # bound, each report and step forms its own energy advection, each
+        # step its M(rho_new) and each report its M(rho_dot)
         init, basis = smooth_initial(Grid(16, 16), amp=0.05)
         calls = count_evaluations(monkeypatch)
         traj = run(init, RegParams(epsilon=1e-2, delta=1e-2, n=4), P,
                    Schedule(t_final=1.25e-2, dt=2.5e-3), basis=basis)
         assert len(traj.diagnostics) == 6
         assert calls == {"__init__": 6, "cfl_bound": 5, "velocity_gradient": 6,
-                         "_advective_divergence_cc": 23}
+                         "_advective_divergence_cc": 23, "_mass_matrix": 17}
 
     def test_snapshot_stride(self):
         g = Grid(16, 16)
