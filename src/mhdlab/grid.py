@@ -514,8 +514,13 @@ class GalerkinBasis:
     slot (l-1, k-1), so projection, reconstruction and the Galerkin loads are
     transforms plus a gather or scatter at `slots`.  Products of two modes
     are four cosine (or sine) modes of index |k-k'| or k+k' <= nx-2, and
-    midpoint quadrature integrates them exactly, so Gram-type matrices are
-    lookups into the coefficients of the weight (`pair_slots`).
+    midpoint quadrature integrates them, times any weight on the grid,
+    exactly.  So a Gram-type matrix is either assembled by lookups into the
+    coefficients of the weight (`pair_slots`, n x n int64 arrays, formed on
+    first use), or never formed: its product with a coefficient vector is
+    the Galerkin load of the weighted reconstruction, equal to round-off.
+    The momentum solve assembles below its crossover in n and works
+    matrix-free above it (see `solver`).
     """
 
     def __init__(self, grid: Grid, n: int):
@@ -602,19 +607,21 @@ def project_velocity(v: VectorField, basis: GalerkinBasis) -> np.ndarray:
     return c.reshape(2, -1)[:, basis.slots].ravel()
 
 
-def galerkin_load(basis: GalerkinBasis, f, fx, fy) -> np.ndarray:
+def galerkin_load(basis: GalerkinBasis, f, fx=None, fy=None) -> np.ndarray:
     """Quadrature of f_i*phi + fx_i*d_x(phi) + fy_i*d_y(phi) against every mode.
 
     f, fx, fy are nodal stacks (2, ny, nx), one integrand per velocity
-    component i; returns the 2n load (x block then y block).  d_x(phi) is
-    a_k cos(a_k x) sin(b_l y), so its integrals are the (sine, cosine)
-    coefficients at slot (l-1, k) scaled by a_k*norm^2, and likewise in y.
+    component i, fx and fy given together or not at all; returns the 2n
+    load (x block then y block).  d_x(phi) is a_k cos(a_k x) sin(b_l y), so
+    its integrals are the (sine, cosine) coefficients at slot (l-1, k)
+    scaled by a_k*norm^2, and likewise in y.
     """
     s, nx = basis.slots, basis.grid.nx
-    c_ss = fwd2(f, (SIN, SIN)).reshape(2, -1)[:, s]
-    c_sc = fwd2(fx, (SIN, COS)).reshape(2, -1)[:, s + 1]
-    c_cs = fwd2(fy, (COS, SIN)).reshape(2, -1)[:, s + nx]
-    return (basis.mode_norm2 * (c_ss + basis.ax * c_sc + basis.ay * c_cs)).ravel()
+    c = fwd2(f, (SIN, SIN)).reshape(2, -1)[:, s]
+    if fx is not None:
+        c += basis.ax * fwd2(fx, (SIN, COS)).reshape(2, -1)[:, s + 1]
+        c += basis.ay * fwd2(fy, (COS, SIN)).reshape(2, -1)[:, s + nx]
+    return (basis.mode_norm2 * c).ravel()
 
 
 def reconstruct(coeffs: np.ndarray, basis: GalerkinBasis) -> VectorField:

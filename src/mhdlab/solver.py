@@ -13,7 +13,12 @@ structure of the underlying construction, in one pass per step.
 The Galerkin momentum system for the 2n coefficients (c_x, c_y) is solved
 as one n x n complex system in z = c_x + i*c_y.  Its viscous coupling block
 Q = A - A^T is antisymmetric, so M(rho) (x) I_2 + dt*V(theta) is the real
-form of the Hermitian positive-definite H = M + dt*(P - i*Q).
+form of the Hermitian positive-definite H = M + dt*(P - i*Q).  Below a
+crossover in n relative to the grid (`_MATRIX_FREE_RATIO`) H is assembled
+by lookups and factorized; above it no Galerkin matrix is formed: each
+product with H is one Galerkin load of the reconstructed velocity, and H
+is inverted by conjugate gradients preconditioned by its symbol.  The
+temperature and momentum solves share that one PCG loop (`_pcg`).
 
 rho and b advance in one stacked linear update, so fields that start
 proportional stay proportional to round-off, and the k = 0 cosine mode is
@@ -220,7 +225,8 @@ class Schedule:
 @dataclass
 class StepReport:
     """Per-step record; the Krylov and backtrack counts are summed over the
-    temperature Newton loop."""
+    temperature Newton loop, and the momentum Krylov count is that of the
+    matrix-free momentum solve (0 below its crossover)."""
 
     t: float
     dt: float
@@ -231,6 +237,7 @@ class StepReport:
     source_rate: float  # integral of delta/theta^2 - eps*theta^5 at the new level
     krylov_iterations: int
     line_search_backtracks: int
+    momentum_krylov_iterations: int
 
 
 @dataclass
@@ -415,8 +422,9 @@ class VelocityWorkspace:
     """A state's one evaluation, each part formed on first use: the CFL bound
     `cfl_limit`, the velocity on the 3/2 fine grid `u_fine` (x then y), its
     Jacobian `grads_u`, the cosine coefficients of (rho, b) `scalar_cc`,
-    their advective divergences `scalar_adv_cc`, the `advection_tensor` and
-    the Galerkin `mass` matrix M(rho) in the velocity's basis.
+    their advective divergences `scalar_adv_cc`, the `advection_tensor` and,
+    below the matrix-free crossover, the Galerkin `mass` matrix M(rho) in
+    the velocity's basis.
 
     It holds the state's fields, never the state, so a dropped state is
     freed at once.  A velocity from a basis has its sine-sine coefficients
@@ -542,47 +550,56 @@ def _kirchhoff_laplacian(theta, grid: Grid, reg: RegParams, p: EosParams):
     return laplacian_neumann(kirchhoff).values
 
 
-def _pcg(apply, rhs_cc, symbol, grid: Grid, rtol: float, atol: float,
+def _pcg(apply, rhs, symbol, dot, fail, rtol: float, atol: float,
          maxiter: int = 200):
-    """Conjugate gradients on cosine coefficients, preconditioned by division
-    by `symbol`; returns (x_cc, iterations).
+    """Conjugate gradients for an `apply` that is self-adjoint and positive
+    definite in the inner product `dot`, preconditioned by division by
+    `symbol`; returns (x, iterations).
 
-    Inner products carry grid.w_cc, so norms are the nodal 2-norms and the
-    loop stops at ||r|| <= max(rtol*||rhs||, atol).  A non-finite right-hand
-    side, a breakdown (non-positive or non-finite curvature, for instance
-    from a non-finite operator) and reaching `maxiter` raise NewtonError.
+    Norms are those of `dot`, and the loop stops at
+    ||r|| <= max(rtol*||rhs||, atol).  A non-finite right-hand side, a
+    breakdown (non-positive or non-finite curvature, for instance from a
+    non-finite operator) and reaching `maxiter` raise `fail(reason)`, the
+    reason naming the residual.
     """
-    w, nodes = grid.w_cc, rhs_cc.size
     with np.errstate(all="ignore"):
-        r_norm = float(np.sqrt(nodes * np.sum(w * rhs_cc * rhs_cc)))
+        r_norm = float(np.sqrt(dot(rhs, rhs)))
         if not np.isfinite(r_norm):
-            raise NewtonError("temperature linear solve: non-finite right-hand side")
+            raise fail(f"non-finite right-hand side (residual {r_norm:.3e})")
         tol = max(rtol * r_norm, atol)
-        x, r, p, rz_old = np.zeros_like(rhs_cc), rhs_cc.copy(), None, 0.0
+        x, r, p, rz_old = np.zeros_like(rhs), rhs.copy(), None, 0.0
         iterations = 0
         while not r_norm <= tol:
             if iterations == maxiter:
-                raise NewtonError(
-                    f"temperature linear solve: residual {r_norm:.3e} above "
-                    f"{tol:.3e} after {maxiter} PCG iterations"
-                )
+                raise fail(f"residual {r_norm:.3e} above {tol:.3e} after "
+                           f"{maxiter} PCG iterations")
             z = r / symbol
-            rz = float(np.sum(w * r * z))
+            rz = dot(r, z)
             p = z if p is None else z + (rz / rz_old) * p
             q = apply(p)
-            pq = float(np.sum(w * p * q))
+            pq = dot(p, q)
             if not (0.0 < rz < np.inf and 0.0 < pq < np.inf):
-                raise NewtonError(
-                    f"temperature linear solve broke down (r.Mr = {rz:.3e}, "
-                    f"p.Ap = {pq:.3e})"
-                )
+                raise fail(f"broke down at residual {r_norm:.3e} "
+                           f"(r.Mr = {rz:.3e}, p.Ap = {pq:.3e})")
             alpha = rz / pq
             x += alpha * p
             r -= alpha * q
             rz_old = rz
             iterations += 1
-            r_norm = float(np.sqrt(nodes * np.sum(w * r * r)))
+            r_norm = float(np.sqrt(dot(r, r)))
     return x, iterations
+
+
+def _cosine_dot(grid: Grid):
+    """The nodal inner product of two cosine coefficient arrays,
+    nx*ny*sum(w_cc*f*g).  nx*ny is a power of two, so the PCG ratios come out
+    as if the sum alone were taken."""
+    w, nodes = grid.w_cc, grid.nx * grid.ny
+    return lambda f, g: nodes * float(np.sum(w * f * g))
+
+
+def _temperature_failure(reason: str):
+    return NewtonError(f"temperature linear solve: {reason}")
 
 
 def _newton_direction(res, diag, kd, dt: float, grid: Grid, atol: float):
@@ -597,8 +614,8 @@ def _newton_direction(res, diag, kd, dt: float, grid: Grid, atol: float):
     symbol = float(a.mean()) + dt * grid.k2_cc
     # inexact Newton: a loose inner tolerance keeps the step cheap
     z_cc, iterations = _pcg(
-        _kirchhoff_operator(a, dt, grid), fwd2(-res, (COS, COS)), symbol, grid,
-        rtol=1e-6, atol=atol,
+        _kirchhoff_operator(a, dt, grid), fwd2(-res, (COS, COS)), symbol,
+        _cosine_dot(grid), _temperature_failure, rtol=1e-6, atol=atol,
     )
     return bwd2(z_cc, (COS, COS)) / kd, iterations
 
@@ -798,6 +815,71 @@ def _momentum_load(uw: VelocityWorkspace, rho, b, theta, grho, reg, p):
     )
 
 
+# Galerkin dimensions with n*n >= _MATRIX_FREE_RATIO*nx*ny solve the momentum
+# system matrix-free.  Dense costs n^2 lookups plus an n^3 factorization, a
+# PCG iteration six transforms of stacked grid fields.  One advance_momentum
+# on a random state, dense / matrix-free, best of 5 in each of two runs, one
+# BLAS thread of a 2-core Xeon (PCG iterations in brackets):
+#   64^2:  n = 128  2.0-2.7 / 4.0-4.1 ms (9)    n = 192  3.8 / 4.0-4.4 ms (9)
+#          n = 256  5.9-8.7 / 4.0-5.9 ms (10)   n = 384  14-20 / 6.2 ms (10)
+#          n = 961  153 / 8.1-8.5 ms (12)
+#   128^2: n = 384  21-25 / 36-41 ms (9)        n = 512  34-42 / 29-42 ms (9)
+#          n = 768  98-100 / 45-47 ms (10)      n = 961  157-174 / 34-45 ms (10)
+# so on both grids the paths cross between n*n = 9 and 16 times nx*ny.
+_MATRIX_FREE_RATIO = 16
+
+
+def _matrix_free(basis: GalerkinBasis) -> bool:
+    g = basis.grid
+    return basis.n * basis.n >= _MATRIX_FREE_RATIO * g.nx * g.ny
+
+
+def _operator_load(u: VectorField, rho, mu=None):
+    """(M(rho) + V(mu)) c for the coefficients c of u, never assembled.
+
+    It is the Galerkin load of rho*u and, unless mu is None, of the
+    traceless stress mu*(D, A12) of u: midpoint quadrature integrates the
+    products of modes and weights exactly (see GalerkinBasis), so this is
+    the product with `_mass_matrix` and `_viscous_matrix` to round-off.
+    """
+    f = rho * np.stack([u.vx, u.vy])
+    if mu is None:
+        return galerkin_load(u.basis, f)
+    u1x, u1y, u2x, u2y = velocity_gradient(u)
+    s11, s12 = mu * (u1x - u2y), mu * (u1y + u2x)
+    return galerkin_load(u.basis, f, np.stack([s11, s12]), np.stack([s12, -s11]))
+
+
+def _complex_solve(basis: GalerkinBasis, rho, mu, rhs, what: str):
+    """Solve (M(rho) + V(mu)) c = rhs (2n, mu None for M alone) matrix-free
+    by PCG in z = c_x + i*c_y, where the operator is Hermitian; returns
+    (c, iterations).
+
+    Each product is one `_operator_load`.  The preconditioner is the
+    operator's symbol for uniform coefficients, norm^2*(mean rho +
+    mean mu*|k|^2), diagonal in the modes.  A failure raises StepFailure,
+    its message led by `what`.
+    """
+    n = basis.n
+
+    def apply(z):
+        u = reconstruct(np.concatenate([z.real, z.imag]), basis)
+        load = _operator_load(u, rho, mu)
+        return load[:n] + 1j * load[n:]
+
+    def fail(reason):
+        return StepFailure(f"{what}: {reason}")
+
+    symbol = float(np.mean(rho))
+    if mu is not None:
+        symbol = symbol + float(np.mean(mu)) * (basis.ax**2 + basis.ay**2)
+    z, iterations = _pcg(
+        apply, rhs[:n] + 1j * rhs[n:], basis.mode_norm2 * symbol,
+        lambda a, b: np.vdot(a, b).real, fail, rtol=1e-13, atol=0.0,
+    )
+    return np.concatenate([z.real, z.imag]), iterations
+
+
 def advance_momentum(
     state: State,
     reg: RegParams,
@@ -808,14 +890,19 @@ def advance_momentum(
     theta_new: ScalarField,
     grad_rho: VectorField,
     forcing_vec=None,
-) -> VectorField:
-    """One step of the Galerkin momentum equation; returns the new velocity.
+) -> tuple[VectorField, int]:
+    """One step of the Galerkin momentum equation; returns the new velocity
+    and the number of PCG iterations (0 when solved densely).
 
     Solves (M(rho_new) + dt*V(theta_new)) c = M(rho_old) c_old + dt*f with
     f collecting the explicit advection tensor, the total-pressure work and
     the eps*(grad rho . grad) u coupling.  The 2n-dimensional real system is
     the real form of the n x n Hermitian positive-definite one in
     z = c_x + i*c_y (see `_viscous_matrix`), which is the one solved.
+    Below the crossover `_MATRIX_FREE_RATIO` the matrices are assembled by
+    lookups and H is factorized; above it no matrix is formed: the products
+    with M and H are Galerkin loads (`_operator_load`) and H is inverted by
+    PCG to 1e-13 relative, whose failures raise StepFailure.
     No-slip holds exactly because every basis mode does.
     """
     basis = state.u.basis
@@ -829,6 +916,14 @@ def advance_momentum(
     )
     if forcing_vec is not None:
         rhs = rhs + forcing_vec
+    if _matrix_free(basis):
+        rhs = _operator_load(state.u, state.rho.values) + dt * rhs
+        c, iterations = _complex_solve(
+            basis, rho_new.values, dt * p.mu(theta_new.values), rhs,
+            f"momentum linear solve at t = {state.t:g}",
+        )
+        return reconstruct(c, basis), iterations
+
     rhs = state.u.coeffs.reshape(2, n) @ uw.mass + dt * rhs.reshape(2, n)
 
     lhs = _viscous_matrix(theta_new.values, basis, p)
@@ -841,7 +936,7 @@ def advance_momentum(
     if not np.isfinite(z).all():
         raise StepFailure(f"momentum linear solve at t = {state.t:g} returned "
                           "non-finite coefficients")
-    return reconstruct(np.concatenate([z.real, z.imag]), basis)
+    return reconstruct(np.concatenate([z.real, z.imag]), basis), 0
 
 
 # ---------------------------------------------------------------------------
@@ -869,7 +964,7 @@ def step(
     theta_new, info = advance_temperature(
         state, reg, p, dt, rho_new, b_new, grho, f_e
     )
-    u_new = advance_momentum(
+    u_new, momentum_krylov = advance_momentum(
         state, reg, p, dt, rho_new, b_new, theta_new, grho, f_u
     )
 
@@ -894,6 +989,7 @@ def step(
         source_rate=source_rate,
         krylov_iterations=info.krylov_iterations,
         line_search_backtracks=info.line_search_backtracks,
+        momentum_krylov_iterations=momentum_krylov,
     )
     return new_state, report
 
@@ -946,12 +1042,18 @@ def tendencies(state: State, reg: RegParams, p: EosParams, forcing=None) -> Tend
     rhs = _momentum_load(uw, rho, b, th, terms.grad_rho, reg, p)
     if f_u is not None:
         rhs = rhs + f_u
-    c = state.u.coeffs.reshape(2, n)
-    vz = _viscous_matrix(th, basis, p) @ (c[0] + 1j * c[1])
-    rhs = rhs.reshape(2, n) - np.stack([vz.real, vz.imag])
-    # d/dt (M c) = rhs, so M c_dot = rhs - dM/dt c with dM/dt = M(rho_dot)
-    rhs -= c @ _mass_matrix(rates_cc[0], basis)
-    c_dot = np.linalg.solve(uw.mass, rhs.T).T.ravel()
+    # d/dt (M c) = rhs - V c, so M c_dot = rhs - V c - dM/dt c with
+    # dM/dt = M(rho_dot)
+    if _matrix_free(basis):
+        rhs = rhs - _operator_load(state.u, rho_dot, p.mu(th))
+        c_dot, _ = _complex_solve(basis, rho, None, rhs,
+                                  f"momentum tendency mass solve at t = {state.t:g}")
+    else:
+        c = state.u.coeffs.reshape(2, n)
+        vz = _viscous_matrix(th, basis, p) @ (c[0] + 1j * c[1])
+        rhs = rhs.reshape(2, n) - np.stack([vz.real, vz.imag])
+        rhs -= c @ _mass_matrix(rates_cc[0], basis)
+        c_dot = np.linalg.solve(uw.mass, rhs.T).T.ravel()
     return Tendencies(
         rho_dot, b_dot, rhoe_dot, c_dot, reconstruct(c_dot, basis), terms
     )

@@ -4,7 +4,8 @@ The oracle forms every Galerkin quantity as a product of the (n, nx*ny)
 tables phi, phi_x, phi_y that the basis evaluates on request; the package
 itself assembles from transform coefficients and never reads the tables.
 The oracle also keeps the real 2n x 2n momentum system, which the package
-solves as its n x n complex Hermitian form.
+solves as its n x n complex Hermitian form: by lookups and a factorization
+below the crossover in n, matrix-free by PCG above it.
 """
 
 import tracemalloc
@@ -12,7 +13,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mhdlab import diagnostics
+from mhdlab import diagnostics, solver
+from mhdlab.errors import NewtonError, StepFailure
 from mhdlab.grid import (
     COS,
     GalerkinBasis,
@@ -29,8 +31,11 @@ from mhdlab.mms import manufactured_forcing, standard_smooth_solution
 from mhdlab.solver import (
     InitialData,
     RegParams,
+    _complex_solve,
     _mass_matrix,
+    _matrix_free,
     _momentum_load,
+    _operator_load,
     _viscous_matrix,
     advance_momentum,
     initial_state,
@@ -179,12 +184,92 @@ def momentum_state(n, seed):
     return st, new
 
 
-@pytest.mark.parametrize("n", [4, 256])
+def test_crossover_depends_on_the_grid():
+    # n*n >= 16*nx*ny: n = 256 is matrix-free on 64^2 but dense on 128^2
+    assert [_matrix_free(GalerkinBasis(Grid(64, 64), n)) for n in (255, 256)] \
+        == [False, True]
+    assert [_matrix_free(GalerkinBasis(Grid(128, 128), n)) for n in (256, 511, 512)] \
+        == [False, False, True]
+
+
+# n = 4 is dense on 64^2, n = 256 and 961 (every mode) matrix-free
+@pytest.mark.parametrize("n", [4, 256, 961])
 def test_momentum_solve_matches_real_oracle(n):
     st, new = momentum_state(n, seed=5)
     reg = RegParams(epsilon=1e-2, delta=1e-2, n=n)
-    got = advance_momentum(st, reg, P, 2.5e-3, *new).coeffs
-    assert_rel_close(got, dense_momentum(st, reg, P, 2.5e-3, *new))
+    got, iterations = advance_momentum(st, reg, P, 2.5e-3, *new)
+    assert (iterations > 0) == (n > 4)
+    assert_rel_close(got.coeffs, dense_momentum(st, reg, P, 2.5e-3, *new))
+
+
+@pytest.mark.parametrize("n", [4, 256])
+def test_step_reports_momentum_krylov_iterations(n):
+    reg = RegParams(epsilon=0.05, delta=0.05, n=n)
+    _, rep = step(analytic_state(Grid(64, 64, 1.2, 0.8), n), reg, P, 1e-3)
+    if n == 4:
+        assert rep.momentum_krylov_iterations == 0
+    else:
+        assert 0 < rep.momentum_krylov_iterations < 50
+
+
+@pytest.mark.parametrize("n", [32, 256])
+def test_matrix_free_operator_matches_assembled(n):
+    grid, dt = Grid(64, 64, 1.3, 0.7), 2.5e-3
+    basis = GalerkinBasis(grid, n)
+    rng = np.random.default_rng(7)
+    rho, theta = positive_field(rng, grid, 0.5), positive_field(rng, grid, 0.3)
+    u = reconstruct(rng.standard_normal(2 * n), basis)
+    z = u.coeffs[:n] + 1j * u.coeffs[n:]
+    mass = _mass_matrix(fwd2(rho, (COS, COS)), basis)
+    h = dt * _viscous_matrix(theta, basis, P)
+    h.real += mass
+    for got, hz in ((_operator_load(u, rho), mass @ z),
+                    (_operator_load(u, rho, dt * P.mu(theta)), h @ z)):
+        want = np.concatenate([hz.real, hz.imag])
+        err = np.abs(got - want).max() / np.abs(want).max()
+        assert err <= 1e-14, err
+
+
+def test_matrix_free_tendencies_match_assembled(monkeypatch):
+    grid = Grid(64, 64, 1.3, 0.7)
+    reg = RegParams(epsilon=1e-2, delta=1e-2, n=256)
+    st = analytic_state(grid, reg.n)
+    st.u = reconstruct(0.02 * np.random.default_rng(8).standard_normal(512),
+                       st.u.basis)
+    got = tendencies(st, reg, P).c_dot
+    monkeypatch.setattr(solver, "_MATRIX_FREE_RATIO", np.inf)
+    assert_rel_close(got, tendencies(st.copy(), reg, P).c_dot)
+
+
+@pytest.mark.parametrize("case", ["nan_theta", "nan_rho"])
+def test_matrix_free_momentum_failure_names_the_momentum_solve(case):
+    st, (rho_new, b_new, theta_new, grho) = momentum_state(256, seed=9)
+    if case == "nan_theta":
+        theta_new.values[3, 7] = np.nan
+    else:
+        rho_new.values[5, 2] = np.nan
+    reg = RegParams(epsilon=1e-2, delta=1e-2, n=256)
+    with pytest.raises(StepFailure, match=r"momentum linear solve at t = 0: .*"
+                                          r"residual") as caught:
+        advance_momentum(st, reg, P, 2.5e-3, rho_new, b_new, theta_new, grho)
+    assert not isinstance(caught.value, NewtonError)
+    assert "temperature" not in str(caught.value)
+
+
+@pytest.mark.parametrize("case", ["nan_operator", "indefinite_operator"])
+def test_matrix_free_breakdown_raises_the_given_failure(case):
+    grid = Grid(64, 64)
+    basis = GalerkinBasis(grid, 256)
+    rho = np.ones(grid.shape)
+    mu = np.full(grid.shape, 1e-3)
+    if case == "nan_operator":
+        mu[4, 4] = np.nan
+    else:
+        rho = -rho  # -M is negative definite, and so is its symbol
+        mu = None
+    rhs = np.random.default_rng(10).standard_normal(2 * basis.n)
+    with pytest.raises(StepFailure, match="test solve: broke down at residual"):
+        _complex_solve(basis, rho, mu, rhs, "test solve")
 
 
 def test_momentum_advance_peak_allocation():
@@ -196,6 +281,23 @@ def test_momentum_advance_peak_allocation():
     advance_momentum(st, reg, P, 2.5e-3, *new)  # basis slots and transform matrices
     fresh = st.copy()
     # a step forms these in its scalar and temperature stages
+    fresh.workspace.grads_u, fresh.workspace.scalar_adv_cc
+    tracemalloc.start()
+    try:
+        advance_momentum(fresh, reg, P, 2.5e-3, *new)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6, peak
+
+
+def test_matrix_free_advance_peak_allocation():
+    # every mode of 64^2: the dense path peaked at 67 MB here on top of the
+    # 44 MB of pair_slots; matrix-free, no n x n array is formed (0.95 MB)
+    st, new = momentum_state(961, seed=6)
+    reg = RegParams(epsilon=1e-2, delta=1e-2, n=961)
+    advance_momentum(st, reg, P, 2.5e-3, *new)  # transform matrices
+    fresh = st.copy()
     fresh.workspace.grads_u, fresh.workspace.scalar_adv_cc
     tracemalloc.start()
     try:
@@ -242,6 +344,22 @@ def test_step_tendencies_report_forcing_read_no_tables(no_tables):
         standard_smooth_solution(), reg, P, basis.grid, basis
     )
     assert np.isfinite(forcing.at(0.1)[3]).all()
+
+
+@pytest.fixture
+def no_pair_slots(monkeypatch):
+    def refuse(self):
+        raise AssertionError("pair_slots formed")
+
+    monkeypatch.setattr(GalerkinBasis, "pair_slots", property(refuse))
+
+
+def test_matrix_free_step_and_report_form_no_pair_slots(no_pair_slots):
+    grid, reg = Grid(64, 64, 1.2, 0.8), RegParams(epsilon=0.05, delta=0.05, n=961)
+    st = analytic_state(grid, reg.n)
+    new, rep = step(st, reg, P, 1e-3)
+    assert rep.momentum_krylov_iterations > 0
+    assert np.isfinite(diagnostics.report(new, reg, P).energy_balance_residual)
 
 
 def test_largest_basis_stores_no_tables():

@@ -26,8 +26,10 @@ from mhdlab.solver import (
     step,
     tendencies,
     _kirchhoff_operator,
+    _cosine_dot,
     _newton_direction,
     _pcg,
+    _temperature_failure,
 )
 from mhdlab.thermo import EosParams, kappa_delta, rho_e_dtheta
 from mhdlab.tolerances import TOLERANCES
@@ -77,10 +79,10 @@ def frozen_temperature(st, reg, dt):
 
 
 def frozen_momentum(st, reg, dt):
-    """`advance_momentum` with rho, b and theta held at their time-t values."""
-    return advance_momentum(
-        st, reg, P, dt, st.rho, st.b, st.theta, gradient(st.rho)
-    )
+    """The velocity of `advance_momentum` with rho, b and theta held at their
+    time-t values."""
+    u, _ = advance_momentum(st, reg, P, dt, st.rho, st.b, st.theta, gradient(st.rho))
+    return u
 
 
 class TestSchedule:
@@ -338,7 +340,8 @@ class TestKirchhoffPcg:
         symbol = 3.7 + self.DT * g.k2_cc
         rhs = np.random.default_rng(2).standard_normal(g.shape)
         x, iterations = _pcg(
-            _kirchhoff_operator(a, self.DT, g), rhs, symbol, g, rtol=1e-6, atol=0.0
+            _kirchhoff_operator(a, self.DT, g), rhs, symbol, _cosine_dot(g),
+            _temperature_failure, rtol=1e-6, atol=0.0,
         )
         assert iterations == 1
         assert np.abs(x - rhs / symbol).max() <= 1e-12 * np.abs(rhs / symbol).max()
@@ -368,8 +371,9 @@ class TestKirchhoffPcg:
         apply = _kirchhoff_operator(a, dt, g)
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            with pytest.raises(NewtonError):
-                _pcg(apply, rhs, symbol, g, rtol=1e-6, atol=0.0, maxiter=maxiter)
+            with pytest.raises(NewtonError, match="temperature linear solve"):
+                _pcg(apply, rhs, symbol, _cosine_dot(g), _temperature_failure,
+                     rtol=1e-6, atol=0.0, maxiter=maxiter)
 
 
 class TestAdvanceMomentum:
