@@ -125,9 +125,16 @@ def _entropy_production_terms(t: Terms, grid: Grid):
 def report(state: State, reg: RegParams, p: EosParams) -> DiagnosticsReport:
     """One time slice of every certified quantity.
 
-    The fields are only read; the transport terms come from (and, on first
-    use, are cached in) `state.workspace`, which a step from this state then
-    reuses.
+    The fields are only read.  The transport terms and the energy flux
+    rho*e, div(rho*e u) come from (and, on first use, are cached in)
+    `state.workspace`, which a step from this state then reuses.  The terms
+    the step that produced the state formed at its new level (the gradients
+    of rho and b, the momentum pressure, V(theta) and M(rho) below the
+    matrix-free crossover, the heat source, and the conduction term unless a
+    floor clamp changed theta) are read as it handed them on, each only
+    under the same `reg` and `p`; the step from the state releases them.
+    A state without them, such as a copy, forms every term itself, by the
+    same code.
     """
     grid = state.grid
     w = grid.weight
@@ -142,7 +149,7 @@ def report(state: State, reg: RegParams, p: EosParams) -> DiagnosticsReport:
     mass_b = float(b.sum() * w)
     kinetic = float((0.5 * rho * u2).sum() * w)
     magnetic = float((0.5 * b * b).sum() * w)
-    internal = float(rho_e(rho, th, p).sum() * w)
+    internal = float(state.workspace.energy(th, p)[0].sum() * w)
     artificial = float(artificial_energy(rho, b, reg).sum() * w)
     total = kinetic + magnetic + internal + artificial
     entropy_tot = float(rho_s(rho, th, p).sum() * w)

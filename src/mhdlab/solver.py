@@ -23,8 +23,17 @@ temperature and momentum solves share that one PCG loop (`_pcg`).
 rho and b advance in one stacked linear update, so fields that start
 proportional stay proportional to round-off, and the k = 0 cosine mode is
 untouched, so nodal masses are conserved exactly.
-The time-t transport terms come from `State.workspace`, the state's one
-evaluation, which a report on the same state shares.
+
+Each term is formed once per state.  The time-t transport terms come from
+`State.workspace`, the state's one evaluation, which a report on the same
+state shares; so does the old-level energy flux, rho*e and div(rho*e u),
+keyed by theta and the EOS.  The terms a step forms at the new level and a
+report on the new state reads again (the gradients of rho and b, the
+momentum pressure, below the crossover V(theta) and M(rho), the heat
+source, and the last Newton residual's conduction term unless a floor clamp
+changed theta) are handed to the new state (`State.handed`), keyed by the
+parameters they depend on, and read through `VelocityWorkspace.term`.  The
+step from a state releases them, whether a report read them or not.
 """
 
 from __future__ import annotations
@@ -136,7 +145,12 @@ class RegParams:
 
 @dataclass
 class State:
-    """Discrete fields at one time level."""
+    """Discrete fields at one time level.
+
+    `handed` holds the terms of this level that the step which produced the
+    state formed, for a report on it to read (see `VelocityWorkspace.term`);
+    the step from the state empties it.
+    """
 
     t: float
     rho: ScalarField
@@ -144,6 +158,7 @@ class State:
     theta: ScalarField
     u: VectorField
     floor_violations: dict = field(default_factory=lambda: {"theta": 0})
+    handed: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def grid(self) -> Grid:
@@ -153,10 +168,13 @@ class State:
     def workspace(self) -> VelocityWorkspace:
         """The state's one evaluation of its transport terms, formed part by
         part on first use and shared by every reader of this state."""
-        return VelocityWorkspace(self.rho, self.b, self.u)
+        uw = VelocityWorkspace(self.rho, self.b, self.u)
+        uw.handed = self.handed
+        return uw
 
     def copy(self):
-        """Copies of the fields; the copy carries no evaluation."""
+        """Copies of the fields; the copy carries no evaluation and no
+        handed-on terms."""
         return State(
             self.t,
             self.rho.copy(),
@@ -343,7 +361,8 @@ class Terms:
     stress `stress` = (S11, S12) = mu(theta)(D, A12), the shear heating
     `shear` = S:grad u, `gb2` = |grad b|^2, the gradient heating `art_heat`,
     the `source` and the heating sum `heating` = S:grad u - p div u +
-    eps |grad b|^2 + art_heat; `sigma15` and `sigma` on first use.
+    eps |grad b|^2 + art_heat; `sigma15` and `sigma` on first use.  A
+    `source` passed in must be heat_source(theta, reg).
     """
 
     rho: np.ndarray
@@ -355,6 +374,7 @@ class Terms:
     grad_theta: VectorField | None  # needed only by sigma15
     reg: RegParams
     p: EosParams
+    source: np.ndarray | None = None
 
     def __post_init__(self):
         reg, G = self.reg, self.reg.Gamma
@@ -369,7 +389,8 @@ class Terms:
             (G * rho ** (G - 2.0) + 2.0) * (gr.vx * gr.vx + gr.vy * gr.vy)
             + (G * b ** (G - 2.0) + 2.0) * self.gb2
         )
-        self.source = heat_source(th, reg)
+        if self.source is None:
+            self.source = heat_source(th, reg)
         self.heating = (
             self.shear - eos_pressure(rho, th, self.p) * self.div_u
             + reg.epsilon * self.gb2 + self.art_heat
@@ -397,11 +418,16 @@ class Terms:
 
 
 def state_terms(state: State, reg: RegParams, p: EosParams) -> Terms:
-    """The terms of a state, with spectral derivatives and its workspace's grads_u."""
+    """The terms of a state, with spectral derivatives and its workspace's
+    grads_u; the gradients of rho and b and the heat source as the step that
+    produced the state handed them on, if it did."""
+    uw, th = state.workspace, state.theta.values
     return Terms(
-        state.rho.values, state.b.values, state.theta.values,
-        state.workspace.grads_u, gradient(state.rho), gradient(state.b),
+        state.rho.values, state.b.values, th, uw.grads_u,
+        uw.term(("grad_rho",), None, lambda: gradient(state.rho)),
+        uw.term(("grad_b",), None, lambda: gradient(state.b)),
         gradient(state.theta), reg, p,
+        uw.term(("heat_source", reg), th, lambda: heat_source(th, reg)),
     )
 
 
@@ -422,17 +448,46 @@ class VelocityWorkspace:
     """A state's one evaluation, each part formed on first use: the CFL bound
     `cfl_limit`, the velocity on the 3/2 fine grid `u_fine` (x then y), its
     Jacobian `grads_u`, the cosine coefficients of (rho, b) `scalar_cc`,
-    their advective divergences `scalar_adv_cc`, the `advection_tensor` and,
-    below the matrix-free crossover, the Galerkin `mass` matrix M(rho) in
-    the velocity's basis.
+    their advective divergences `scalar_adv_cc`, the `advection_tensor`,
+    below the matrix-free crossover the Galerkin `mass` matrix M(rho) in
+    the velocity's basis, and the old-level energy flux (`energy`).  The
+    terms handed on by the step that produced the state are read through
+    `term`.
 
-    It holds the state's fields, never the state, so a dropped state is
-    freed at once.  A velocity from a basis has its sine-sine coefficients
-    scattered into place instead of transforming the nodal field again.
+    It holds the state's fields and handed-on terms, never the state, so a
+    dropped state is freed at once.  A velocity from a basis has its
+    sine-sine coefficients scattered into place instead of transforming the
+    nodal field again.
     """
 
     def __init__(self, rho: ScalarField, b: ScalarField, u: VectorField):
         self.rho, self.b, self.u = rho, b, u
+        self.handed = {}
+        self._energy = None
+
+    def term(self, key, theta, form):
+        """The term `key` as the step that produced the state handed it on,
+        else `form()`.
+
+        A key is the term's name and the parameters it depends on, so a
+        reader with other parameters never reads it; a term that depends on
+        the temperature is read only at the very `theta` array it was formed
+        at (None for one that does not).
+        """
+        hit = self.handed.get(key)
+        if hit is not None and hit[0] is theta:
+            return hit[1]
+        return form()
+
+    def energy(self, theta, p: EosParams):
+        """(rho*e, nodal div(rho*e u)) at `theta`: the explicit old-level
+        energy flux that `tendencies` and the temperature stage both read,
+        formed once per theta array and EOS and kept with the state."""
+        e = self._energy
+        if e is None or e[0] is not theta or e[1] != p:
+            rhoe = rho_e(self.rho.values, theta, p)
+            e = self._energy = (theta, p, rhoe, _energy_advection(rhoe, self))
+        return e[2], e[3]
 
     @cached_property
     def cfl_limit(self) -> float:
@@ -466,17 +521,29 @@ class VelocityWorkspace:
     @cached_property
     def advection_tensor(self):
         """Nodal rho*u_i*u_j (stacked t11, t12, t22) with pairwise
-        3/2-dealiased products."""
-        rho_fine = to_fine(self.scalar_cc[0], (COS, COS))
-        ru = from_fine(rho_fine * self.u_fine, (SIN, SIN))
+        3/2-dealiased products.
+
+        Each fine-grid stack is dropped once read and the products are
+        written into one array: this is the largest transient of a step.
+        """
+        ru = from_fine(to_fine(self.scalar_cc[0], (COS, COS)) * self.u_fine,
+                       (SIN, SIN))
         ru_fine = to_fine(ru, (SIN, SIN))
+        del ru
         u1, u2 = self.u_fine
-        prods = np.stack([ru_fine[0] * u1, ru_fine[0] * u2, ru_fine[1] * u2])
+        prods = np.empty((3,) + u1.shape)
+        np.multiply(ru_fine[0], u1, out=prods[0])
+        np.multiply(ru_fine[0], u2, out=prods[1])
+        np.multiply(ru_fine[1], u2, out=prods[2])
+        del ru_fine
         return bwd2(from_fine(prods, (COS, COS)), (COS, COS))
 
     @cached_property
     def mass(self):
-        return _mass_matrix(self.scalar_cc[0], self.u.basis)
+        # the transform of the stack is the transform of each field, so a
+        # handed-on M(rho) equals the one formed here bitwise
+        return self.term(("mass",), None,
+                         lambda: _mass_matrix(self.scalar_cc[0], self.u.basis))
 
 
 def _advective_divergence_cc(f_cc, uw: VelocityWorkspace, grid: Grid):
@@ -620,6 +687,20 @@ def _newton_direction(res, diag, kd, dt: float, grid: Grid, atol: float):
     return bwd2(z_cc, (COS, COS)) / kd, iterations
 
 
+def _check_finite(stage: str, t: float, **fields):
+    """Raise StepFailure naming the stage, t and the first field with a
+    non-finite node."""
+    for name, f in fields.items():
+        if not np.isfinite(f.values).all():
+            raise StepFailure(f"{stage} at t = {t:g}: {name} is not finite")
+
+
+@dataclass
+class MomentumSolveInfo:
+    krylov_iterations: int  # PCG iterations of the matrix-free solve, else 0
+    terms: dict  # new-level terms to hand on, keyed as VelocityWorkspace.term
+
+
 @dataclass
 class TemperatureSolveInfo:
     iterations: int
@@ -627,6 +708,7 @@ class TemperatureSolveInfo:
     floor_hits: int
     krylov_iterations: int  # PCG iterations, summed over the Newton loop
     line_search_backtracks: int
+    terms: dict  # new-level terms to hand on, keyed as VelocityWorkspace.term
 
 
 def advance_temperature(
@@ -652,38 +734,40 @@ def advance_temperature(
     uniform coefficients); a positivity line search keeps iterates in
     theta > 0, and any node that still lands below the 1e-10 floor is
     clamped and counted rather than hidden.  Every failure of the inner
-    solve raises NewtonError.
+    solve raises NewtonError; a non-finite rho_new or b_new raises
+    StepFailure before anything is formed from them.
+
+    `info.terms` holds the new-level terms to hand on: grad b_new, the heat
+    source at the returned theta and, unless a floor clamp changed theta,
+    the last residual's conduction term.
     """
+    _check_finite("temperature advance", state.t, rho_new=rho_new, b_new=b_new)
     grid = state.grid
     uw = state.workspace
-    rho_o = state.rho.values
     th_o = state.theta.values
     rho_n = rho_new.values
 
+    grad_b = gradient(b_new)
     explicit = Terms(
-        rho_n, b_new.values, th_o, uw.grads_u, grad_rho, gradient(b_new),
-        None, reg, p,
+        rho_n, b_new.values, th_o, uw.grads_u, grad_rho, grad_b, None, reg, p,
     ).heating
     if forcing_nodal is not None:
         explicit = explicit + forcing_nodal
 
     # advective internal-energy flux, explicit at the old level
-    rhoe_old = rho_e(rho_o, th_o, p)
-    adv = _energy_advection(rhoe_old, uw)
+    rhoe_old, adv = uw.energy(th_o, p)
 
     w = rhoe_old - dt * adv + dt * explicit
     scale = max(1.0, float(np.abs(w).max()))
 
     def residual(theta):
-        return (
-            rho_e(rho_n, theta, p)
-            - dt * _kirchhoff_laplacian(theta, grid, reg, p)
-            - dt * heat_source(theta, reg)
-            - w
-        )
+        """The residual and its conduction term and heat source."""
+        lap = _kirchhoff_laplacian(theta, grid, reg, p)
+        source = heat_source(theta, reg)
+        return rho_e(rho_n, theta, p) - dt * lap - dt * source - w, lap, source
 
     theta = th_o.copy()
-    res = residual(theta)
+    res, lap, source = residual(theta)
     res_norm = float(np.abs(res).max()) / scale
     iterations = krylov = backtracks_total = 0
 
@@ -704,16 +788,17 @@ def advance_temperature(
             limit = float(np.min(-0.9 * theta[neg] / dth[neg]))
             alpha = min(1.0, limit)
         trial = theta + alpha * dth
-        trial_res = residual(trial)
+        trial_res, trial_lap, trial_source = residual(trial)
         trial_norm = float(np.abs(trial_res).max()) / scale
         backtracks = 0
         while not trial_norm <= (1.0 - 1e-4 * alpha) * res_norm and backtracks < 8:
             alpha *= 0.5
             trial = theta + alpha * dth
-            trial_res = residual(trial)
+            trial_res, trial_lap, trial_source = residual(trial)
             trial_norm = float(np.abs(trial_res).max()) / scale
             backtracks += 1
         theta, res, res_norm = trial, trial_res, trial_norm
+        lap, source = trial_lap, trial_source
         iterations += 1
         backtracks_total += backtracks
 
@@ -723,11 +808,16 @@ def advance_temperature(
             f"after {iterations} iterations"
         )
 
+    terms = {("grad_b",): (None, grad_b)}
     floor_hits = int(np.count_nonzero(theta < THETA_FLOOR))
     if floor_hits:
         theta = np.maximum(theta, THETA_FLOOR)
+        source = heat_source(theta, reg)
+    else:
+        terms[("kirchhoff_laplacian", reg, p)] = (theta, lap)
+    terms[("heat_source", reg)] = (theta, source)
     return ScalarField(grid, theta), TemperatureSolveInfo(
-        iterations, res_norm, floor_hits, krylov, backtracks_total
+        iterations, res_norm, floor_hits, krylov, backtracks_total, terms
     )
 
 
@@ -800,15 +890,14 @@ def _viscous_matrix(theta, basis: GalerkinBasis, p: EosParams):
     return v
 
 
-def _momentum_load(uw: VelocityWorkspace, rho, b, theta, grho, reg, p):
+def _momentum_load(uw: VelocityWorkspace, p_tot, grho, reg):
     """Galerkin load of the explicit momentum terms.
 
     The advection tensor and the velocity Jacobian come from the workspace
-    of the time-t state; the momentum pressure from (rho, b, theta) and the
-    eps*(grad rho . grad) u coupling from grho.
+    of the time-t state; p_tot is the `momentum_pressure` and grho enters
+    the eps*(grad rho . grad) u coupling.
     """
     t11, t12, t22 = uw.advection_tensor
-    p_tot = momentum_pressure(rho, b, theta, reg, p)
     return galerkin_load(
         uw.u.basis, -rho_gradient_coupling(grho, uw.grads_u, reg),
         np.stack([t11 + p_tot, t12]), np.stack([t12, t22 + p_tot]),
@@ -847,7 +936,12 @@ def _operator_load(u: VectorField, rho, mu=None):
         return galerkin_load(u.basis, f)
     u1x, u1y, u2x, u2y = velocity_gradient(u)
     s11, s12 = mu * (u1x - u2y), mu * (u1y + u2x)
-    return galerkin_load(u.basis, f, np.stack([s11, s12]), np.stack([s12, -s11]))
+    # a PCG product is the peak of a matrix-free step: drop each grid
+    # stack once read
+    del u1x, u1y, u2x, u2y
+    fx, fy = np.stack([s11, s12]), np.stack([s12, -s11])
+    del s11, s12
+    return galerkin_load(u.basis, f, fx, fy)
 
 
 def _complex_solve(basis: GalerkinBasis, rho, mu, rhs, what: str):
@@ -890,9 +984,11 @@ def advance_momentum(
     theta_new: ScalarField,
     grad_rho: VectorField,
     forcing_vec=None,
-) -> tuple[VectorField, int]:
+) -> tuple[VectorField, MomentumSolveInfo]:
     """One step of the Galerkin momentum equation; returns the new velocity
-    and the number of PCG iterations (0 when solved densely).
+    and a `MomentumSolveInfo`: the number of PCG iterations (0 when solved
+    densely) and the new-level terms to hand on, the momentum pressure and,
+    when solved densely, V(theta_new) and M(rho_new).
 
     Solves (M(rho_new) + dt*V(theta_new)) c = M(rho_old) c_old + dt*f with
     f collecting the explicit advection tensor, the total-pressure work and
@@ -902,33 +998,40 @@ def advance_momentum(
     Below the crossover `_MATRIX_FREE_RATIO` the matrices are assembled by
     lookups and H is factorized; above it no matrix is formed: the products
     with M and H are Galerkin loads (`_operator_load`) and H is inverted by
-    PCG to 1e-13 relative, whose failures raise StepFailure.
+    PCG to 1e-13 relative, whose failures raise StepFailure.  A non-finite
+    new-level field raises StepFailure before anything is formed from it.
     No-slip holds exactly because every basis mode does.
     """
     basis = state.u.basis
     if basis is None:
         raise StepFailure("momentum advance requires a velocity with a basis")
+    _check_finite("momentum advance", state.t,
+                  rho_new=rho_new, b_new=b_new, theta_new=theta_new)
     n = basis.n
     uw = state.workspace
+    theta = theta_new.values
 
-    rhs = _momentum_load(
-        uw, rho_new.values, b_new.values, theta_new.values, grad_rho, reg, p
-    )
+    p_tot = momentum_pressure(rho_new.values, b_new.values, theta, reg, p)
+    terms = {("momentum_pressure", reg, p): (theta, p_tot)}
+    rhs = _momentum_load(uw, p_tot, grad_rho, reg)
     if forcing_vec is not None:
         rhs = rhs + forcing_vec
     if _matrix_free(basis):
         rhs = _operator_load(state.u, state.rho.values) + dt * rhs
         c, iterations = _complex_solve(
-            basis, rho_new.values, dt * p.mu(theta_new.values), rhs,
+            basis, rho_new.values, dt * p.mu(theta), rhs,
             f"momentum linear solve at t = {state.t:g}",
         )
-        return reconstruct(c, basis), iterations
+        return reconstruct(c, basis), MomentumSolveInfo(iterations, terms)
 
     rhs = state.u.coeffs.reshape(2, n) @ uw.mass + dt * rhs.reshape(2, n)
 
-    lhs = _viscous_matrix(theta_new.values, basis, p)
-    lhs *= dt
-    lhs.real += _mass_matrix(fwd2(rho_new.values, (COS, COS)), basis)
+    viscous = _viscous_matrix(theta, basis, p)
+    mass = _mass_matrix(fwd2(rho_new.values, (COS, COS)), basis)
+    terms[("viscous", p)] = (theta, viscous)
+    terms[("mass",)] = (None, mass)
+    lhs = dt * viscous
+    lhs.real += mass
     try:
         z = np.linalg.solve(lhs, rhs[0] + 1j * rhs[1])
     except np.linalg.LinAlgError as exc:
@@ -936,7 +1039,8 @@ def advance_momentum(
     if not np.isfinite(z).all():
         raise StepFailure(f"momentum linear solve at t = {state.t:g} returned "
                           "non-finite coefficients")
-    return reconstruct(np.concatenate([z.real, z.imag]), basis), 0
+    return (reconstruct(np.concatenate([z.real, z.imag]), basis),
+            MomentumSolveInfo(0, terms))
 
 
 # ---------------------------------------------------------------------------
@@ -952,7 +1056,11 @@ def step(
 ) -> tuple[State, StepReport]:
     """Advance the coupled system by dt in one pass with the time-t velocity:
     rho and b, then theta, then u.  The time-t terms come from
-    `state.workspace`, shared with a report on the same state."""
+    `state.workspace`, shared with a report on the same state.  The terms
+    the stages form at the new level are handed to the new state for a
+    report on it; those handed to `state` are released first, read or not,
+    since no stage reads them."""
+    state.handed.clear()
     f_scalar = f_e = f_u = None
     if forcing is not None:
         f_rho, f_b, f_e, f_u = forcing.at(state.t)
@@ -964,10 +1072,11 @@ def step(
     theta_new, info = advance_temperature(
         state, reg, p, dt, rho_new, b_new, grho, f_e
     )
-    u_new, momentum_krylov = advance_momentum(
+    u_new, momentum = advance_momentum(
         state, reg, p, dt, rho_new, b_new, theta_new, grho, f_u
     )
 
+    handed = {("grad_rho",): (None, grho), **info.terms, **momentum.terms}
     new_state = State(
         state.t + dt,
         rho_new,
@@ -975,10 +1084,12 @@ def step(
         theta_new,
         u_new,
         {"theta": state.floor_violations.get("theta", 0) + info.floor_hits},
+        handed,
     )
     new_state.validate_positive()
 
-    source_rate = float(heat_source(theta_new.values, reg).sum() * state.grid.weight)
+    source = handed[("heat_source", reg)][1]
+    source_rate = float(source.sum() * state.grid.weight)
     report = StepReport(
         t=new_state.t,
         dt=dt,
@@ -989,7 +1100,7 @@ def step(
         source_rate=source_rate,
         krylov_iterations=info.krylov_iterations,
         line_search_backtracks=info.line_search_backtracks,
-        momentum_krylov_iterations=momentum_krylov,
+        momentum_krylov_iterations=momentum.krylov_iterations,
     )
     return new_state, report
 
@@ -1012,7 +1123,8 @@ def tendencies(state: State, reg: RegParams, p: EosParams, forcing=None) -> Tend
     Every term is formed exactly as the stepper forms it (same projections,
     same dealiasing), so an equilibrium of the stepper has identically zero
     tendencies and the instantaneous balance residuals in the diagnostics
-    measure only the spatial (variational-crime) defects.
+    measure only the spatial (variational-crime) defects.  The terms the
+    step that produced the state handed on are read, not formed again.
     """
     grid = state.grid
     basis = state.u.basis
@@ -1030,8 +1142,9 @@ def tendencies(state: State, reg: RegParams, p: EosParams, forcing=None) -> Tend
 
     terms = state_terms(state, reg, p)
     rhoe_dot = (
-        -_energy_advection(rho_e(rho, th, p), uw)
-        + _kirchhoff_laplacian(th, grid, reg, p)
+        -uw.energy(th, p)[1]
+        + uw.term(("kirchhoff_laplacian", reg, p), th,
+                  lambda: _kirchhoff_laplacian(th, grid, reg, p))
         + terms.heating
         + terms.source
     )
@@ -1039,7 +1152,9 @@ def tendencies(state: State, reg: RegParams, p: EosParams, forcing=None) -> Tend
         rhoe_dot = rhoe_dot + f_e
 
     n = basis.n
-    rhs = _momentum_load(uw, rho, b, th, terms.grad_rho, reg, p)
+    p_tot = uw.term(("momentum_pressure", reg, p), th,
+                    lambda: momentum_pressure(rho, b, th, reg, p))
+    rhs = _momentum_load(uw, p_tot, terms.grad_rho, reg)
     if f_u is not None:
         rhs = rhs + f_u
     # d/dt (M c) = rhs - V c, so M c_dot = rhs - V c - dM/dt c with
@@ -1050,7 +1165,8 @@ def tendencies(state: State, reg: RegParams, p: EosParams, forcing=None) -> Tend
                                   f"momentum tendency mass solve at t = {state.t:g}")
     else:
         c = state.u.coeffs.reshape(2, n)
-        vz = _viscous_matrix(th, basis, p) @ (c[0] + 1j * c[1])
+        viscous = uw.term(("viscous", p), th, lambda: _viscous_matrix(th, basis, p))
+        vz = viscous @ (c[0] + 1j * c[1])
         rhs = rhs.reshape(2, n) - np.stack([vz.real, vz.imag])
         rhs -= c @ _mass_matrix(rates_cc[0], basis)
         c_dot = np.linalg.solve(uw.mass, rhs.T).T.ravel()

@@ -48,7 +48,7 @@ json.dump({"metrics": sorted(tracer.metrics()), "finals": len(clock.finals),
 
 # one repetition of a workload's seed-0 input, as bench/worker.py runs it
 WORKLOAD_SCRIPT = """
-import json, sys, tempfile
+import contextlib, json, sys, tempfile
 
 from hooks import StepClock
 
@@ -59,7 +59,8 @@ from workloads import WORKLOADS, fingerprint, fingerprint_mismatch
 name, reference = sys.argv[1], sys.argv[2]
 workload = WORKLOADS[name]
 variant = workload.variant(0)
-with tempfile.TemporaryDirectory() as workdir:
+# what the workload prints (`mhdlab run` reports) goes to stderr
+with tempfile.TemporaryDirectory() as workdir, contextlib.redirect_stdout(sys.stderr):
     outcome = workload.run(workload.prepare(variant, workdir), workdir)
     gates = workload.check(outcome, clock.finals)
 with open(reference, encoding="utf-8") as fh:
@@ -104,6 +105,15 @@ def test_benchmark_hooks_bind_and_report_every_layer():
     for layer in ("diagnostics.report", "solver.tendencies",
                   "solver.VelocityWorkspace"):
         assert calls.get(layer) == 6, layer
+
+
+def test_certified_run_passes_its_gates_and_reference():
+    # `mhdlab run` with a report on every state, which reads the terms each
+    # step hands on: the benchmark's certified path
+    out = run_with_bench(WORKLOAD_SCRIPT, "certified_run_64",
+                         str(ROOT / "bench" / "reference.json"))
+    assert out["gates"] and all(out["gates"].values()), out["gates"]
+    assert out["mismatch"] is None, out["mismatch"]
 
 
 def test_n_ladder_passes_its_gates_and_reference():

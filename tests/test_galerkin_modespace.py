@@ -39,6 +39,7 @@ from mhdlab.solver import (
     _viscous_matrix,
     advance_momentum,
     initial_state,
+    momentum_pressure,
     step,
     tendencies,
 )
@@ -109,8 +110,8 @@ def dense_momentum(state, reg, p, dt, rho_new, b_new, theta_new, grad_rho):
     lhs = dt * dense_viscous(theta_new.values, state.u.basis, p)
     lhs[:n, :n] += m_new
     lhs[n:, n:] += m_new
-    rhs = _momentum_load(state.workspace, rho_new.values, b_new.values,
-                         theta_new.values, grad_rho, reg, p)
+    p_tot = momentum_pressure(rho_new.values, b_new.values, theta_new.values, reg, p)
+    rhs = _momentum_load(state.workspace, p_tot, grad_rho, reg)
     b_vec = (state.u.coeffs.reshape(2, n) @ m_old).ravel() + dt * rhs
     return np.linalg.solve(lhs, b_vec)
 
@@ -197,8 +198,8 @@ def test_crossover_depends_on_the_grid():
 def test_momentum_solve_matches_real_oracle(n):
     st, new = momentum_state(n, seed=5)
     reg = RegParams(epsilon=1e-2, delta=1e-2, n=n)
-    got, iterations = advance_momentum(st, reg, P, 2.5e-3, *new)
-    assert (iterations > 0) == (n > 4)
+    got, info = advance_momentum(st, reg, P, 2.5e-3, *new)
+    assert (info.krylov_iterations > 0) == (n > 4)
     assert_rel_close(got.coeffs, dense_momentum(st, reg, P, 2.5e-3, *new))
 
 
@@ -243,17 +244,29 @@ def test_matrix_free_tendencies_match_assembled(monkeypatch):
 
 @pytest.mark.parametrize("case", ["nan_theta", "nan_rho"])
 def test_matrix_free_momentum_failure_names_the_momentum_solve(case):
+    # a non-finite new-level field is refused before the solve forms anything
     st, (rho_new, b_new, theta_new, grho) = momentum_state(256, seed=9)
     if case == "nan_theta":
         theta_new.values[3, 7] = np.nan
     else:
         rho_new.values[5, 2] = np.nan
     reg = RegParams(epsilon=1e-2, delta=1e-2, n=256)
-    with pytest.raises(StepFailure, match=r"momentum linear solve at t = 0: .*"
-                                          r"residual") as caught:
+    field = case.split("_")[1]
+    with pytest.raises(StepFailure, match=f"momentum advance at t = 0: {field}_new "
+                                          "is not finite") as caught:
         advance_momentum(st, reg, P, 2.5e-3, rho_new, b_new, theta_new, grho)
     assert not isinstance(caught.value, NewtonError)
     assert "temperature" not in str(caught.value)
+
+
+def test_matrix_free_momentum_solve_names_a_non_finite_load():
+    st, new = momentum_state(256, seed=9)
+    f_u = np.zeros(512)
+    f_u[3] = np.nan
+    reg = RegParams(epsilon=1e-2, delta=1e-2, n=256)
+    with pytest.raises(StepFailure, match=r"momentum linear solve at t = 0: "
+                                          r"non-finite right-hand side \(residual"):
+        advance_momentum(st, reg, P, 2.5e-3, *new, f_u)
 
 
 @pytest.mark.parametrize("case", ["nan_operator", "indefinite_operator"])

@@ -523,12 +523,17 @@ class TestStep:
     def test_step_evaluates_its_velocity_once(self, monkeypatch):
         # the state's one workspace carries the CFL bound, the Jacobian and
         # the advective divergences of rho and b that the stages read; the
-        # third divergence is the energy advection
+        # third divergence is the energy advection.  The step forms grad
+        # rho_new and grad b_new once each, and one conduction term per
+        # Newton residual (two iterations here); handing its new-level terms
+        # on forms no workspace for the new state
         st = initial_state(*smooth_initial(Grid(16, 16), amp=0.02))
         calls = count_evaluations(monkeypatch)
         _, rep = step(st, RegParams(epsilon=1e-2, delta=1e-2, n=4), P, 2e-3)
+        assert rep.newton_iterations == 2
         assert calls == {"cfl_bound": 1, "velocity_gradient": 1, "__init__": 1,
-                         "_advective_divergence_cc": 3, "_mass_matrix": 2}
+                         "_advective_divergence_cc": 3, "_mass_matrix": 2,
+                         "gradient": 2, "_kirchhoff_laplacian": 3}
         assert rep.cfl_limit == cfl_bound(st.u)
         assert st.workspace is st.workspace
         assert "workspace" not in vars(st.copy())
@@ -555,15 +560,18 @@ class TestStep:
 
 def count_evaluations(monkeypatch):
     """Count the workspaces, CFL bounds, velocity gradients, advective
-    divergences and Galerkin mass matrices formed from here on."""
+    divergences, Galerkin mass matrices, scalar gradients and conduction
+    terms formed from here on."""
     from mhdlab import solver
 
     calls = {"cfl_bound": 0, "velocity_gradient": 0, "__init__": 0,
-             "_advective_divergence_cc": 0, "_mass_matrix": 0}
+             "_advective_divergence_cc": 0, "_mass_matrix": 0, "gradient": 0,
+             "_kirchhoff_laplacian": 0}
     for owner, name in ((solver, "cfl_bound"), (solver, "velocity_gradient"),
                         (solver.VelocityWorkspace, "__init__"),
                         (solver, "_advective_divergence_cc"),
-                        (solver, "_mass_matrix")):
+                        (solver, "_mass_matrix"), (solver, "gradient"),
+                        (solver, "_kirchhoff_laplacian")):
         def counted(*args, _orig=getattr(owner, name), _name=name, **kwargs):
             calls[_name] += 1
             return _orig(*args, **kwargs)
@@ -730,16 +738,21 @@ class TestRun:
 
     def test_run_evaluates_each_state_once(self, monkeypatch):
         # 5 steps and 6 reports: the report on a state and the step from it
-        # share its workspace, M(rho) included; the final state needs no CFL
-        # bound, each report and step forms its own energy advection, each
-        # step its M(rho_new) and each report its M(rho_dot)
+        # share its workspace, M(rho) and the energy advection included; the
+        # final state needs no CFL bound.  Each step forms M(rho_new), grad
+        # rho_new, grad b_new and one conduction term per Newton residual
+        # (10 iterations in all) and hands them to the report on its result,
+        # so only the report on the initial state forms its own; each report
+        # forms grad theta and M(rho_dot)
         init, basis = smooth_initial(Grid(16, 16), amp=0.05)
         calls = count_evaluations(monkeypatch)
         traj = run(init, RegParams(epsilon=1e-2, delta=1e-2, n=4), P,
                    Schedule(t_final=1.25e-2, dt=2.5e-3), basis=basis)
         assert len(traj.diagnostics) == 6
+        assert sum(r.newton_iterations for r in traj.step_reports) == 10
         assert calls == {"__init__": 6, "cfl_bound": 5, "velocity_gradient": 6,
-                         "_advective_divergence_cc": 23, "_mass_matrix": 17}
+                         "_advective_divergence_cc": 18, "_mass_matrix": 12,
+                         "gradient": 18, "_kirchhoff_laplacian": 16}
 
     def test_snapshot_stride(self):
         g = Grid(16, 16)
