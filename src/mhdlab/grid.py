@@ -28,12 +28,20 @@ derivative, the zero-pad-then-evaluate of `to_fine`, the analyse-then-
 truncate of `from_fine`).  From 128 nodes on, the O(n^2) work per line
 loses to pocketfft, which serves those axes.  Both paths map a constant
 exactly onto the first cosine slot.
+
+A velocity from the Galerkin basis fills only the (lmax, kmax) corner of
+sine space, kmax and lmax its largest mode indices.  Its transforms are
+band-limited: evaluation on the grid and on the 3/2 fine grid, the Jacobian,
+the Galerkin load and the projection are small matrix products with the
+basis's per-axis mode tables (see `GalerkinBasis`), never full transforms.
+A velocity without coefficients takes the full transforms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.fft import dct, dst, idct, idst
@@ -239,15 +247,19 @@ def _fft_bwd1(coeffs, axis, parity, overwrite=False):
     return idst(c, type=2, axis=axis, overwrite_x=True)
 
 
-def _trig(n, parity):
-    """T[s, i] = cos or sin(pi k (i + 1/2)/n) for the mode k held by slot s.
+def _phase(k, n):
+    """P[s, i] = pi k_s (i + 1/2)/n, the phase of mode k_s at node i of n.
 
-    The phase k(2i + 1) is reduced mod 4n in integers first, so every entry
-    is within a few ulp of exact whatever the mode.
+    The integer phase k(2i + 1) is reduced mod 4n first, so its cosine and
+    sine are within a few ulp of exact whatever the mode.
     """
+    return (np.outer(k, 2 * np.arange(n) + 1) % (4 * n)) * (np.pi / (2 * n))
+
+
+def _trig(n, parity):
+    """T[s, i] = cos or sin(pi k (i + 1/2)/n) for the mode k held by slot s."""
     k = np.arange(n) + (parity == SIN)
-    phase = np.outer(k, 2 * np.arange(n) + 1) % (4 * n)
-    return (np.cos if parity == COS else np.sin)(phase * (np.pi / (2 * n)))
+    return (np.cos if parity == COS else np.sin)(_phase(k, n))
 
 
 def _build(kind, n, parity):
@@ -457,7 +469,10 @@ def divergence(v: VectorField) -> ScalarField:
 
 
 def velocity_gradient(u: VectorField):
-    """Full Jacobian (u1x, u1y, u2x, u2y) of a sine-sine velocity field."""
+    """Full Jacobian (u1x, u1y, u2x, u2y) of a sine-sine velocity field; a
+    basis velocity is differentiated on its mode corner."""
+    if u.coeffs is not None:
+        return u.basis.jacobian(u.coeffs)
     g = u.grid
     uv = np.stack([u.vx, u.vy])
     u1x, u2x = deriv_nodal(uv, -1, SIN, g.lx)
@@ -502,6 +517,35 @@ def check_basis_size(grid: Grid, n: int):
         raise BasisError(f"n must lie in [1, {most}] for a {grid.nx}x{grid.ny} grid")
 
 
+class ModeTables(NamedTuple):
+    """Per-axis tables of the basis modes; k <= kmax in x, l <= lmax in y.
+
+    Rows are modes, columns nodes: sine values on the grid (`sx`, `sy`) and
+    on its 3/2 fine grid (`sx_fine`, `sy_fine`), and derivative values
+    (k pi/lx) cos(k pi x/lx) (`dx`, `dy`).  The x tables also come
+    transposed (`sxt`, `dxt`), since they are the right operand of a matrix
+    product in both directions.
+    """
+
+    sx: np.ndarray
+    sxt: np.ndarray
+    dx: np.ndarray
+    dxt: np.ndarray
+    sx_fine: np.ndarray
+    sy: np.ndarray
+    dy: np.ndarray
+    sy_fine: np.ndarray
+
+
+def _axis_tables(kmax, n, length):
+    """Sine, derivative and fine-grid sine tables of modes 1..kmax on an
+    axis of n midpoint nodes."""
+    k = np.arange(1, kmax + 1)
+    phase = _phase(k, n)
+    deriv = (k * np.pi / length)[:, None] * np.cos(phase)
+    return np.sin(phase), deriv, np.sin(_phase(k, 3 * n // 2))
+
+
 class GalerkinBasis:
     """The first n tensor sine modes per velocity component.
 
@@ -510,17 +554,25 @@ class GalerkinBasis:
     condition identically and the family is discretely L2-orthogonal with
     norm^2 = lx*ly/4.
 
-    The basis stores no nodal tables: mode m is the sine-sine coefficient
-    slot (l-1, k-1), so projection, reconstruction and the Galerkin loads are
-    transforms plus a gather or scatter at `slots`.  Products of two modes
-    are four cosine (or sine) modes of index |k-k'| or k+k' <= nx-2, and
-    midpoint quadrature integrates them, times any weight on the grid,
-    exactly.  So a Gram-type matrix is either assembled by lookups into the
-    coefficients of the weight (`pair_slots`, n x n int64 arrays, formed on
-    first use), or never formed: its product with a coefficient vector is
-    the Galerkin load of the weighted reconstruction, equal to round-off.
-    The momentum solve assembles below its crossover in n and works
-    matrix-free above it (see `solver`).
+    Every basis velocity lives in the (lmax, kmax) corner of sine space,
+    kmax and lmax the largest mode indices, at most a quarter of the sine
+    slots.  So evaluation, differentiation and testing against the modes are
+    small matrix products with per-axis tables (`tables`, a few kB, built
+    on first use): values on the grid are Sy^T C Sx for the corner C of
+    the coefficients, the Jacobian Sy^T C Dx and Dy^T C Sx, values on the
+    3/2 fine grid the same with the fine tables, and the quadratures of
+    f phi + fx d_x(phi) + fy d_y(phi) are Sy (f Sx^T + fx Dx^T) + Dy fy Sx^T,
+    gathered at the modes.  The (n, ny*nx) nodal tables `phi`, `phi_x`,
+    `phi_y` are formed only on request.
+
+    Products of two modes are four cosine (or sine) modes of index |k-k'| or
+    k+k' <= nx-2, and midpoint quadrature integrates them, times any weight
+    on the grid, exactly.  So a Gram-type matrix is either assembled by
+    lookups into the coefficients of the weight (`pair_slots`, n x n int64
+    arrays, formed on first use), or never formed: its product with a
+    coefficient vector is the Galerkin load of the weighted reconstruction,
+    equal to round-off.  The momentum solve assembles below its crossover in
+    n and works matrix-free above it (see `solver`).
     """
 
     def __init__(self, grid: Grid, n: int):
@@ -536,33 +588,37 @@ class GalerkinBasis:
         self.k, self.l = np.array(self.modes).T
         self.ax = self.k * np.pi / grid.lx
         self.ay = self.l * np.pi / grid.ly
-        # flat slot of mode (k, l) in a (ny, nx) sine-sine coefficient array
-        self.slots = (self.l - 1) * grid.nx + (self.k - 1)
+        self.kmax, self.lmax = int(self.k.max()), int(self.l.max())
+        # flat index of mode (k, l) in a (lmax, kmax) corner
+        self.corner_index = (self.l - 1) * self.kmax + (self.k - 1)
 
-    def _trig(self):
+    @cached_property
+    def tables(self) -> ModeTables:
         g = self.grid
-        return (
-            np.sin(self.ax[:, None] * g.x), np.cos(self.ax[:, None] * g.x),
-            np.sin(self.ay[:, None] * g.y), np.cos(self.ay[:, None] * g.y),
-        )
+        sx, dx, sx_fine = _axis_tables(self.kmax, g.nx, g.lx)
+        sy, dy, sy_fine = _axis_tables(self.lmax, g.ny, g.ly)
+        return ModeTables(sx, np.ascontiguousarray(sx.T), dx,
+                          np.ascontiguousarray(dx.T), sx_fine, sy, dy, sy_fine)
+
+    def _nodal(self, ty, tx):
+        """(n, ny*nx) table of the mode products ty[l-1](y) tx[k-1](x)."""
+        return (ty[self.l - 1][:, :, None] * tx[self.k - 1][:, None, :]).reshape(
+            self.n, -1)
 
     @property
     def phi(self):
         """Nodal mode values, shape (n, ny*nx); evaluated on request."""
-        sx, _, sy, _ = self._trig()
-        return (sy[:, :, None] * sx[:, None, :]).reshape(self.n, -1)
+        return self._nodal(self.tables.sy, self.tables.sx)
 
     @property
     def phi_x(self):
         """Nodal x-derivatives of the modes, shape (n, ny*nx); evaluated on request."""
-        _, cx, sy, _ = self._trig()
-        return ((self.ax[:, None] * cx)[:, None, :] * sy[:, :, None]).reshape(self.n, -1)
+        return self._nodal(self.tables.sy, self.tables.dx)
 
     @property
     def phi_y(self):
         """Nodal y-derivatives of the modes, shape (n, ny*nx); evaluated on request."""
-        sx, _, _, cy = self._trig()
-        return ((self.ay[:, None] * cy)[:, :, None] * sx[:, None, :]).reshape(self.n, -1)
+        return self._nodal(self.tables.dy, self.tables.sx)
 
     @cached_property
     def pair_slots(self):
@@ -585,11 +641,38 @@ class GalerkinBasis:
             np.sign(self.l[None, :] - self.l[:, None]),
         )
 
-    def scatter(self, coeffs):
-        """2n basis coefficients -> (2, ny, nx) sine-sine coefficient arrays."""
-        out = np.zeros((2, self.grid.ny * self.grid.nx))
-        out[:, self.slots] = np.reshape(coeffs, (2, self.n))
-        return out.reshape((2,) + self.grid.shape)
+    def _corner(self, coeffs):
+        """2n coefficients -> the (2, lmax, kmax) corner of sine space."""
+        c = np.zeros((2, self.lmax * self.kmax))
+        c[:, self.corner_index] = np.reshape(coeffs, (2, self.n))
+        return c.reshape(2, self.lmax, self.kmax)
+
+    def evaluate(self, coeffs, fine=False):
+        """(2, ny, nx) nodal values of the velocity with coefficients
+        `coeffs`, or its values on the 3/2 fine grid."""
+        t = self.tables
+        if fine:
+            return t.sy_fine.T @ (self._corner(coeffs) @ t.sx_fine)
+        return t.sy.T @ (self._corner(coeffs) @ t.sx)
+
+    def jacobian(self, coeffs):
+        """(u1x, u1y, u2x, u2y) of the velocity with coefficients `coeffs`."""
+        t, c = self.tables, self._corner(coeffs)
+        (u1x, u2x), (u1y, u2y) = t.sy.T @ (c @ t.dx), t.dy.T @ (c @ t.sx)
+        return u1x, u1y, u2x, u2y
+
+    def analyse(self, f, fx=None, fy=None):
+        """Nodal sums of f_i*phi + fx_i*d_x(phi) + fy_i*d_y(phi) for every
+        mode, per component i of the (2, ny, nx) stacks: the 2n quadratures
+        without the weight hx*hy (x block then y block)."""
+        t = self.tables
+        g = f @ t.sxt
+        if fx is not None:
+            g += fx @ t.dxt
+            c = t.sy @ g + t.dy @ (fy @ t.sxt)
+        else:
+            c = t.sy @ g
+        return c.reshape(2, -1)[:, self.corner_index].ravel()
 
     def mode_values(self, m, x, y):
         """Evaluate mode m at arbitrary coordinates (vanishes on the walls)."""
@@ -603,8 +686,8 @@ def project_velocity(v: VectorField, basis: GalerkinBasis) -> np.ndarray:
     """L2-project a vector field onto the basis; returns 2n coefficients."""
     if v.grid != basis.grid:
         raise GridMismatchError("vector field and basis live on different grids")
-    c = fwd2(np.stack([v.vx, v.vy]), (SIN, SIN))
-    return c.reshape(2, -1)[:, basis.slots].ravel()
+    sums = basis.analyse(np.stack([v.vx, v.vy]))
+    return (basis.grid.weight / basis.mode_norm2) * sums
 
 
 def galerkin_load(basis: GalerkinBasis, f, fx=None, fy=None) -> np.ndarray:
@@ -612,16 +695,9 @@ def galerkin_load(basis: GalerkinBasis, f, fx=None, fy=None) -> np.ndarray:
 
     f, fx, fy are nodal stacks (2, ny, nx), one integrand per velocity
     component i, fx and fy given together or not at all; returns the 2n
-    load (x block then y block).  d_x(phi) is a_k cos(a_k x) sin(b_l y), so
-    its integrals are the (sine, cosine) coefficients at slot (l-1, k)
-    scaled by a_k*norm^2, and likewise in y.
+    load (x block then y block).
     """
-    s, nx = basis.slots, basis.grid.nx
-    c = fwd2(f, (SIN, SIN)).reshape(2, -1)[:, s]
-    if fx is not None:
-        c += basis.ax * fwd2(fx, (SIN, COS)).reshape(2, -1)[:, s + 1]
-        c += basis.ay * fwd2(fy, (COS, SIN)).reshape(2, -1)[:, s + nx]
-    return (basis.mode_norm2 * c).ravel()
+    return basis.grid.weight * basis.analyse(f, fx, fy)
 
 
 def reconstruct(coeffs: np.ndarray, basis: GalerkinBasis) -> VectorField:
@@ -629,5 +705,5 @@ def reconstruct(coeffs: np.ndarray, basis: GalerkinBasis) -> VectorField:
     coeffs = np.array(coeffs, dtype=float)
     if coeffs.shape != (2 * basis.n,):
         raise BasisError(f"expected {2 * basis.n} coefficients, got {coeffs.shape}")
-    vx, vy = bwd2(basis.scatter(coeffs), (SIN, SIN))
+    vx, vy = basis.evaluate(coeffs)
     return VectorField(basis.grid, vx, vy, coeffs=coeffs, basis=basis)

@@ -42,8 +42,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-# unused here: bench/hooks.py binds solver.gmres to count Krylov matvecs
-from scipy.sparse.linalg import gmres  # noqa: F401
 
 from .errors import (
     CflError,
@@ -97,12 +95,25 @@ __all__ = [
     "run",
     "cfl_bound",
     "Terms",
+    "heating_parts",
     "state_terms",
     "artificial_energy",
     "artificial_energy_rate",
     "momentum_pressure",
     "rho_gradient_coupling",
 ]
+
+
+def __getattr__(name):
+    # nothing here calls gmres, but bench/hooks.py binds solver.gmres; it is
+    # imported on request, since scipy.sparse costs about 9 MB at import.
+    # This goes once the benchmark stops binding it.
+    if name == "gmres":
+        from scipy.sparse.linalg import gmres
+
+        return gmres
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 THETA_FLOOR = TOLERANCES["theta_floor"]
 # temperature Newton: scaled max-norm residual to reach, and the iteration cap
@@ -187,7 +198,10 @@ class State:
     def validate_positive(self):
         # written so that a NaN node fails the check
         for name in ("rho", "b", "theta"):
-            low = getattr(self, name).values.min()
+            values = getattr(self, name).values
+            low, high = values.min(), values.max()
+            if not -np.inf < low <= high < np.inf:
+                raise StepFailure(f"{name} is not finite (min {low:g}, max {high:g})")
             if not low > 0.0:
                 raise StepFailure(f"{name} lost positivity (min {low:g})")
 
@@ -351,18 +365,39 @@ def rho_gradient_coupling(grho: VectorField, grads_u, reg: RegParams):
     return reg.epsilon * np.stack([gx * u1x + gy * u1y, gx * u2x + gy * u2y])
 
 
+def heating_parts(rho, b, theta, grads_u, grad_rho, grad_b, reg: RegParams,
+                  p: EosParams):
+    """The explicit heating of the internal-energy equation and its parts:
+    (div_u, shear, gb2, art_heat, heating) with the shear heating S:grad u,
+    gb2 = |grad b|^2, the gradient heating art_heat and the sum heating =
+    S:grad u - p div u + eps |grad b|^2 + art_heat."""
+    G = reg.Gamma
+    u1x, u1y, u2x, u2y = grads_u
+    div_u = u1x + u2y
+    d, a12 = u1x - u2y, u1y + u2x
+    shear = p.mu(theta) * (d * d + a12 * a12)
+    gb2 = grad_b.vx * grad_b.vx + grad_b.vy * grad_b.vy
+    art_heat = reg.epsilon * reg.delta * (
+        (G * rho ** (G - 2.0) + 2.0) * (grad_rho.vx * grad_rho.vx
+                                        + grad_rho.vy * grad_rho.vy)
+        + (G * b ** (G - 2.0) + 2.0) * gb2
+    )
+    heating = (shear - eos_pressure(rho, theta, p) * div_u
+               + reg.epsilon * gb2 + art_heat)
+    return div_u, shear, gb2, art_heat, heating
+
+
 @dataclass
 class Terms:
     """Pointwise terms of the regularized system at one (rho, b, theta, u).
 
     Derivatives come from the spectral operators (`state_terms`) or, for a
     manufactured solution, analytically; grads_u is (u1x, u1y, u2x, u2y).
-    Construction forms, once for every consumer: `div_u`, the traceless
-    stress `stress` = (S11, S12) = mu(theta)(D, A12), the shear heating
-    `shear` = S:grad u, `gb2` = |grad b|^2, the gradient heating `art_heat`,
-    the `source` and the heating sum `heating` = S:grad u - p div u +
-    eps |grad b|^2 + art_heat; `sigma15` and `sigma` on first use.  A
-    `source` passed in must be heat_source(theta, reg).
+    Construction forms, once for every consumer, the `heating_parts`
+    (`div_u`, `shear`, `gb2`, `art_heat`, `heating`) and the `source`; the
+    traceless stress `stress` = (S11, S12) = mu(theta)(D, A12), `sigma15` and
+    `sigma` on first use.  A `source` passed in must be
+    heat_source(theta, reg).
     """
 
     rho: np.ndarray
@@ -377,24 +412,17 @@ class Terms:
     source: np.ndarray | None = None
 
     def __post_init__(self):
-        reg, G = self.reg, self.reg.Gamma
-        rho, b, th, gr, gb = self.rho, self.b, self.theta, self.grad_rho, self.grad_b
-        u1x, u1y, u2x, u2y = self.grads_u
-        self.div_u = u1x + u2y
-        mu, d, a12 = self.p.mu(th), u1x - u2y, u1y + u2x
-        self.stress = (mu * d, mu * a12)
-        self.shear = mu * (d * d + a12 * a12)
-        self.gb2 = gb.vx * gb.vx + gb.vy * gb.vy
-        self.art_heat = reg.epsilon * reg.delta * (
-            (G * rho ** (G - 2.0) + 2.0) * (gr.vx * gr.vx + gr.vy * gr.vy)
-            + (G * b ** (G - 2.0) + 2.0) * self.gb2
-        )
+        self.div_u, self.shear, self.gb2, self.art_heat, self.heating = (
+            heating_parts(self.rho, self.b, self.theta, self.grads_u,
+                          self.grad_rho, self.grad_b, self.reg, self.p))
         if self.source is None:
-            self.source = heat_source(th, reg)
-        self.heating = (
-            self.shear - eos_pressure(rho, th, self.p) * self.div_u
-            + reg.epsilon * self.gb2 + self.art_heat
-        )
+            self.source = heat_source(self.theta, self.reg)
+
+    @cached_property
+    def stress(self):
+        u1x, u1y, u2x, u2y = self.grads_u
+        mu = self.p.mu(self.theta)
+        return mu * (u1x - u2y), mu * (u1y + u2x)
 
     @cached_property
     def sigma15(self):
@@ -455,9 +483,9 @@ class VelocityWorkspace:
     `term`.
 
     It holds the state's fields and handed-on terms, never the state, so a
-    dropped state is freed at once.  A velocity from a basis has its
-    sine-sine coefficients scattered into place instead of transforming the
-    nodal field again.
+    dropped state is freed at once.  A velocity from a basis is evaluated on
+    the fine grid from its coefficients (`GalerkinBasis.evaluate`) instead
+    of transforming the nodal field again.
     """
 
     def __init__(self, rho: ScalarField, b: ScalarField, u: VectorField):
@@ -497,10 +525,8 @@ class VelocityWorkspace:
     def u_fine(self):
         u = self.u
         if u.coeffs is not None:
-            u_ss = u.basis.scatter(u.coeffs)
-        else:
-            u_ss = fwd2(np.stack([u.vx, u.vy]), (SIN, SIN))
-        return to_fine(u_ss, (SIN, SIN))
+            return u.basis.evaluate(u.coeffs, fine=True)
+        return to_fine(fwd2(np.stack([u.vx, u.vy]), (SIN, SIN)), (SIN, SIN))
 
     @cached_property
     def grads_u(self):
@@ -512,11 +538,18 @@ class VelocityWorkspace:
         return fwd2(np.stack([self.rho.values, self.b.values]), (COS, COS))
 
     @cached_property
+    def mass_flux(self):
+        """Sine-sine coefficients of the dealiased mass flux rho*u (x then
+        y), read by the rho advance and the advection tensor."""
+        return _flux_cc(self.scalar_cc[0], self)
+
+    @cached_property
     def scalar_adv_cc(self):
         grid = self.u.grid
-        return np.stack(
-            [_advective_divergence_cc(f_cc, self, grid) for f_cc in self.scalar_cc]
-        )
+        return np.stack([
+            _flux_divergence_cc(self.mass_flux, grid),
+            _advective_divergence_cc(self.scalar_cc[1], self, grid),
+        ])
 
     @cached_property
     def advection_tensor(self):
@@ -526,10 +559,7 @@ class VelocityWorkspace:
         Each fine-grid stack is dropped once read and the products are
         written into one array: this is the largest transient of a step.
         """
-        ru = from_fine(to_fine(self.scalar_cc[0], (COS, COS)) * self.u_fine,
-                       (SIN, SIN))
-        ru_fine = to_fine(ru, (SIN, SIN))
-        del ru
+        ru_fine = to_fine(self.mass_flux, (SIN, SIN))
         u1, u2 = self.u_fine
         prods = np.empty((3,) + u1.shape)
         np.multiply(ru_fine[0], u1, out=prods[0])
@@ -546,16 +576,26 @@ class VelocityWorkspace:
                          lambda: _mass_matrix(self.scalar_cc[0], self.u.basis))
 
 
-def _advective_divergence_cc(f_cc, uw: VelocityWorkspace, grid: Grid):
-    """Cosine-space projection of div(f*u) from coefficient inputs.
+def _flux_cc(f_cc, uw: VelocityWorkspace):
+    """Sine-sine coefficients of the flux f*u, a dealiased quadratic product,
+    from the cosine coefficients of f."""
+    return from_fine(to_fine(f_cc, (COS, COS)) * uw.u_fine, (SIN, SIN))
 
-    The flux components are dealiased quadratic products; their derivative
-    series contain no k = 0 cosine mode, so the (0,0) output is identically
-    zero and is pinned there to shed round-off (this is what makes the
-    advance exactly conservative).
+
+def _advective_divergence_cc(f_cc, uw: VelocityWorkspace, grid: Grid):
+    """Cosine-space projection of div(f*u) from coefficient inputs."""
+    return _flux_divergence_cc(_flux_cc(f_cc, uw), grid)
+
+
+def _flux_divergence_cc(flux, grid: Grid):
+    """Cosine coefficients of the divergence of a flux given by its
+    sine-sine coefficients.
+
+    The derivative series contain no k = 0 cosine mode, so the (0,0) output
+    is identically zero and is pinned there to shed round-off (this is what
+    makes the advance exactly conservative).
     """
-    f_fine = to_fine(f_cc, (COS, COS))
-    q1, q2 = from_fine(f_fine * uw.u_fine, (SIN, SIN))
+    q1, q2 = flux
     dq1, px = _deriv_coeffs(q1, 1, SIN, grid.lx)
     dq2, py = _deriv_coeffs(q2, 0, SIN, grid.ly)
     adv = fwd2(bwd2(dq1, (SIN, px)) + bwd2(dq2, (py, SIN)), (COS, COS))
@@ -748,9 +788,9 @@ def advance_temperature(
     rho_n = rho_new.values
 
     grad_b = gradient(b_new)
-    explicit = Terms(
-        rho_n, b_new.values, th_o, uw.grads_u, grad_rho, grad_b, None, reg, p,
-    ).heating
+    explicit = heating_parts(
+        rho_n, b_new.values, th_o, uw.grads_u, grad_rho, grad_b, reg, p
+    )[-1]
     if forcing_nodal is not None:
         explicit = explicit + forcing_nodal
 
@@ -906,16 +946,20 @@ def _momentum_load(uw: VelocityWorkspace, p_tot, grho, reg):
 
 # Galerkin dimensions with n*n >= _MATRIX_FREE_RATIO*nx*ny solve the momentum
 # system matrix-free.  Dense costs n^2 lookups plus an n^3 factorization, a
-# PCG iteration six transforms of stacked grid fields.  One advance_momentum
-# on a random state, dense / matrix-free, best of 5 in each of two runs, one
-# BLAS thread of a 2-core Xeon (PCG iterations in brackets):
-#   64^2:  n = 128  2.0-2.7 / 4.0-4.1 ms (9)    n = 192  3.8 / 4.0-4.4 ms (9)
-#          n = 256  5.9-8.7 / 4.0-5.9 ms (10)   n = 384  14-20 / 6.2 ms (10)
-#          n = 961  153 / 8.1-8.5 ms (12)
-#   128^2: n = 384  21-25 / 36-41 ms (9)        n = 512  34-42 / 29-42 ms (9)
-#          n = 768  98-100 / 45-47 ms (10)      n = 961  157-174 / 34-45 ms (10)
-# so on both grids the paths cross between n*n = 9 and 16 times nx*ny.
-_MATRIX_FREE_RATIO = 16
+# PCG iteration one evaluation, one Jacobian and one Galerkin load on the
+# velocity's mode corner (see GalerkinBasis).  One advance_momentum on a
+# random state, dense / matrix-free, best of 7 alternating calls on one or
+# two states, one BLAS thread of a 2-core Xeon (PCG iterations in brackets):
+#   64^2:  n = 112  1.15 / 1.47 ms (9)      n = 128  1.23-1.47 / 1.44-1.48 ms (9)
+#          n = 144  1.67-1.79 / 1.45 ms (9) n = 192  3.05 / 1.44 ms (9)
+#          n = 256  5.65 / 1.68 ms (10)
+#   128^2: n = 160  2.94 / 3.47 ms (8)      n = 192  3.52-3.74 / 3.45-3.47 ms (8)
+#          n = 224  4.97 / 3.83 ms (8)      n = 256  6.65-7.18 / 3.40-3.74 ms (8)
+#          n = 512  37 / 5.0 ms (9)
+# so the paths cross near n*n = 4 nx*ny on 64^2 and 2 nx*ny on 128^2.  The
+# ratio sits at the 64^2 crossing; on 128^2 it keeps the dense path up to
+# n = 255, up to 1.2 ms per advance slower there.
+_MATRIX_FREE_RATIO = 4
 
 
 def _matrix_free(basis: GalerkinBasis) -> bool:

@@ -122,3 +122,18 @@ def test_n_ladder_passes_its_gates_and_reference():
                          str(ROOT / "bench" / "reference.json"))
     assert out["gates"] and all(out["gates"].values()), out["gates"]
     assert out["mismatch"] is None, out["mismatch"]
+
+
+def test_import_leaves_scipy_sparse_out_and_gmres_resolvable():
+    # nothing in the package calls gmres, but the benchmark binds
+    # solver.gmres; importing scipy.sparse for it cost 8.5 MB of RSS
+    script = (
+        "import sys, mhdlab\n"
+        "assert not [m for m in sys.modules if m.startswith('scipy.sparse')]\n"
+        "from scipy.sparse.linalg import gmres\n"
+        "assert mhdlab.solver.gmres is gmres\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -78,8 +78,8 @@ class TestReport:
     def test_report_forms_each_term_once(self, monkeypatch):
         # sigma and the entropy production reuse the terms of the tendencies:
         # one bundle (shear and gradient heating), one gradient per field, one
-        # workspace with no CFL bound, and the advective divergences of rho, b
-        # and rho*e once each
+        # workspace with no CFL bound, and the advective divergences of b and
+        # rho*e once each (that of rho comes from the workspace's mass flux)
         from mhdlab import solver
 
         calls = {"gradient": 0, "velocity_gradient": 0, "__post_init__": 0,
@@ -95,7 +95,7 @@ class TestReport:
             monkeypatch.setattr(owner, name, counted)
         diag.report(smooth_state(Grid(16, 16), seed=1), REG, P)
         assert calls == {"gradient": 3, "velocity_gradient": 1, "__post_init__": 1,
-                         "__init__": 1, "cfl_bound": 0, "_advective_divergence_cc": 3}
+                         "__init__": 1, "cfl_bound": 0, "_advective_divergence_cc": 2}
 
     def test_csv_column_order(self, tmp_path):
         g = Grid(16, 16)

@@ -186,10 +186,10 @@ def momentum_state(n, seed):
 
 
 def test_crossover_depends_on_the_grid():
-    # n*n >= 16*nx*ny: n = 256 is matrix-free on 64^2 but dense on 128^2
-    assert [_matrix_free(GalerkinBasis(Grid(64, 64), n)) for n in (255, 256)] \
+    # n*n >= 4*nx*ny: n = 128 is matrix-free on 64^2 but dense on 128^2
+    assert [_matrix_free(GalerkinBasis(Grid(64, 64), n)) for n in (127, 128)] \
         == [False, True]
-    assert [_matrix_free(GalerkinBasis(Grid(128, 128), n)) for n in (256, 511, 512)] \
+    assert [_matrix_free(GalerkinBasis(Grid(128, 128), n)) for n in (128, 255, 256)] \
         == [False, False, True]
 
 

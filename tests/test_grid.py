@@ -17,6 +17,7 @@ from mhdlab.grid import (
     fine_shape,
     from_fine,
     fwd2,
+    galerkin_load,
     gradient,
     inner_product,
     integrate,
@@ -26,6 +27,7 @@ from mhdlab.grid import (
     to_fine,
     velocity_gradient,
 )
+from mhdlab.solver import VelocityWorkspace
 from mhdlab.tolerances import TOLERANCES
 
 
@@ -411,3 +413,158 @@ class TestBasis:
         )
         c = project_velocity(v, basis)
         assert np.abs(c).max() <= 1e-13
+
+
+# -- band-limited transforms of basis velocities ---------------------------------
+
+BAND_GRIDS = [(16, 16), (64, 64), (128, 128), (64, 128), (128, 64)]
+BAND_CASES = [
+    ((ny, nx), n)
+    for ny, nx in BAND_GRIDS
+    for n in (1, 4, 32, 256, (nx // 2 - 1) * (ny // 2 - 1))
+    if n <= (nx // 2 - 1) * (ny // 2 - 1)
+]
+
+
+def nodal_tables(basis, block):
+    """Rows `block` of the nodal tables phi, phi_x, phi_y, formed as the
+    basis forms them (a block at a time keeps the largest basis small)."""
+    t = basis.tables
+    k, l = basis.k[block] - 1, basis.l[block] - 1
+
+    def outer(ty, tx):
+        return (ty[l][:, :, None] * tx[k][:, None, :]).reshape(len(k), -1)
+
+    return outer(t.sy, t.sx), outer(t.sy, t.dx), outer(t.dy, t.sx)
+
+
+def table_oracle(basis, c, f, fx, fy):
+    """Nodal values and Jacobian of the velocity with coefficients c, and the
+    quadratures of f*phi + fx*d_x(phi) + fy*d_y(phi) and of f*phi alone,
+    as products with the nodal tables."""
+    n, w = basis.n, basis.grid.weight
+    cs = c.reshape(2, n)
+    nodes = basis.grid.nx * basis.grid.ny
+    vals, jac = np.zeros((2, nodes)), np.zeros((4, nodes))
+    load, load0 = np.zeros((2, n)), np.zeros((2, n))
+    flat = [a.reshape(2, -1) for a in (f, fx, fy)]
+    for start in range(0, n, 128):
+        block = slice(start, min(start + 128, n))
+        phi, phi_x, phi_y = nodal_tables(basis, block)
+        vals += cs[:, block] @ phi
+        # (u1x, u2x, u1y, u2y) reordered to (u1x, u1y, u2x, u2y)
+        jac += np.concatenate([cs[:, block] @ phi_x,
+                               cs[:, block] @ phi_y])[[0, 2, 1, 3]]
+        load0[:, block] = w * (flat[0] @ phi.T)
+        load[:, block] = load0[:, block] + w * (flat[1] @ phi_x.T + flat[2] @ phi_y.T)
+    shape = basis.grid.shape
+    return (vals.reshape((2,) + shape), jac.reshape((4,) + shape),
+            load.ravel(), load0.ravel())
+
+
+def rel_err(got, want):
+    return np.abs(np.asarray(got) - want).max() / np.abs(want).max()
+
+
+class TestBandLimited:
+    """Reconstruction, Jacobian, fine-grid values, Galerkin loads and
+    projection of basis velocities, on their mode corner, against products
+    with the nodal tables phi, phi_x, phi_y and against the full transforms."""
+
+    @pytest.mark.parametrize("shape, n", BAND_CASES,
+                             ids=[f"{s[1]}x{s[0]}-n{n}" for s, n in BAND_CASES])
+    def test_matches_the_nodal_tables(self, shape, n):
+        ny, nx = shape
+        g = Grid(nx, ny, 1.3, 0.9)
+        basis = GalerkinBasis(g, n)
+        rng = np.random.default_rng(n + nx)
+        c = rng.standard_normal(2 * n)
+        f, fx, fy = (rng.standard_normal((2,) + g.shape) for _ in range(3))
+        vals, jac, load, load0 = table_oracle(basis, c, f, fx, fy)
+
+        u = reconstruct(c, basis)
+        assert rel_err(np.stack([u.vx, u.vy]), vals) <= 1e-14
+        grads = velocity_gradient(u)
+        assert max(rel_err(d, want) for d, want in zip(grads, jac)) <= 1e-13
+        assert rel_err(galerkin_load(basis, f, fx, fy), load) <= 1e-14
+        assert rel_err(galerkin_load(basis, f), load0) <= 1e-14
+        proj = project_velocity(VectorField(g, *f), basis)
+        assert rel_err(proj, load0 / basis.mode_norm2) <= 1e-14
+        # the 3/2 fine grid against the full transforms of the nodal values
+        ws = VelocityWorkspace(None, None, u)
+        full = to_fine(fwd2(vals, (SIN, SIN)), (SIN, SIN))
+        assert rel_err(ws.u_fine, full) <= 1e-14
+
+    def test_nodal_tables_are_the_basis_tables(self):
+        basis = GalerkinBasis(Grid(16, 32, 1.3, 0.9), 40)
+        phi, phi_x, phi_y = nodal_tables(basis, slice(None))
+        assert np.array_equal(phi, basis.phi)
+        assert np.array_equal(phi_x, basis.phi_x)
+        assert np.array_equal(phi_y, basis.phi_y)
+
+    @pytest.mark.parametrize("shape", BAND_GRIDS)
+    def test_axis_tables(self, shape):
+        # the sines are the rows of the transform's own trigonometric table;
+        # every table is the analytic mode to round-off
+        ny, nx = shape
+        g = Grid(nx, ny, 1.3, 0.9)
+        basis = GalerkinBasis(g, (nx // 2 - 1) * (ny // 2 - 1))
+        t = basis.tables
+        assert (basis.kmax, basis.lmax) == (nx // 2 - 1, ny // 2 - 1)
+        assert np.array_equal(t.sx, grid_module._trig(nx, SIN)[:basis.kmax])
+        assert np.array_equal(t.sy, grid_module._trig(ny, SIN)[:basis.lmax])
+        assert np.array_equal(t.sxt, t.sx.T) and np.array_equal(t.dxt, t.dx.T)
+        for s, d, fine, m, length, nodes in (
+            (t.sx, t.dx, t.sx_fine, basis.kmax, g.lx, g.x),
+            (t.sy, t.dy, t.sy_fine, basis.lmax, g.ly, g.y),
+        ):
+            a = np.arange(1, m + 1)[:, None] * np.pi / length
+            m_fine = 3 * len(nodes) // 2
+            fine_nodes = (np.arange(m_fine) + 0.5) * length / m_fine
+            assert np.abs(s - np.sin(a * nodes)).max() <= 1e-13
+            assert np.abs(d - a * np.cos(a * nodes)).max() <= 1e-13 * a.max()
+            assert np.abs(fine - np.sin(a * fine_nodes)).max() <= 1e-13
+
+    def test_basis_velocity_gradient_is_analytic(self):
+        # a mode sum differentiated on its corner, against the analytic
+        # derivative: closer than the full transform of its nodal values
+        # (2.5e-14 here)
+        g, n = Grid(64, 64, 1.3, 0.9), 4
+        basis = GalerkinBasis(g, n)
+        c = np.random.default_rng(3).standard_normal(2 * n)
+        u = reconstruct(c, basis)
+        exact = np.zeros((4,) + g.shape)
+        for m, (k, l) in enumerate(basis.modes):
+            ax, ay = k * np.pi / g.lx, l * np.pi / g.ly
+            sx, cx = np.sin(ax * g.X), np.cos(ax * g.X)
+            sy, cy = np.sin(ay * g.Y), np.cos(ay * g.Y)
+            exact += np.stack([c[m] * ax * cx * sy, c[m] * ay * sx * cy,
+                               c[n + m] * ax * cx * sy, c[n + m] * ay * sx * cy])
+        band = max(rel_err(d, e) for d, e in zip(velocity_gradient(u), exact))
+        nodal = VectorField(g, u.vx, u.vy)
+        full = max(rel_err(d, e) for d, e in zip(velocity_gradient(nodal), exact))
+        assert band <= 2e-15
+        assert band < full
+
+    def test_matrix_free_product_takes_no_full_transform(self, monkeypatch):
+        from mhdlab import solver
+        from mhdlab.solver import _operator_load
+
+        g = Grid(64, 64, 1.3, 0.9)
+        basis = GalerkinBasis(g, 256)
+        rng = np.random.default_rng(5)
+        u = reconstruct(rng.standard_normal(512), basis)
+        rho, mu = 0.5 + rng.random(g.shape), 1e-3 * (1.0 + rng.random(g.shape))
+        want = _operator_load(u, rho, mu)
+        calls = []
+        for mod in (grid_module, solver):
+            for name in ("fwd2", "bwd2", "to_fine", "from_fine", "deriv_nodal"):
+                if hasattr(mod, name):
+                    def counted(*args, _orig=getattr(mod, name), _name=name, **kwargs):
+                        calls.append(_name)
+                        return _orig(*args, **kwargs)
+
+                    monkeypatch.setattr(mod, name, counted)
+        got = _operator_load(u, rho, mu)
+        assert calls == []
+        assert np.array_equal(got, want)

@@ -522,8 +522,9 @@ class TestStep:
 
     def test_step_evaluates_its_velocity_once(self, monkeypatch):
         # the state's one workspace carries the CFL bound, the Jacobian and
-        # the advective divergences of rho and b that the stages read; the
-        # third divergence is the energy advection.  The step forms grad
+        # the advective divergences of rho and b that the stages read; that
+        # of rho is formed from the workspace's mass flux, the other
+        # divergence is the energy advection.  The step forms grad
         # rho_new and grad b_new once each, and one conduction term per
         # Newton residual (two iterations here); handing its new-level terms
         # on forms no workspace for the new state
@@ -532,7 +533,7 @@ class TestStep:
         _, rep = step(st, RegParams(epsilon=1e-2, delta=1e-2, n=4), P, 2e-3)
         assert rep.newton_iterations == 2
         assert calls == {"cfl_bound": 1, "velocity_gradient": 1, "__init__": 1,
-                         "_advective_divergence_cc": 3, "_mass_matrix": 2,
+                         "_advective_divergence_cc": 2, "_mass_matrix": 2,
                          "gradient": 2, "_kirchhoff_laplacian": 3}
         assert rep.cfl_limit == cfl_bound(st.u)
         assert st.workspace is st.workspace
@@ -672,6 +673,14 @@ class TestPositivityGuard:
         with pytest.raises(StepFailure):
             st.validate_positive()
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["rho", "b", "theta"])
+    def test_state_validation_names_a_non_finite_field(self, name, value):
+        st = uniform_state(Grid(16, 16))
+        getattr(st, name).values[3, 3] = value
+        with pytest.raises(StepFailure, match=f"^{name} is not finite"):
+            st.validate_positive()
+
     def test_nan_temperature_is_not_converged(self):
         st = uniform_state(Grid(16, 16))
         st.theta.values[2, 5] = np.nan
@@ -738,7 +747,8 @@ class TestRun:
 
     def test_run_evaluates_each_state_once(self, monkeypatch):
         # 5 steps and 6 reports: the report on a state and the step from it
-        # share its workspace, M(rho) and the energy advection included; the
+        # share its workspace, M(rho), the mass flux (the advective
+        # divergence of rho) and the energy advection included; the
         # final state needs no CFL bound.  Each step forms M(rho_new), grad
         # rho_new, grad b_new and one conduction term per Newton residual
         # (10 iterations in all) and hands them to the report on its result,
@@ -751,7 +761,7 @@ class TestRun:
         assert len(traj.diagnostics) == 6
         assert sum(r.newton_iterations for r in traj.step_reports) == 10
         assert calls == {"__init__": 6, "cfl_bound": 5, "velocity_gradient": 6,
-                         "_advective_divergence_cc": 18, "_mass_matrix": 12,
+                         "_advective_divergence_cc": 12, "_mass_matrix": 12,
                          "gradient": 18, "_kirchhoff_laplacian": 16}
 
     def test_snapshot_stride(self):
