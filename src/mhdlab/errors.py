@@ -23,13 +23,16 @@ class CflError(MhdError, RuntimeError):
     Attributes
     ----------
     suggested_dt : largest admissible step for the offending velocity.
+    t : time of the state whose velocity the step violates.
     """
 
-    def __init__(self, dt, suggested_dt):
+    def __init__(self, dt, suggested_dt, t):
         self.dt = dt
         self.suggested_dt = suggested_dt
+        self.t = t
         super().__init__(
-            f"dt={dt:g} violates the advective CFL bound; use dt <= {suggested_dt:g}"
+            f"dt={dt:g} violates the advective CFL bound at t = {t:g}; "
+            f"use dt <= {suggested_dt:g}"
         )
 
 

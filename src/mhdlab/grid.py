@@ -657,8 +657,19 @@ class GalerkinBasis:
 
     def jacobian(self, coeffs):
         """(u1x, u1y, u2x, u2y) of the velocity with coefficients `coeffs`."""
-        t, c = self.tables, self._corner(coeffs)
-        (u1x, u2x), (u1y, u2y) = t.sy.T @ (c @ t.dx), t.dy.T @ (c @ t.sx)
+        c = self._corner(coeffs)
+        return self._jacobian(c, c @ self.tables.sx)
+
+    def evaluate_with_jacobian(self, coeffs):
+        """`evaluate` and `jacobian` of the same coefficients from one
+        corner and one C Sx; returns ((2, ny, nx) values, Jacobian)."""
+        c = self._corner(coeffs)
+        csx = c @ self.tables.sx
+        return self.tables.sy.T @ csx, self._jacobian(c, csx)
+
+    def _jacobian(self, c, csx):
+        t = self.tables
+        (u1x, u2x), (u1y, u2y) = t.sy.T @ (c @ t.dx), t.dy.T @ csx
         return u1x, u1y, u2x, u2y
 
     def analyse(self, f, fx=None, fy=None):

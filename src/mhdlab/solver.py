@@ -10,6 +10,12 @@ coefficients in the Kirchhoff variable), and the Galerkin momentum equation
 coupling explicit).  This mirrors the fix-velocity-then-solve-scalars
 structure of the underlying construction, in one pass per step.
 
+The temperature Newton solve starts from the quadratic extrapolation of
+theta through the state's level and the two before it (`State.theta_history`,
+which each step hands to the new state); one iteration then usually meets
+the tolerance, where a start from theta^n takes two.  The first two steps of
+a run, and a step whose extrapolation is not positive, start from theta^n.
+
 The Galerkin momentum system for the 2n coefficients (c_x, c_y) is solved
 as one n x n complex system in z = c_x + i*c_y.  Its viscous coupling block
 Q = A - A^T is antisymmetric, so M(rho) (x) I_2 + dt*V(theta) is the real
@@ -160,7 +166,12 @@ class State:
 
     `handed` holds the terms of this level that the step which produced the
     state formed, for a report on it to read (see `VelocityWorkspace.term`);
-    the step from the state empties it.
+    the step from the state empties it.  `theta_history` holds the
+    temperature of the two levels before this one, (t, theta array) pairs
+    newest first, which the temperature stage extrapolates its Newton start
+    from (see `advance_temperature`).  The step that produced the state
+    hands it on; a state built by hand, from a snapshot or by
+    `initial_state` has none.
     """
 
     t: float
@@ -170,6 +181,7 @@ class State:
     u: VectorField
     floor_violations: dict = field(default_factory=lambda: {"theta": 0})
     handed: dict = field(default_factory=dict, repr=False, compare=False)
+    theta_history: tuple = field(default=(), repr=False, compare=False)
 
     @property
     def grid(self) -> Grid:
@@ -185,7 +197,9 @@ class State:
 
     def copy(self):
         """Copies of the fields; the copy carries no evaluation and no
-        handed-on terms."""
+        handed-on terms, and the temperature history by reference (its
+        arrays are never written), so the step from it is the step from
+        this state."""
         return State(
             self.t,
             self.rho.copy(),
@@ -193,6 +207,7 @@ class State:
             self.theta.copy(),
             self.u.copy(),
             dict(self.floor_violations),
+            theta_history=self.theta_history,
         )
 
     def validate_positive(self):
@@ -264,6 +279,7 @@ class StepReport:
     dt: float
     newton_iterations: int
     newton_residual: float
+    newton_start_residual: float  # scaled residual of the Newton start
     theta_floor_hits: int
     cfl_limit: float
     source_rate: float  # integral of delta/theta^2 - eps*theta^5 at the new level
@@ -621,7 +637,7 @@ def advance_scalar(state: State, epsilon: float, dt: float, forcing_cc=None):
         raise StepFailure(f"velocity is not finite at t = {state.t:g} "
                           f"(CFL bound {uw.cfl_limit:g})")
     if dt > uw.cfl_limit:
-        raise CflError(dt, uw.cfl_limit)
+        raise CflError(dt, uw.cfl_limit, state.t)
     grid = state.grid
     if state.u.grid != grid or state.b.grid != grid:
         raise GridMismatchError("scalar and velocity grids differ")
@@ -745,10 +761,38 @@ class MomentumSolveInfo:
 class TemperatureSolveInfo:
     iterations: int
     residual: float
+    start_residual: float  # scaled max-norm residual of the Newton start
     floor_hits: int
     krylov_iterations: int  # PCG iterations, summed over the Newton loop
     line_search_backtracks: int
     terms: dict  # new-level terms to hand on, keyed as VelocityWorkspace.term
+
+
+def _newton_start(state: State, s: float):
+    """The temperature at time s extrapolated quadratically through the
+    state's level and the two of its `theta_history`; theta^n where the
+    step starts cold.
+
+    The extrapolation is written in divided differences,
+    theta^n + (s - t_n) D1 + (s - t_n)(s - t_n-1) D2 with the weights taken
+    from the stored times, so a steady theta maps to itself bitwise; with
+    equal steps it is 3 theta^n - 3 theta^n-1 + theta^n-2.  The step starts
+    cold, from a copy of theta^n, when the history holds fewer than two
+    levels, a stored time coincides with another, a stored array has
+    another shape than theta^n, or the prediction has a non-positive or
+    non-finite node.
+    """
+    th0, t0 = state.theta.values, state.t
+    if len(state.theta_history) >= 2:
+        (t1, th1), (t2, th2) = state.theta_history[:2]
+        if th1.shape == th2.shape == th0.shape and len({t0, t1, t2}) == 3:
+            d1 = (th0 - th1) / (t0 - t1)
+            d2 = (d1 - (th1 - th2) / (t1 - t2)) / (t0 - t2)
+            pred = th0 + (s - t0) * d1 + ((s - t0) * (s - t1)) * d2
+            # written so that a NaN node fails
+            if 0.0 < pred.min() <= pred.max() < np.inf:
+                return pred
+    return th0.copy()
 
 
 def advance_temperature(
@@ -776,6 +820,11 @@ def advance_temperature(
     clamped and counted rather than hidden.  Every failure of the inner
     solve raises NewtonError; a non-finite rho_new or b_new raises
     StepFailure before anything is formed from them.
+
+    Newton starts from the quadratic extrapolation of the state's
+    temperature history to t + dt (`_newton_start`), which one iteration
+    usually takes to NEWTON_TOL, or cold from the state's theta; `info`
+    reports the start's scaled residual next to the final one.
 
     `info.terms` holds the new-level terms to hand on: grad b_new, the heat
     source at the returned theta and, unless a floor clamp changed theta,
@@ -806,9 +855,9 @@ def advance_temperature(
         source = heat_source(theta, reg)
         return rho_e(rho_n, theta, p) - dt * lap - dt * source - w, lap, source
 
-    theta = th_o.copy()
+    theta = _newton_start(state, state.t + dt)
     res, lap, source = residual(theta)
-    res_norm = float(np.abs(res).max()) / scale
+    res_norm = start_norm = float(np.abs(res).max()) / scale
     iterations = krylov = backtracks_total = 0
 
     # the comparisons are written so that a NaN residual is never accepted
@@ -857,7 +906,8 @@ def advance_temperature(
         terms[("kirchhoff_laplacian", reg, p)] = (theta, lap)
     terms[("heat_source", reg)] = (theta, source)
     return ScalarField(grid, theta), TemperatureSolveInfo(
-        iterations, res_norm, floor_hits, krylov, backtracks_total, terms
+        iterations, res_norm, start_norm, floor_hits, krylov, backtracks_total,
+        terms,
     )
 
 
@@ -967,18 +1017,19 @@ def _matrix_free(basis: GalerkinBasis) -> bool:
     return basis.n * basis.n >= _MATRIX_FREE_RATIO * g.nx * g.ny
 
 
-def _operator_load(u: VectorField, rho, mu=None):
+def _operator_load(u: VectorField, rho, mu=None, grads_u=None):
     """(M(rho) + V(mu)) c for the coefficients c of u, never assembled.
 
     It is the Galerkin load of rho*u and, unless mu is None, of the
     traceless stress mu*(D, A12) of u: midpoint quadrature integrates the
     products of modes and weights exactly (see GalerkinBasis), so this is
     the product with `_mass_matrix` and `_viscous_matrix` to round-off.
+    grads_u is the Jacobian of u where the caller has it.
     """
     f = rho * np.stack([u.vx, u.vy])
     if mu is None:
         return galerkin_load(u.basis, f)
-    u1x, u1y, u2x, u2y = velocity_gradient(u)
+    u1x, u1y, u2x, u2y = velocity_gradient(u) if grads_u is None else grads_u
     s11, s12 = mu * (u1x - u2y), mu * (u1y + u2x)
     # a PCG product is the peak of a matrix-free step: drop each grid
     # stack once read
@@ -993,16 +1044,22 @@ def _complex_solve(basis: GalerkinBasis, rho, mu, rhs, what: str):
     by PCG in z = c_x + i*c_y, where the operator is Hermitian; returns
     (c, iterations).
 
-    Each product is one `_operator_load`.  The preconditioner is the
-    operator's symbol for uniform coefficients, norm^2*(mean rho +
-    mean mu*|k|^2), diagonal in the modes.  A failure raises StepFailure,
-    its message led by `what`.
+    Each product is one `_operator_load` of the velocity and Jacobian
+    evaluated from one mode corner.  The preconditioner is the operator's
+    symbol for uniform coefficients, norm^2*(mean rho + mean mu*|k|^2),
+    diagonal in the modes.  A failure raises StepFailure, its message led
+    by `what`.
     """
     n = basis.n
 
     def apply(z):
-        u = reconstruct(np.concatenate([z.real, z.imag]), basis)
-        load = _operator_load(u, rho, mu)
+        c = np.concatenate([z.real, z.imag])
+        if mu is None:
+            u, grads = reconstruct(c, basis), None
+        else:
+            (vx, vy), grads = basis.evaluate_with_jacobian(c)
+            u = VectorField(basis.grid, vx, vy, coeffs=c, basis=basis)
+        load = _operator_load(u, rho, mu, grads)
         return load[:n] + 1j * load[n:]
 
     def fail(reason):
@@ -1103,7 +1160,8 @@ def step(
     `state.workspace`, shared with a report on the same state.  The terms
     the stages form at the new level are handed to the new state for a
     report on it; those handed to `state` are released first, read or not,
-    since no stage reads them."""
+    since no stage reads them.  The new state's `theta_history` is this
+    state's theta and the newest level of its history."""
     state.handed.clear()
     f_scalar = f_e = f_u = None
     if forcing is not None:
@@ -1129,6 +1187,7 @@ def step(
         u_new,
         {"theta": state.floor_violations.get("theta", 0) + info.floor_hits},
         handed,
+        ((state.t, state.theta.values),) + state.theta_history[:1],
     )
     new_state.validate_positive()
 
@@ -1139,6 +1198,7 @@ def step(
         dt=dt,
         newton_iterations=info.iterations,
         newton_residual=info.residual,
+        newton_start_residual=info.start_residual,
         theta_floor_hits=info.floor_hits,
         cfl_limit=state.workspace.cfl_limit,
         source_rate=source_rate,
@@ -1204,7 +1264,7 @@ def tendencies(state: State, reg: RegParams, p: EosParams, forcing=None) -> Tend
     # d/dt (M c) = rhs - V c, so M c_dot = rhs - V c - dM/dt c with
     # dM/dt = M(rho_dot)
     if _matrix_free(basis):
-        rhs = rhs - _operator_load(state.u, rho_dot, p.mu(th))
+        rhs = rhs - _operator_load(state.u, rho_dot, p.mu(th), uw.grads_u)
         c_dot, _ = _complex_solve(basis, rho, None, rhs,
                                   f"momentum tendency mass solve at t = {state.t:g}")
     else:
@@ -1240,7 +1300,12 @@ def run(
     diagnostics_every: int = 1,
     basis: GalerkinBasis | None = None,
 ) -> Trajectory:
-    """Integrate to t_final, collecting strided snapshots and diagnostics."""
+    """Integrate to t_final, collecting strided snapshots and diagnostics.
+
+    The snapshots are copies without the temperature history: they are
+    records, and the history would keep two more theta arrays alive per
+    snapshot.  A step from one starts its Newton solve cold.
+    """
     grid = initial.rho0.grid
     if basis is None:
         basis = GalerkinBasis(grid, reg.n)
@@ -1261,7 +1326,9 @@ def run(
         state, rep = step(state, reg, p, schedule.dt, forcing=forcing)
         reports.append(rep)
         if (k + 1) % schedule.snapshot_stride == 0 or k + 1 == schedule.n_steps:
-            states.append(state.copy())
+            kept = state.copy()
+            kept.theta_history = ()
+            states.append(kept)
         if diag_fn is not None and (k + 1) % diagnostics_every == 0:
             diags.append(diag_fn(state, reg, p))
     return Trajectory(

@@ -381,6 +381,26 @@ class TestCli:
         assert code == 2
         assert "t_final" in capsys.readouterr().out
 
+    def test_run_names_the_time_of_a_cfl_failure_partway(self, tmp_path, capsys):
+        # dt passes the bound of the initial velocity (0.063), but the
+        # pressure drop along x speeds the flow up until a later state's
+        # bound falls below dt
+        cfg = tmp_path / "fast.ini"
+        cfg.write_text(
+            "[grid]\nnx = 16\nny = 16\n\n[eos]\nmu0 = 0.01\nmu1 = 0.01\n\n"
+            "[reg]\nepsilon = 0.01\ndelta = 0.01\nn = 4\n\n"
+            "[time]\nt_final = 0.5\ndt = 0.05\n\n"
+            "[initial]\nrho = 1 + 0.9*cos(pi*x)\n"
+            "ux = 0.5*sin(pi*x)*sin(pi*y)\n"
+        )
+        code = cli.main(["run", "--config", str(cfg),
+                         "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        fail = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("FAIL:")]
+        assert len(fail) == 1
+        assert "violates the advective CFL bound at t = 0.15;" in fail[0]
+
     def test_check_passes(self, capsys):
         code = cli.main(["check", "--grid", "16", "--samples", "100"])
         out = capsys.readouterr().out

@@ -242,6 +242,31 @@ def test_matrix_free_tendencies_match_assembled(monkeypatch):
     assert_rel_close(got, tendencies(st.copy(), reg, P).c_dot)
 
 
+def test_matrix_free_product_scatters_one_corner(monkeypatch):
+    # a PCG product evaluates the velocity and its Jacobian from one corner,
+    # and the matrix-free tendencies read the workspace's Jacobian instead
+    # of differentiating the state's velocity again
+    calls = {"_corner": 0, "velocity_gradient": 0}
+    for owner, name in ((GalerkinBasis, "_corner"), (solver, "velocity_gradient")):
+        def counted(*args, _orig=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    grid = Grid(64, 64, 1.3, 0.7)
+    basis = GalerkinBasis(grid, 256)
+    rng = np.random.default_rng(11)
+    rho, theta = positive_field(rng, grid, 0.5), positive_field(rng, grid, 0.3)
+    _, iterations = _complex_solve(basis, rho, 2.5e-3 * P.mu(theta),
+                                   rng.standard_normal(2 * basis.n), "test solve")
+    assert iterations > 0
+    assert calls == {"_corner": iterations, "velocity_gradient": 0}
+
+    tendencies(analytic_state(grid, 256), RegParams(epsilon=1e-2, delta=1e-2,
+                                                    n=256), P)
+    assert calls["velocity_gradient"] == 1
+
+
 @pytest.mark.parametrize("case", ["nan_theta", "nan_rho"])
 def test_matrix_free_momentum_failure_names_the_momentum_solve(case):
     # a non-finite new-level field is refused before the solve forms anything

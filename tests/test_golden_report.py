@@ -4,7 +4,12 @@
 steps) of the `smooth.ini` problem on a 32^2 grid with n = 4.  It was
 recorded before the pointwise physics was gathered into one layer and
 re-recorded when the temperature Newton direction moved to PCG in the
-Kirchhoff variable (which moved no column by more than 5.7e-13 relative).
+Kirchhoff variable (which moved no column by more than 5.7e-13 relative),
+and again when the temperature Newton solve started from the extrapolated
+theta history.  Both solves meet the Newton tolerance but stop at other
+residuals; the largest move was entropy_total, 6.0e-12 relative.  Against a
+solve to a 100 times tighter Newton tolerance the old values were off by up
+to 7.4e-12 relative and the new ones by up to 2.4e-12.
 Any drift in a constitutive or regularization term moves these values, also
 away from an equilibrium where the balance residuals are not zero by
 symmetry.

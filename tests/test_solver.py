@@ -1,11 +1,13 @@
 import gc
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
+from mhdlab.config import parse_config
 from mhdlab.errors import CflError, DomainError, NewtonError, StepFailure
 from mhdlab.grid import (
     COS, Grid, ScalarField, VectorField, GalerkinBasis, fwd2, gradient, integrate,
@@ -28,6 +30,7 @@ from mhdlab.solver import (
     _kirchhoff_operator,
     _cosine_dot,
     _newton_direction,
+    _newton_start,
     _pcg,
     _temperature_failure,
 )
@@ -579,6 +582,125 @@ def count_evaluations(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def spy_newton_start(monkeypatch):
+    """Record, per temperature solve from here on, whether Newton started
+    cold, from the state's own theta."""
+    from mhdlab import solver
+
+    cold = []
+
+    def spied(state, s, _orig=solver._newton_start):
+        start = _orig(state, s)
+        cold.append(np.array_equal(start, state.theta.values))
+        return start
+
+    monkeypatch.setattr(solver, "_newton_start", spied)
+    return cold
+
+
+class TestNewtonStart:
+    """The temperature Newton start: the quadratic extrapolation of the
+    state's theta history to the new time, or theta^n where a step starts
+    cold."""
+
+    reg = RegParams(epsilon=1e-2, delta=1e-2, n=4)
+
+    def test_first_two_steps_of_a_run_start_cold(self, monkeypatch):
+        cold = spy_newton_start(monkeypatch)
+        init, basis = smooth_initial(Grid(16, 16))
+        traj = run(init, self.reg, P, Schedule(t_final=1e-2, dt=2.5e-3),
+                   diagnostics_every=0, basis=basis)
+        assert cold == [True, True, False, False]
+        # the stored snapshots are records and keep no history
+        assert [s.theta_history for s in traj.states] == [()] * 5
+
+    @pytest.mark.parametrize("case", ["non_positive", "non_finite", "same_time",
+                                      "other_shape", "one_level"])
+    def test_cold_start_cases(self, case):
+        # with equal steps the prediction is 3 theta - 3 theta1 + theta2
+        st = initial_state(*smooth_initial(Grid(16, 16)))
+        th = st.theta.values
+        st.t = 0.2
+        st.theta_history = {
+            "non_positive": ((0.1, 2.0 * th), (0.0, 2.0 * th)),  # -theta
+            "non_finite": ((0.1, th), (0.0, np.full(th.shape, np.inf))),
+            "same_time": ((0.2, 0.9 * th), (0.0, 0.8 * th)),
+            "other_shape": ((0.1, np.ones((8, 8))), (0.0, np.ones((8, 8)))),
+            "one_level": ((0.1, 0.9 * th),),
+        }[case]
+        start = _newton_start(st, 0.3)
+        assert np.array_equal(start, th) and start is not th
+        bare = State(st.t, st.rho, st.b, st.theta, st.u)
+        theta, info = frozen_temperature(st, self.reg, 0.1)
+        want, want_info = frozen_temperature(bare, self.reg, 0.1)
+        assert np.array_equal(theta.values, want.values)
+        assert info.start_residual == want_info.start_residual > 0.0
+
+    def test_extrapolation_is_exact_for_quadratics_and_constants(self):
+        g = Grid(16, 16)
+        rng = np.random.default_rng(3)
+        a, b, c = (2.0 + rng.random(g.shape), rng.standard_normal(g.shape),
+                   rng.standard_normal(g.shape))
+
+        def quadratic(t):
+            return a + b * t + c * t * t
+
+        st = initial_state(*smooth_initial(g))
+        st.t, st.theta = 0.31, ScalarField(g, quadratic(0.31))
+        st.theta_history = ((0.2, quadratic(0.2)), (0.17, quadratic(0.17)))
+        assert np.abs(_newton_start(st, 0.4) / quadratic(0.4) - 1.0).max() <= 1e-13
+
+        st.theta = ScalarField(g, a)
+        st.theta_history = ((0.2, a.copy()), (0.17, a.copy()))
+        assert np.array_equal(_newton_start(st, 0.4), a)
+
+    def test_history_holds_the_clamped_theta(self, monkeypatch):
+        # theta spans [0.95, 1.05]: a floor at 1 clamps about half the nodes
+        from mhdlab import solver
+
+        monkeypatch.setattr(solver, "THETA_FLOOR", 1.0)
+        st = initial_state(*smooth_initial(Grid(16, 16)))
+        new, rep = step(st, self.reg, P, 1e-3)
+        assert rep.theta_floor_hits > 0
+        newer, _ = step(new, self.reg, P, 1e-3)
+        (t1, th1), (t0, th0) = newer.theta_history
+        assert (t1, t0) == (new.t, st.t)
+        assert th1 is new.theta.values and th1.min() == 1.0
+        assert th0 is st.theta.values
+
+    def test_step_from_a_copy_is_bitwise_the_step(self, monkeypatch):
+        st = initial_state(*smooth_initial(Grid(16, 16)))
+        for _ in range(3):
+            st, _ = step(st, self.reg, P, 2.5e-3)
+        assert [t for t, _ in st.theta_history] == [0.005, 0.0025]
+        cold = spy_newton_start(monkeypatch)
+        got, got_rep = step(st.copy(), self.reg, P, 2.5e-3)
+        want, want_rep = step(st, self.reg, P, 2.5e-3)
+        assert cold == [False, False]
+        assert got_rep == want_rep
+        for name in ("rho", "b", "theta"):
+            assert np.array_equal(getattr(got, name).values,
+                                  getattr(want, name).values)
+        assert np.array_equal(got.u.coeffs, want.u.coeffs)
+
+    def test_one_newton_iteration_per_step_after_the_transient(self):
+        # smooth.ini on 32^2, 40 steps: from about step 23 on the start's
+        # residual is below the reach of one quadratic Newton iteration
+        text = (Path(__file__).parents[1] / "configs" / "smooth.ini").read_text()
+        for old, new in (("nx = 64", "nx = 32"), ("ny = 64", "ny = 32"),
+                         ("t_final = 0.5", "t_final = 0.1")):
+            text = text.replace(old, new)
+        cfg = parse_config(text)
+        assert cfg.schedule.dt == 2.5e-3
+        initial = regularize_initial_data(cfg.build_initial_data(), cfg.reg)
+        traj = run(initial, cfg.reg, cfg.eos, cfg.schedule, diagnostics_every=0)
+        iterations = [r.newton_iterations for r in traj.step_reports]
+        assert len(iterations) == 40
+        assert iterations[-10:] == [1] * 10
+        assert all(r.newton_start_residual > r.newton_residual
+                   for r in traj.step_reports)
 
 
 class TestRoughDataPipeline:
