@@ -9,8 +9,8 @@ walls, used for density, magnetic field and temperature) and the sine family
 sin(m pi x/lx) (vanishing at the walls, used for velocity) are discretely
 orthogonal under the plain nodal quadrature.  Midpoint quadrature integrates
 any trigonometric polynomial with fewer than 2*nx modes exactly, so products
-of two resolved fields are integrated without error and quadratic dealiasing
-by zero-padding to 3N/2 recovers exact L2 projections of products.
+of two resolved fields are integrated without error, and a product formed
+on a zero-padded fine grid projects back exactly (see `fine_length`).
 
 Nodal arrays are shaped (ny, nx): axis 0 is y, axis 1 is x.  Parity tags
 follow the same axis order, e.g. ("c", "s") means even (cosine) in y and odd
@@ -21,20 +21,31 @@ call.
 
 Each axis takes one of two transform paths, chosen by its length alone, so
 a 128x64 grid takes one path in y and the other in x.  Up to 96 nodes (the
-16^2 to 64^2 grids and their 3/2 fine grids of 24, 48 and 96) an axis is one
+16^2 to 64^2 grids and the fine grids that dealias them) an axis is one
 product with a cached dense matrix: at those lengths a scipy.fft call costs
 mostly dispatch, and a chain of axis operators folds into one matrix (the
 derivative, the zero-pad-then-evaluate of `to_fine`, the analyse-then-
 truncate of `from_fine`).  From 128 nodes on, the O(n^2) work per line
 loses to pocketfft, which serves those axes.  Both paths map a constant
-exactly onto the first cosine slot.
+exactly onto the first cosine slot.  Two chains are one cached matrix per
+axis at every length, since up to 256 nodes the matrix beats the pocketfft
+passes it replaces: the sine-to-cosine change of a flux derivative
+(`sine_to_cosine`) and the restriction of fine-grid values to the coarse
+nodes (`restrict_nodal`).
 
 A velocity from the Galerkin basis fills only the (lmax, kmax) corner of
 sine space, kmax and lmax its largest mode indices.  Its transforms are
-band-limited: evaluation on the grid and on the 3/2 fine grid, the Jacobian,
+band-limited: evaluation on the grid and on the fine grid, the Jacobian,
 the Galerkin load and the projection are small matrix products with the
 basis's per-axis mode tables (see `GalerkinBasis`), never full transforms.
 A velocity without coefficients takes the full transforms.
+
+Every product the scheme dealiases has one such velocity as a factor, so
+its fine grid is sized from the velocity's band (`fine_length`), not by
+the 3/2 rule for two full-band factors: with a basis of 4 modes 128^2
+dealiases on 135^2 and 64^2 on 72^2, with the full sine space on 160^2 and
+80^2.  A velocity without a basis keeps the 3/2 grid, the default of
+`to_fine` and `from_fine`.
 """
 
 from __future__ import annotations
@@ -44,7 +55,7 @@ from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import dct, dst, idct, idst
+from scipy.fft import dct, dst, idct, idst, next_fast_len
 
 from .errors import BasisError, GridMismatchError
 
@@ -211,7 +222,15 @@ class VectorField:
 # Xeon: 12-21 / 6-11 us as matrix products against 21-57 / 22-34 us through
 # scipy.fft at 16-48 nodes per axis, 69 / 54 against 78 / 82 us at 96, but
 # 184 / 155 against 147 / 143 us at 128 and 906 / 539 against 292 / 325 us
-# at 192.
+# at 192.  So the 16^2 to 64^2 grids and their fine grids (up to 96 nodes
+# under the 3/2 rule, 72 to 80 when sized from a velocity's band) take the
+# matrices.  The fused sine-to-cosine change and restriction take them at
+# every length: on the same host, per flux divergence at 32 / 64 / 128 / 256
+# nodes 8 / 27 / 213 / 1570 us against 51 / 105 / 750 / 3200 us for the
+# bwd2-then-fwd2 chain, and per restriction of three fields from 36 / 72 /
+# 135 / 270 fine nodes 12 / 83 / 1100 / 5100 us against 67 / 242 / 1890 /
+# 6700 us.  From 540 fine nodes on (512^2) the restriction loses, 37
+# against 26 ms.
 _DENSE_MAX = 96
 
 
@@ -262,8 +281,10 @@ def _trig(n, parity):
     return (np.cos if parity == COS else np.sin)(_phase(k, n))
 
 
-def _build(kind, n, parity):
-    """Dense matrix (output by input) of one axis operator on n inputs."""
+def _build(kind, n, parity, m=None):
+    """Dense matrix (output by input) of one axis operator on n inputs; m is
+    the output length of `to_fine` (3n/2 by default), `from_fine` (2n/3 by
+    default) and `restrict`."""
     if kind == "fwd":
         mat = (2.0 / n) * _trig(n, parity)
         if parity == COS:
@@ -279,40 +300,46 @@ def _build(kind, n, parity):
     if kind == "deriv":  # on an axis of length pi (wavenumbers k, to an ulp)
         dc, flipped = _deriv_coeffs(_build("fwd", n, parity), 0, parity, np.pi)
         return _build("bwd", n, flipped) @ dc
-    if kind == "to_fine":  # zero-pad n slots to 3n/2, then evaluate
-        return _truncate_axis(_build("bwd", 3 * n // 2, parity), 1, parity, n)
-    # from_fine: analyse n fine nodes, then keep the first 2n/3 slots
-    return _truncate_axis(_build("fwd", n, parity), 0, parity, 2 * n // 3)
+    if kind == "s2c":  # sine slots -> cosine slots of the same nodal values
+        return _build("fwd", n, COS) @ _build("bwd", n, SIN)
+    if kind == "to_fine":  # zero-pad n slots to m, then evaluate
+        return _truncate_axis(_build("bwd", m or 3 * n // 2, parity), 1, parity, n)
+    if kind == "restrict":  # from_fine onto m slots, then evaluate
+        return _build("bwd", m, parity) @ _build("from_fine", n, parity, m)
+    # from_fine: analyse n fine nodes, then keep the first m slots
+    return _truncate_axis(_build("fwd", n, parity), 0, parity, m or 2 * n // 3)
 
 
 @cache
-def _matrix(kind, n, parity):
+def _matrix(kind, n, parity, m=None):
     """The dense matrix M of a one-axis operator on an input axis of n nodes
-    or slots, stored read-only as a C-contiguous M.T.
+    or slots (and m outputs, where the kind takes them), stored read-only as
+    a C-contiguous M.T.
 
     Along the last axis `v @ M.T` reads it as stored, along the others
     `M @ v` reads its transposed view; either way BLAS gets no transposed
     right operand, which is up to 1.7x faster than `v @ M.T` on a stored M.
-    Keyed by kind, length and parity only: the derivative is built for an
+    Keyed by kind, lengths and parity only: the derivative is built for an
     axis of length pi and scaled by `deriv_nodal`, so the cache stays bounded
     whatever the grid's lx and ly.
     """
-    mt = np.ascontiguousarray(_build(kind, n, parity).T)
+    mt = np.ascontiguousarray(_build(kind, n, parity, m).T)
     mt.flags.writeable = False
     return mt
 
 
-def _dense(kind, values, axis, parity):
+def _dense(kind, values, axis, parity, m=None):
     """Apply a cached matrix along one axis of an array or a stack.
 
     Cosine analysis maps a constant exactly onto slot 0, as pocketfft does
     (a Neumann Laplacian of a constant is 0.0, not round-off): rows past
     slot 0, and the derivative, annihilate constants, so the product acts on
-    v - v0, v0 the first node along the axis, and v0 goes back into slot 0.
+    v - v0, v0 the first node along the axis, and v0 goes back into slot 0,
+    or onto every node for the nodal output of `restrict`.
     """
     v = np.asarray(values, dtype=float)
-    mt = _matrix(kind, v.shape[axis], parity)
-    shift = parity == COS and kind in ("fwd", "deriv", "from_fine")
+    mt = _matrix(kind, v.shape[axis], parity, m)
+    shift = parity == COS and kind in ("fwd", "deriv", "from_fine", "restrict")
     if shift:
         first = _sl(v.ndim, axis, slice(0, 1))
         v0 = v[first]
@@ -321,7 +348,9 @@ def _dense(kind, values, axis, parity):
         out = v @ mt
     else:
         out = (mt.T @ v.swapaxes(axis, -2)).swapaxes(axis, -2)
-    if shift and kind != "deriv":
+    if shift and kind == "restrict":
+        out += v0
+    elif shift and kind != "deriv":
         out[first] += v0
     return out
 
@@ -401,50 +430,63 @@ def _truncate_axis(c, axis, parity, n):
     return out
 
 
-def _mul_parity(pa, pb):
-    return COS if pa == pb else SIN
+def fine_length(n, kmax):
+    """Nodes of a fine axis on which the product of a field of n slots with
+    a sine series of modes up to kmax projects back onto the n slots
+    exactly.
+
+    The product holds modes up to n - 1 + kmax, and on m midpoint nodes a
+    mode K >= m reads as mode 2m - K (up to sign), which stays outside the
+    n kept slots while m >= n + kmax/2 - 1/2, that is m >= n + kmax//2.
+    Rounded up to a length pocketfft serves fast.  A basis has
+    kmax <= n/2 - 1, so m is at most 5n/4 (a fast length for n a power of
+    two), short of the 3/2 rule's 3n/2 for two full-band factors.
+    """
+    return next_fast_len(n + kmax // 2, real=True)
 
 
-def fine_shape(shape):
-    """Quadratic-dealiasing (3/2 rule) grid size for a coarse shape."""
-    return (3 * shape[0] // 2, 3 * shape[1] // 2)
-
-
-def _to_fine1(coeffs, axis, parity):
-    m = 3 * coeffs.shape[axis] // 2
+def _to_fine1(coeffs, axis, parity, m):
     if m <= _DENSE_MAX:
-        return _dense("to_fine", coeffs, axis, parity)
+        return _dense("to_fine", coeffs, axis, parity, m)
     return _fft_bwd1(_pad_axis(coeffs, axis, parity, m), axis, parity, overwrite=True)
 
 
-def _from_fine1(fine_values, axis, parity):
-    m = fine_values.shape[axis]
-    if m <= _DENSE_MAX:
-        return _dense("from_fine", fine_values, axis, parity)
-    return _truncate_axis(_fft_fwd1(fine_values, axis, parity), axis, parity, 2 * m // 3)
+def _from_fine1(fine_values, axis, parity, n):
+    if fine_values.shape[axis] <= _DENSE_MAX:
+        return _dense("from_fine", fine_values, axis, parity, n)
+    return _truncate_axis(_fft_fwd1(fine_values, axis, parity), axis, parity, n)
 
 
-def to_fine(coeffs, parity):
-    """Evaluate a coefficient-space field on the 3/2 zero-padded nodal grid."""
-    return _to_fine1(_to_fine1(coeffs, -1, parity[1]), -2, parity[0])
+def to_fine(coeffs, parity, shape=None):
+    """Evaluate a coefficient-space field on the zero-padded nodal grid of
+    `shape` (ny, nx), by default the 3/2 rule's."""
+    ny, nx = coeffs.shape[-2:]
+    my, mx = shape or (3 * ny // 2, 3 * nx // 2)
+    return _to_fine1(_to_fine1(coeffs, -1, parity[1], mx), -2, parity[0], my)
 
 
-def from_fine(fine_values, parity):
-    """Project fine-grid nodal values back onto the coarse coefficient slots
-    (two thirds of the fine ones per axis, as `fine_shape` sizes them)."""
-    return _from_fine1(_from_fine1(fine_values, -1, parity[1]), -2, parity[0])
+def from_fine(fine_values, parity, shape=None):
+    """Project fine-grid nodal values back onto the coefficient slots of the
+    coarse `shape` (ny, nx), by default two thirds of the fine ones per
+    axis."""
+    my, mx = fine_values.shape[-2:]
+    ny, nx = shape or (2 * my // 3, 2 * mx // 3)
+    return _from_fine1(_from_fine1(fine_values, -1, parity[1], nx), -2, parity[0], ny)
 
 
-def dealiased_product(ca, pa, cb, pb):
-    """Exact L2 projection of the product of two coefficient-space fields.
+def restrict_nodal(fine_values, shape):
+    """Nodal values on the coarse `shape` of the cosine-cosine projection of
+    fine-grid nodal values, bwd2(from_fine(v, (COS, COS), shape)) with one
+    matrix per axis."""
+    ny, nx = shape
+    return _dense("restrict", _dense("restrict", fine_values, -1, COS, nx), -2, COS, ny)
 
-    Inputs are 2D coefficient arrays with per-axis parities; the product is
-    formed nodally on a 3/2 zero-padded grid and truncated back, following
-    the usual quadratic dealiasing rule.  Returns (coeffs, parity).
-    """
-    pp = (_mul_parity(pa[0], pb[0]), _mul_parity(pa[1], pb[1]))
-    prod = to_fine(ca, pa) * to_fine(cb, pb)
-    return from_fine(prod, pp), pp
+
+def sine_to_cosine(coeffs, axis):
+    """Cosine coefficients along `axis` of the nodal values that sine
+    coefficients describe there, fwd(COS) of bwd(SIN) as one matrix; the
+    other axis is left as it is."""
+    return _dense("s2c", coeffs, axis, SIN)
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +563,10 @@ class ModeTables(NamedTuple):
     """Per-axis tables of the basis modes; k <= kmax in x, l <= lmax in y.
 
     Rows are modes, columns nodes: sine values on the grid (`sx`, `sy`) and
-    on its 3/2 fine grid (`sx_fine`, `sy_fine`), and derivative values
-    (k pi/lx) cos(k pi x/lx) (`dx`, `dy`).  The x tables also come
+    on the fine grid that dealiases products with the basis velocities
+    (`sx_fine`, `sy_fine`, on fine_length(nx, kmax) and fine_length(ny,
+    lmax) nodes), and derivative values (k pi/lx) cos(k pi x/lx) (`dx`,
+    `dy`).  The x tables also come
     transposed (`sxt`, `dxt`), since they are the right operand of a matrix
     product in both directions.
     """
@@ -543,7 +587,7 @@ def _axis_tables(kmax, n, length):
     k = np.arange(1, kmax + 1)
     phase = _phase(k, n)
     deriv = (k * np.pi / length)[:, None] * np.cos(phase)
-    return np.sin(phase), deriv, np.sin(_phase(k, 3 * n // 2))
+    return np.sin(phase), deriv, np.sin(_phase(k, fine_length(n, kmax)))
 
 
 class GalerkinBasis:
@@ -560,9 +604,9 @@ class GalerkinBasis:
     small matrix products with per-axis tables (`tables`, a few kB, built
     on first use): values on the grid are Sy^T C Sx for the corner C of
     the coefficients, the Jacobian Sy^T C Dx and Dy^T C Sx, values on the
-    3/2 fine grid the same with the fine tables, and the quadratures of
-    f phi + fx d_x(phi) + fy d_y(phi) are Sy (f Sx^T + fx Dx^T) + Dy fy Sx^T,
-    gathered at the modes.  The (n, ny*nx) nodal tables `phi`, `phi_x`,
+    band-sized fine grid the same with the fine tables, and the quadratures
+    of f phi + fx d_x(phi) + fy d_y(phi) are Sy (f Sx^T + fx Dx^T) +
+    Dy fy Sx^T, gathered at the modes.  The (n, ny*nx) nodal tables `phi`, `phi_x`,
     `phi_y` are formed only on request.
 
     Products of two modes are four cosine (or sine) modes of index |k-k'| or
@@ -649,7 +693,7 @@ class GalerkinBasis:
 
     def evaluate(self, coeffs, fine=False):
         """(2, ny, nx) nodal values of the velocity with coefficients
-        `coeffs`, or its values on the 3/2 fine grid."""
+        `coeffs`, or its values on the fine grid of the mode tables."""
         t = self.tables
         if fine:
             return t.sy_fine.T @ (self._corner(coeffs) @ t.sx_fine)

@@ -72,6 +72,8 @@ from .grid import (
     laplacian_neumann,
     project_velocity,
     reconstruct,
+    restrict_nodal,
+    sine_to_cosine,
     to_fine,
     velocity_gradient,
 )
@@ -361,7 +363,8 @@ def artificial_energy_rate(rho, b, rho_dot, b_dot, reg: RegParams):
 
 def heat_source(theta, reg: RegParams):
     """Internal-energy source delta/theta^2 - eps*theta^5."""
-    return reg.delta / theta**2 - reg.epsilon * theta**5
+    th2 = theta * theta
+    return reg.delta / th2 - reg.epsilon * (th2 * th2 * theta)
 
 
 def momentum_pressure(rho, b, theta, reg: RegParams, p: EosParams):
@@ -490,7 +493,7 @@ def cfl_bound(u: VectorField) -> float:
 
 class VelocityWorkspace:
     """A state's one evaluation, each part formed on first use: the CFL bound
-    `cfl_limit`, the velocity on the 3/2 fine grid `u_fine` (x then y), its
+    `cfl_limit`, the velocity on the fine grid `u_fine` (x then y), its
     Jacobian `grads_u`, the cosine coefficients of (rho, b) `scalar_cc`,
     their advective divergences `scalar_adv_cc`, the `advection_tensor`,
     below the matrix-free crossover the Galerkin `mass` matrix M(rho) in
@@ -502,6 +505,11 @@ class VelocityWorkspace:
     dropped state is freed at once.  A velocity from a basis is evaluated on
     the fine grid from its coefficients (`GalerkinBasis.evaluate`) instead
     of transforming the nodal field again.
+
+    Every dealiased product of a step has this velocity as one factor, so
+    the fine grid is the one `u_fine` lives on: sized from the band of a
+    basis velocity (see `grid.fine_length`), by the 3/2 rule for a velocity
+    without a basis, whose modes may fill the grid.
     """
 
     def __init__(self, rho: ScalarField, b: ScalarField, u: VectorField):
@@ -569,20 +577,20 @@ class VelocityWorkspace:
 
     @cached_property
     def advection_tensor(self):
-        """Nodal rho*u_i*u_j (stacked t11, t12, t22) with pairwise
-        3/2-dealiased products.
+        """Nodal rho*u_i*u_j (stacked t11, t12, t22) with pairwise dealiased
+        products of the mass flux and the velocity.
 
         Each fine-grid stack is dropped once read and the products are
         written into one array: this is the largest transient of a step.
         """
-        ru_fine = to_fine(self.mass_flux, (SIN, SIN))
         u1, u2 = self.u_fine
+        ru_fine = to_fine(self.mass_flux, (SIN, SIN), u1.shape)
         prods = np.empty((3,) + u1.shape)
         np.multiply(ru_fine[0], u1, out=prods[0])
         np.multiply(ru_fine[0], u2, out=prods[1])
         np.multiply(ru_fine[1], u2, out=prods[2])
         del ru_fine
-        return bwd2(from_fine(prods, (COS, COS)), (COS, COS))
+        return restrict_nodal(prods, self.u.grid.shape)
 
     @cached_property
     def mass(self):
@@ -595,7 +603,9 @@ class VelocityWorkspace:
 def _flux_cc(f_cc, uw: VelocityWorkspace):
     """Sine-sine coefficients of the flux f*u, a dealiased quadratic product,
     from the cosine coefficients of f."""
-    return from_fine(to_fine(f_cc, (COS, COS)) * uw.u_fine, (SIN, SIN))
+    u_fine = uw.u_fine
+    f_fine = to_fine(f_cc, (COS, COS), u_fine.shape[-2:])
+    return from_fine(f_fine * u_fine, (SIN, SIN), f_cc.shape[-2:])
 
 
 def _advective_divergence_cc(f_cc, uw: VelocityWorkspace, grid: Grid):
@@ -607,14 +617,16 @@ def _flux_divergence_cc(flux, grid: Grid):
     """Cosine coefficients of the divergence of a flux given by its
     sine-sine coefficients.
 
-    The derivative series contain no k = 0 cosine mode, so the (0,0) output
-    is identically zero and is pinned there to shed round-off (this is what
+    d_x q1 is a cosine series in x and a sine series in y, d_y q2 the other
+    way round, so each changes its sine axis to cosine (`sine_to_cosine`);
+    along its cosine axis the nodal round trip is the identity.  The
+    derivative series contain no k = 0 cosine mode, so the (0,0) output is
+    identically zero and is pinned there to shed round-off (this is what
     makes the advance exactly conservative).
     """
     q1, q2 = flux
-    dq1, px = _deriv_coeffs(q1, 1, SIN, grid.lx)
-    dq2, py = _deriv_coeffs(q2, 0, SIN, grid.ly)
-    adv = fwd2(bwd2(dq1, (SIN, px)) + bwd2(dq2, (py, SIN)), (COS, COS))
+    adv = sine_to_cosine(_deriv_coeffs(q1, 1, SIN, grid.lx)[0], 0)
+    adv += sine_to_cosine(_deriv_coeffs(q2, 0, SIN, grid.ly)[0], 1)
     adv[0, 0] = 0.0
     return adv
 
@@ -863,8 +875,9 @@ def advance_temperature(
     # the comparisons are written so that a NaN residual is never accepted
     while np.isfinite(res_norm) and res_norm > NEWTON_TOL and iterations < MAX_NEWTON:
         # d(rho e)/dtheta minus dt times the derivative of the heat source
+        th2 = theta * theta
         diag = rho_e_dtheta(rho_n, theta, p) + dt * (
-            2.0 * reg.delta / theta**3 + 5.0 * reg.epsilon * theta**4
+            2.0 * reg.delta / (th2 * theta) + 5.0 * reg.epsilon * (th2 * th2)
         )
         kd = kappa_delta(theta, p, reg.delta, reg.Gamma)
         dth, its = _newton_direction(res, diag, kd, dt, grid, 1e-12 * scale)

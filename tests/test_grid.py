@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
+from dealias_oracles import (
+    dealiased_product,
+    fine_shape,
+    flux_divergence_chain,
+    restriction_chain,
+)
 from mhdlab import grid as grid_module
 from mhdlab.errors import BasisError, GridMismatchError
 from mhdlab.grid import (
@@ -11,10 +18,8 @@ from mhdlab.grid import (
     VectorField,
     GalerkinBasis,
     bwd2,
-    dealiased_product,
     deriv_nodal,
     divergence,
-    fine_shape,
     from_fine,
     fwd2,
     galerkin_load,
@@ -24,10 +29,12 @@ from mhdlab.grid import (
     laplacian_neumann,
     project_velocity,
     reconstruct,
+    restrict_nodal,
+    sine_to_cosine,
     to_fine,
     velocity_gradient,
 )
-from mhdlab.solver import VelocityWorkspace
+from mhdlab.solver import VelocityWorkspace, _flux_cc, _flux_divergence_cc
 from mhdlab.tolerances import TOLERANCES
 
 
@@ -466,6 +473,11 @@ def rel_err(got, want):
     return np.abs(np.asarray(got) - want).max() / np.abs(want).max()
 
 
+def band_length(n, kmax):
+    """n + kmax//2 fine nodes, rounded up to a fast length."""
+    return next_fast_len(n + kmax // 2, real=True)
+
+
 class TestBandLimited:
     """Reconstruction, Jacobian, fine-grid values, Galerkin loads and
     projection of basis velocities, on their mode corner, against products
@@ -490,10 +502,47 @@ class TestBandLimited:
         assert rel_err(galerkin_load(basis, f), load0) <= 1e-14
         proj = project_velocity(VectorField(g, *f), basis)
         assert rel_err(proj, load0 / basis.mode_norm2) <= 1e-14
-        # the 3/2 fine grid against the full transforms of the nodal values
+        # the band-sized fine grid against the full transforms of the nodal
+        # values
         ws = VelocityWorkspace(None, None, u)
-        full = to_fine(fwd2(vals, (SIN, SIN)), (SIN, SIN))
+        band = (band_length(ny, basis.lmax), band_length(nx, basis.kmax))
+        assert ws.u_fine.shape == (2,) + band
+        assert all(m < m32 for m, m32 in zip(band, fine_shape(shape)))
+        full = to_fine(fwd2(vals, (SIN, SIN)), (SIN, SIN), band)
         assert rel_err(ws.u_fine, full) <= 1e-14
+
+    @pytest.mark.parametrize("shape, n", BAND_CASES,
+                             ids=[f"{s[1]}x{s[0]}-n{n}" for s, n in BAND_CASES])
+    def test_band_product_matches_the_3_2_rule(self, shape, n):
+        # both products the step dealiases against a basis velocity: cosine
+        # times u to sine (the fluxes), sine times u to cosine (the
+        # advection tensor)
+        ny, nx = shape
+        g = Grid(nx, ny, 1.3, 0.9)
+        basis = GalerkinBasis(g, n)
+        rng = np.random.default_rng(n + 2 * nx)
+        u = reconstruct(rng.standard_normal(2 * n), basis)
+        ws = VelocityWorkspace(None, None, u)
+        u_cc = fwd2(np.stack([u.vx, u.vy]), (SIN, SIN))
+        f, q = rng.standard_normal((2,) + g.shape)
+        band = ws.u_fine.shape[1:]
+        flux = _flux_cc(f, ws)
+        prod = from_fine(to_fine(q, (SIN, SIN), band) * ws.u_fine, (COS, COS), g.shape)
+        for i in range(2):
+            want, parity = dealiased_product(f, (COS, COS), u_cc[i], (SIN, SIN))
+            assert parity == (SIN, SIN) and rel_err(flux[i], want) <= 1e-13
+            want, parity = dealiased_product(q, (SIN, SIN), u_cc[i], (SIN, SIN))
+            assert parity == (COS, COS) and rel_err(prod[i], want) <= 1e-13
+
+    @pytest.mark.parametrize("shape, n, band", [
+        ((128, 128), 4, (135, 135)), ((64, 64), 4, (72, 72)),
+        ((64, 64), 32, (72, 72)), ((128, 128), 3969, (160, 160)),
+        ((64, 64), 961, (80, 80)), ((16, 16), 1, (16, 16)),
+    ])
+    def test_fine_grid_is_sized_from_the_band(self, shape, n, band):
+        ny, nx = shape
+        u = reconstruct(np.ones(2 * n), GalerkinBasis(Grid(nx, ny), n))
+        assert VelocityWorkspace(None, None, u).u_fine.shape == (2,) + band
 
     def test_nodal_tables_are_the_basis_tables(self):
         basis = GalerkinBasis(Grid(16, 32, 1.3, 0.9), 40)
@@ -519,7 +568,7 @@ class TestBandLimited:
             (t.sy, t.dy, t.sy_fine, basis.lmax, g.ly, g.y),
         ):
             a = np.arange(1, m + 1)[:, None] * np.pi / length
-            m_fine = 3 * len(nodes) // 2
+            m_fine = band_length(len(nodes), m)
             fine_nodes = (np.arange(m_fine) + 0.5) * length / m_fine
             assert np.abs(s - np.sin(a * nodes)).max() <= 1e-13
             assert np.abs(d - a * np.cos(a * nodes)).max() <= 1e-13 * a.max()
@@ -568,3 +617,36 @@ class TestBandLimited:
         got = _operator_load(u, rho, mu)
         assert calls == []
         assert np.array_equal(got, want)
+
+
+class TestFusedChains:
+    """The one-matrix chains of the solver against the nodal round trips
+    they replace."""
+
+    @pytest.mark.parametrize("shape", BAND_GRIDS)
+    def test_flux_divergence_matches_the_round_trip(self, shape):
+        ny, nx = shape
+        g = Grid(nx, ny, 1.3, 0.9)
+        flux = np.random.default_rng(nx + ny).standard_normal((2,) + g.shape)
+        got = _flux_divergence_cc(flux, g)
+        assert got[0, 0] == 0.0
+        assert rel_err(got, flux_divergence_chain(flux, g)) <= 1e-13
+
+    @pytest.mark.parametrize("shape", BAND_GRIDS)
+    def test_sine_to_cosine_round_trips_the_nodal_values(self, shape):
+        ny, nx = shape
+        c = np.random.default_rng(nx + 2 * ny).standard_normal((3, ny, nx))
+        c[:, -1, :] = c[:, :, -1] = 0.0  # no Nyquist sine slot
+        for axis, parity in ((-2, (SIN, COS)), (-1, (COS, SIN))):
+            got = bwd2(sine_to_cosine(c, axis), (COS, COS))
+            assert rel_err(got, bwd2(c, parity)) <= 1e-13
+
+    @pytest.mark.parametrize("shape", BAND_GRIDS)
+    def test_restriction_matches_the_round_trip(self, shape):
+        ny, nx = shape
+        rng = np.random.default_rng(nx * ny)
+        for fine in (fine_shape(shape), (band_length(ny, 2), band_length(nx, 2))):
+            v = rng.standard_normal((3,) + fine)
+            got = restrict_nodal(v, shape)
+            assert rel_err(got, restriction_chain(v, shape)) <= 1e-13
+            assert np.all(restrict_nodal(np.full(fine, 3.7), shape) == 3.7)
