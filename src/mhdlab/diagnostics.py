@@ -129,12 +129,12 @@ def report(state: State, reg: RegParams, p: EosParams) -> DiagnosticsReport:
     rho*e, div(rho*e u) come from (and, on first use, are cached in)
     `state.workspace`, which a step from this state then reuses.  The terms
     the step that produced the state formed at its new level (the gradients
-    of rho and b, the momentum pressure, V(theta) and M(rho) below the
-    matrix-free crossover, the heat source, and the conduction term unless a
-    floor clamp changed theta) are read as it handed them on, each only
-    under the same `reg` and `p`; the step from the state releases them.
-    A state without them, such as a copy, forms every term itself, by the
-    same code.
+    of rho and b, the momentum pressure, the heat source, and the conduction
+    term unless a floor clamp changed theta) are read as it handed them on,
+    each only under the same `reg` and `p`; the step from the state releases
+    them.  A state without them, such as a copy, forms every term itself,
+    by the same code.  A failure of the tendencies' momentum mass solve,
+    such as a singular M(rho), raises StepFailure.
     """
     grid = state.grid
     w = grid.weight

@@ -590,6 +590,20 @@ def _axis_tables(kmax, n, length):
     return np.sin(phase), deriv, np.sin(_phase(k, fine_length(n, kmax)))
 
 
+@cache
+def _pairs(m, symmetric):
+    """Index pairs (a, b) of m table rows, each unordered pair once when
+    `symmetric` (the rows of a table times themselves), and the (m, m)
+    slot of each pair among them."""
+    if not symmetric:
+        a, b = np.indices((m, m)).reshape(2, -1)
+        return a, b, np.arange(m * m).reshape(m, m)
+    a, b = np.triu_indices(m)
+    slot = np.empty((m, m), dtype=np.intp)
+    slot[a, b] = slot[b, a] = np.arange(len(a))
+    return a, b, slot
+
+
 class GalerkinBasis:
     """The first n tensor sine modes per velocity component.
 
@@ -611,9 +625,8 @@ class GalerkinBasis:
 
     Products of two modes are four cosine (or sine) modes of index |k-k'| or
     k+k' <= nx-2, and midpoint quadrature integrates them, times any weight
-    on the grid, exactly.  So a Gram-type matrix is either assembled by
-    lookups into the coefficients of the weight (`pair_slots`, n x n int64
-    arrays, formed on first use), or never formed: its product with a
+    on the grid, exactly.  So a Gram-type matrix is either assembled from
+    the same per-axis tables (`gram`), or never formed: its product with a
     coefficient vector is the Galerkin load of the weighted reconstruction,
     equal to round-off.  The momentum solve assembles below its crossover in
     n and works matrix-free above it (see `solver`).
@@ -664,26 +677,26 @@ class GalerkinBasis:
         """Nodal y-derivatives of the modes, shape (n, ny*nx); evaluated on request."""
         return self._nodal(self.tables.dy, self.tables.sx)
 
-    @cached_property
-    def pair_slots(self):
-        """Flat (y, x) slots met by the products of two modes, per mode pair.
+    def gram(self, w, ty, tx, ty2=None, tx2=None):
+        """The n x n quadratures int w phi_m psi_m' of the nodal weight w
+        against two mode families given by per-axis tables (rows of
+        `tables`): phi_m = ty[l-1](y) tx[k-1](x) and psi_m' likewise from
+        ty2, tx2, the first family again when those are None.
 
-        sin(k x) sin(k' x) = (cos(|k-k'| x) - cos((k+k') x))/2, and likewise
-        in y, so pair (m, m') meets the slots (dl, dk), (dl, sk), (sl, dk) and
-        (sl, sk), with d = |difference| and s = sum of the indices.  Also
-        returns sign(k-k') and sign(l'-l) for the sine-cosine products.
-        Built on first use and kept: it is the size of the Galerkin matrices.
+        A product of two modes separates by axis, so the pair rows
+        tx[k] tx2[k'] and ty[l] ty2[l'] are formed per axis, the weight is
+        contracted with the x rows, then with the y rows, and the result is
+        gathered at the mode pairs.  Where a table meets itself, a pair and
+        its reverse share one row, so with one family the matrix is exactly
+        symmetric.
         """
-        nx = self.grid.nx
-        dk = np.abs(self.k[:, None] - self.k[None, :])
-        sk = self.k[:, None] + self.k[None, :]
-        dl = np.abs(self.l[:, None] - self.l[None, :])
-        sl = self.l[:, None] + self.l[None, :]
-        return (
-            dl * nx + dk, dl * nx + sk, sl * nx + dk, sl * nx + sk,
-            np.sign(self.k[:, None] - self.k[None, :]),
-            np.sign(self.l[None, :] - self.l[:, None]),
-        )
+        if ty2 is None:
+            ty2, tx2 = ty, tx
+        ay, by, slot_y = _pairs(len(ty), ty is ty2)
+        ax, bx, slot_x = _pairs(len(tx), tx is tx2)
+        g = (ty[ay] * ty2[by]) @ (w @ (tx[ax] * tx2[bx]).T)
+        l, k = self.l - 1, self.k - 1
+        return self.grid.weight * g[slot_y[l[:, None], l], slot_x[k[:, None], k]]
 
     def _corner(self, coeffs):
         """2n coefficients -> the (2, lmax, kmax) corner of sine space."""
@@ -728,13 +741,6 @@ class GalerkinBasis:
         else:
             c = t.sy @ g
         return c.reshape(2, -1)[:, self.corner_index].ravel()
-
-    def mode_values(self, m, x, y):
-        """Evaluate mode m at arbitrary coordinates (vanishes on the walls)."""
-        k, l = self.modes[m]
-        return np.sin(k * np.pi * np.asarray(x) / self.grid.lx) * np.sin(
-            l * np.pi * np.asarray(y) / self.grid.ly
-        )
 
 
 def project_velocity(v: VectorField, basis: GalerkinBasis) -> np.ndarray:

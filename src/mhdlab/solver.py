@@ -19,12 +19,15 @@ a run, and a step whose extrapolation is not positive, start from theta^n.
 The Galerkin momentum system for the 2n coefficients (c_x, c_y) is solved
 as one n x n complex system in z = c_x + i*c_y.  Its viscous coupling block
 Q = A - A^T is antisymmetric, so M(rho) (x) I_2 + dt*V(theta) is the real
-form of the Hermitian positive-definite H = M + dt*(P - i*Q).  Below a
-crossover in n relative to the grid (`_MATRIX_FREE_RATIO`) H is assembled
-by lookups and factorized; above it no Galerkin matrix is formed: each
-product with H is one Galerkin load of the reconstructed velocity, and H
-is inverted by conjugate gradients preconditioned by its symbol.  The
-temperature and momentum solves share that one PCG loop (`_pcg`).
+form of the Hermitian positive-definite H = M + dt*(P - i*Q).  One
+function solves it (`_complex_solve`): below a crossover in n relative to
+the grid (`_MATRIX_FREE_RATIO`) H is assembled from the basis's per-axis
+mode tables (`GalerkinBasis.gram`) and factorized; above it no Galerkin
+matrix is formed: each product with H is one Galerkin load of the
+reconstructed velocity, and H is inverted by conjugate gradients
+preconditioned by its symbol.  The temperature and momentum solves share
+that one PCG loop (`_pcg`).  Products with a Galerkin matrix outside the
+solve, such as the old-level M(rho) c, are Galerkin loads at every n.
 
 rho and b advance in one stacked linear update, so fields that start
 proportional stay proportional to round-off, and the k = 0 cosine mode is
@@ -35,11 +38,11 @@ Each term is formed once per state.  The time-t transport terms come from
 state shares; so does the old-level energy flux, rho*e and div(rho*e u),
 keyed by theta and the EOS.  The terms a step forms at the new level and a
 report on the new state reads again (the gradients of rho and b, the
-momentum pressure, below the crossover V(theta) and M(rho), the heat
-source, and the last Newton residual's conduction term unless a floor clamp
-changed theta) are handed to the new state (`State.handed`), keyed by the
-parameters they depend on, and read through `VelocityWorkspace.term`.  The
-step from a state releases them, whether a report read them or not.
+momentum pressure, the heat source, and the last Newton residual's
+conduction term unless a floor clamp changed theta) are handed to the new
+state (`State.handed`), keyed by the parameters they depend on, and read
+through `VelocityWorkspace.term`.  The step from a state releases them,
+whether a report read them or not.
 """
 
 from __future__ import annotations
@@ -495,11 +498,9 @@ class VelocityWorkspace:
     """A state's one evaluation, each part formed on first use: the CFL bound
     `cfl_limit`, the velocity on the fine grid `u_fine` (x then y), its
     Jacobian `grads_u`, the cosine coefficients of (rho, b) `scalar_cc`,
-    their advective divergences `scalar_adv_cc`, the `advection_tensor`,
-    below the matrix-free crossover the Galerkin `mass` matrix M(rho) in
-    the velocity's basis, and the old-level energy flux (`energy`).  The
-    terms handed on by the step that produced the state are read through
-    `term`.
+    their advective divergences `scalar_adv_cc`, the `advection_tensor`
+    and the old-level energy flux (`energy`).  The terms handed on by the
+    step that produced the state are read through `term`.
 
     It holds the state's fields and handed-on terms, never the state, so a
     dropped state is freed at once.  A velocity from a basis is evaluated on
@@ -591,13 +592,6 @@ class VelocityWorkspace:
         np.multiply(ru_fine[1], u2, out=prods[2])
         del ru_fine
         return restrict_nodal(prods, self.u.grid.shape)
-
-    @cached_property
-    def mass(self):
-        # the transform of the stack is the transform of each field, so a
-        # handed-on M(rho) equals the one formed here bitwise
-        return self.term(("mass",), None,
-                         lambda: _mass_matrix(self.scalar_cc[0], self.u.basis))
 
 
 def _flux_cc(f_cc, uw: VelocityWorkspace):
@@ -928,71 +922,6 @@ def advance_temperature(
 # momentum advance
 # ---------------------------------------------------------------------------
 
-def _cosine_integrals(cc, basis: GalerkinBasis):
-    """Flat quadratures int f cos(p pi x/lx) cos(q pi y/ly), at slot (q, p),
-    from the cosine-cosine coefficients of f."""
-    c = basis.mode_norm2 * cc
-    c[0, :] *= 2.0
-    c[:, 0] *= 2.0
-    return c.ravel()
-
-
-def _mass_matrix(rho_cc, basis: GalerkinBasis):
-    """Gram matrix int rho phi_m phi_m' from the cosine-cosine coefficients
-    of rho (a lookup; see GalerkinBasis.pair_slots); exactly symmetric."""
-    c = _cosine_integrals(rho_cc, basis)
-    dd, ds, sd, ss, _, _ = basis.pair_slots
-    return 0.25 * (c[dd] - c[ds] - c[sd] + c[ss])
-
-
-def _viscous_matrix(theta, basis: GalerkinBasis, p: EosParams):
-    """Galerkin matrix of u -> S(theta, grad u) tested against the basis, as
-    the n x n complex Hermitian P - i*Q acting on c_x + i*c_y.
-
-    With D = d_x u1 - d_y u2 and A12 = d_y u1 + d_x u2 the weak form is
-    int mu (D D' + A12 A12'), so the real 2n x 2n matrix is
-    [[P, Q], [Q^T, P]] with P = int mu (phi_x phi_x' + phi_y phi_y')
-    symmetric and Q = A - A^T, A = int mu phi_y phi_x'.  Q^T = -Q exactly,
-    so that matrix is the real form of P - i*Q, which is stored instead:
-    half the entries, and one complex solve in place of a real one of twice
-    the dimension.  phi_x phi_x' and phi_y phi_y' are cosine-cosine modes and
-    phi_y phi_x' are sine-sine modes, so both parts are lookups into the
-    coefficients of mu(theta).
-    """
-    mu = p.mu(np.asarray(theta))
-    c = _cosine_integrals(fwd2(mu, (COS, COS)), basis)
-    s = np.zeros(basis.grid.shape)
-    s[1:, 1:] = basis.mode_norm2 * fwd2(mu, (SIN, SIN))[:-1, :-1]
-    s = s.ravel()
-    dd, ds, sd, ss, sgn_x, sgn_y = basis.pair_slots
-    aa = np.outer(basis.ax, basis.ax)
-    bb = np.outer(basis.ay, basis.ay)
-    v = np.empty(dd.shape, dtype=complex)
-    # formed in place: the assembly is bound by memory traffic, and each
-    # n x n temporary is a fresh allocation (512 kB at n = 256)
-    # P = ((aa + bb)(c_dd - c_ss) + (aa - bb)(c_ds - c_sd))/4
-    p_blk = c.take(dd)
-    p_blk -= c.take(ss)
-    p_blk *= aa + bb
-    t = c.take(ds)
-    t -= c.take(sd)
-    t *= aa - bb
-    p_blk += t
-    np.multiply(p_blk, 0.25, out=v.real)
-    # A = ay ax'/4 (s_ss + sgn_y s_ds + sgn_x (s_sd + sgn_y s_dd))
-    a_blk = s.take(dd)
-    a_blk *= sgn_y
-    a_blk += s.take(sd)
-    a_blk *= sgn_x
-    t = s.take(ds)
-    t *= sgn_y
-    t += s.take(ss)
-    a_blk += t
-    a_blk *= 0.25 * np.outer(basis.ay, basis.ax)
-    np.subtract(a_blk.T, a_blk, out=v.imag)
-    return v
-
-
 def _momentum_load(uw: VelocityWorkspace, p_tot, grho, reg):
     """Galerkin load of the explicit momentum terms.
 
@@ -1008,21 +937,22 @@ def _momentum_load(uw: VelocityWorkspace, p_tot, grho, reg):
 
 
 # Galerkin dimensions with n*n >= _MATRIX_FREE_RATIO*nx*ny solve the momentum
-# system matrix-free.  Dense costs n^2 lookups plus an n^3 factorization, a
-# PCG iteration one evaluation, one Jacobian and one Galerkin load on the
-# velocity's mode corner (see GalerkinBasis).  One advance_momentum on a
-# random state, dense / matrix-free, best of 7 alternating calls on one or
-# two states, one BLAS thread of a 2-core Xeon (PCG iterations in brackets):
-#   64^2:  n = 112  1.15 / 1.47 ms (9)      n = 128  1.23-1.47 / 1.44-1.48 ms (9)
-#          n = 144  1.67-1.79 / 1.45 ms (9) n = 192  3.05 / 1.44 ms (9)
-#          n = 256  5.65 / 1.68 ms (10)
-#   128^2: n = 160  2.94 / 3.47 ms (8)      n = 192  3.52-3.74 / 3.45-3.47 ms (8)
-#          n = 224  4.97 / 3.83 ms (8)      n = 256  6.65-7.18 / 3.40-3.74 ms (8)
-#          n = 512  37 / 5.0 ms (9)
-# so the paths cross near n*n = 4 nx*ny on 64^2 and 2 nx*ny on 128^2.  The
-# ratio sits at the 64^2 crossing; on 128^2 it keeps the dense path up to
-# n = 255, up to 1.2 ms per advance slower there.
-_MATRIX_FREE_RATIO = 4
+# system matrix-free.  Dense costs four Gram matrices from the mode tables
+# (GalerkinBasis.gram) and an n^3 factorization, a PCG iteration one
+# evaluation, one Jacobian and one Galerkin load on the mode corner.  One
+# advance_momentum on a random state with its workspace formed, dense /
+# matrix-free, best of 7 alternating calls, one BLAS thread of a 2-core
+# Xeon (PCG iterations in brackets):
+#   64^2:  n = 4    0.33 / 0.63 ms (4)      n = 32   0.48 / 0.89 ms (7)
+#          n = 64   0.71 / 1.08 ms (8)      n = 80   0.88 / 1.08 ms (8)
+#          n = 96   1.17 / 1.21 ms (8)      n = 112  1.48 / 1.23 ms (8)
+#          n = 128  1.87 / 1.39 ms (9)      n = 160  2.90 / 1.42 ms (9)
+#   128^2: n = 4    0.85 / 1.92 ms (4)      n = 96   1.97 / 3.14 ms (7)
+#          n = 128  2.72 / 3.24 ms (7)      n = 160  3.49 / 3.37 ms (8)
+#          n = 192  5.41 / 3.51 ms (8)      n = 256  8.79 / 3.80 ms (8)
+# so the paths cross near n*n = 2.2 nx*ny on 64^2 and 1.6 nx*ny on 128^2.
+# The ratio sits between them: n = 91 on 64^2 and n = 182 on 128^2.
+_MATRIX_FREE_RATIO = 2
 
 
 def _matrix_free(basis: GalerkinBasis) -> bool:
@@ -1036,7 +966,7 @@ def _operator_load(u: VectorField, rho, mu=None, grads_u=None):
     It is the Galerkin load of rho*u and, unless mu is None, of the
     traceless stress mu*(D, A12) of u: midpoint quadrature integrates the
     products of modes and weights exactly (see GalerkinBasis), so this is
-    the product with `_mass_matrix` and `_viscous_matrix` to round-off.
+    the product with the matrix `_assemble` forms to round-off.
     grads_u is the Jacobian of u where the caller has it.
     """
     f = rho * np.stack([u.vx, u.vy])
@@ -1052,18 +982,54 @@ def _operator_load(u: VectorField, rho, mu=None, grads_u=None):
     return galerkin_load(u.basis, f, fx, fy)
 
 
-def _complex_solve(basis: GalerkinBasis, rho, mu, rhs, what: str):
-    """Solve (M(rho) + V(mu)) c = rhs (2n, mu None for M alone) matrix-free
-    by PCG in z = c_x + i*c_y, where the operator is Hermitian; returns
-    (c, iterations).
+def _assemble(basis: GalerkinBasis, rho, mu):
+    """M(rho) + V(mu) (mu None for M alone) as the n x n complex Hermitian
+    matrix acting on z = c_x + i*c_y, assembled from the mode tables.
 
-    Each product is one `_operator_load` of the velocity and Jacobian
-    evaluated from one mode corner.  The preconditioner is the operator's
-    symbol for uniform coefficients, norm^2*(mean rho + mean mu*|k|^2),
-    diagonal in the modes.  A failure raises StepFailure, its message led
-    by `what`.
+    With D = d_x u1 - d_y u2 and A12 = d_y u1 + d_x u2 the viscous weak form
+    is int mu (D D' + A12 A12'), so the real 2n x 2n matrix is
+    [[P, Q], [Q^T, P]] with P = int mu (phi_x phi_x' + phi_y phi_y')
+    symmetric and Q = A - A^T, A = int mu phi_y phi_x'.  Q^T = -Q exactly,
+    so that matrix is the real form of V = P - i*Q, which is formed instead:
+    half the entries, and one complex solve in place of a real one of twice
+    the dimension.  M and P are exactly symmetric (see `GalerkinBasis.gram`).
+    """
+    t = basis.tables
+    h = basis.gram(rho, t.sy, t.sx).astype(complex)
+    if mu is not None:
+        h.real += basis.gram(mu, t.sy, t.dx) + basis.gram(mu, t.dy, t.sx)
+        a = basis.gram(mu, t.dy, t.sx, t.sy, t.dx)
+        h.imag = a.T - a
+    return h
+
+
+def _complex_solve(basis: GalerkinBasis, rho, mu, rhs, what: str):
+    """Solve (M(rho) + V(mu)) c = rhs (2n, mu None for M alone) in
+    z = c_x + i*c_y, where the operator is Hermitian; returns
+    (c, PCG iterations).  The one momentum solve, at every n.
+
+    Below the crossover (`_matrix_free`) the matrix is assembled and
+    factorized.  Above it, it is inverted by PCG to 1e-13 relative: each
+    product is one `_operator_load` of the velocity and Jacobian evaluated
+    from one mode corner, and the preconditioner is the operator's symbol
+    for uniform coefficients, norm^2*(mean rho + mean mu*|k|^2), diagonal in
+    the modes.  Every failure, a singular matrix and non-finite
+    coefficients included, raises StepFailure, its message led by `what`.
     """
     n = basis.n
+
+    def fail(reason):
+        return StepFailure(f"{what}: {reason}")
+
+    rhs_z = rhs[:n] + 1j * rhs[n:]
+    if not _matrix_free(basis):
+        try:
+            z = np.linalg.solve(_assemble(basis, rho, mu), rhs_z)
+        except np.linalg.LinAlgError as exc:
+            raise fail(str(exc)) from exc
+        if not np.isfinite(z).all():
+            raise fail("non-finite coefficients")
+        return np.concatenate([z.real, z.imag]), 0
 
     def apply(z):
         c = np.concatenate([z.real, z.imag])
@@ -1075,14 +1041,11 @@ def _complex_solve(basis: GalerkinBasis, rho, mu, rhs, what: str):
         load = _operator_load(u, rho, mu, grads)
         return load[:n] + 1j * load[n:]
 
-    def fail(reason):
-        return StepFailure(f"{what}: {reason}")
-
     symbol = float(np.mean(rho))
     if mu is not None:
         symbol = symbol + float(np.mean(mu)) * (basis.ax**2 + basis.ay**2)
     z, iterations = _pcg(
-        apply, rhs[:n] + 1j * rhs[n:], basis.mode_norm2 * symbol,
+        apply, rhs_z, basis.mode_norm2 * symbol,
         lambda a, b: np.vdot(a, b).real, fail, rtol=1e-13, atol=0.0,
     )
     return np.concatenate([z.real, z.imag]), iterations
@@ -1100,28 +1063,26 @@ def advance_momentum(
     forcing_vec=None,
 ) -> tuple[VectorField, MomentumSolveInfo]:
     """One step of the Galerkin momentum equation; returns the new velocity
-    and a `MomentumSolveInfo`: the number of PCG iterations (0 when solved
-    densely) and the new-level terms to hand on, the momentum pressure and,
-    when solved densely, V(theta_new) and M(rho_new).
+    and a `MomentumSolveInfo`: the number of PCG iterations (0 below the
+    matrix-free crossover) and the new-level term to hand on, the momentum
+    pressure.
 
     Solves (M(rho_new) + dt*V(theta_new)) c = M(rho_old) c_old + dt*f with
     f collecting the explicit advection tensor, the total-pressure work and
     the eps*(grad rho . grad) u coupling.  The 2n-dimensional real system is
     the real form of the n x n Hermitian positive-definite one in
-    z = c_x + i*c_y (see `_viscous_matrix`), which is the one solved.
-    Below the crossover `_MATRIX_FREE_RATIO` the matrices are assembled by
-    lookups and H is factorized; above it no matrix is formed: the products
-    with M and H are Galerkin loads (`_operator_load`) and H is inverted by
-    PCG to 1e-13 relative, whose failures raise StepFailure.  A non-finite
-    new-level field raises StepFailure before anything is formed from it.
-    No-slip holds exactly because every basis mode does.
+    z = c_x + i*c_y (see `_assemble`), which `_complex_solve` solves:
+    assembled from the mode tables and factorized below the crossover
+    `_MATRIX_FREE_RATIO`, by PCG above it; its failures raise StepFailure.
+    M(rho_old) c_old is the Galerkin load of rho_old u_old at every n.  A
+    non-finite new-level field raises StepFailure before anything is formed
+    from it.  No-slip holds exactly because every basis mode does.
     """
     basis = state.u.basis
     if basis is None:
         raise StepFailure("momentum advance requires a velocity with a basis")
     _check_finite("momentum advance", state.t,
                   rho_new=rho_new, b_new=b_new, theta_new=theta_new)
-    n = basis.n
     uw = state.workspace
     theta = theta_new.values
 
@@ -1130,31 +1091,12 @@ def advance_momentum(
     rhs = _momentum_load(uw, p_tot, grad_rho, reg)
     if forcing_vec is not None:
         rhs = rhs + forcing_vec
-    if _matrix_free(basis):
-        rhs = _operator_load(state.u, state.rho.values) + dt * rhs
-        c, iterations = _complex_solve(
-            basis, rho_new.values, dt * p.mu(theta), rhs,
-            f"momentum linear solve at t = {state.t:g}",
-        )
-        return reconstruct(c, basis), MomentumSolveInfo(iterations, terms)
-
-    rhs = state.u.coeffs.reshape(2, n) @ uw.mass + dt * rhs.reshape(2, n)
-
-    viscous = _viscous_matrix(theta, basis, p)
-    mass = _mass_matrix(fwd2(rho_new.values, (COS, COS)), basis)
-    terms[("viscous", p)] = (theta, viscous)
-    terms[("mass",)] = (None, mass)
-    lhs = dt * viscous
-    lhs.real += mass
-    try:
-        z = np.linalg.solve(lhs, rhs[0] + 1j * rhs[1])
-    except np.linalg.LinAlgError as exc:
-        raise StepFailure(f"momentum linear solve failed: {exc}") from exc
-    if not np.isfinite(z).all():
-        raise StepFailure(f"momentum linear solve at t = {state.t:g} returned "
-                          "non-finite coefficients")
-    return (reconstruct(np.concatenate([z.real, z.imag]), basis),
-            MomentumSolveInfo(0, terms))
+    rhs = _operator_load(state.u, state.rho.values) + dt * rhs
+    c, iterations = _complex_solve(
+        basis, rho_new.values, dt * p.mu(theta), rhs,
+        f"momentum linear solve at t = {state.t:g}",
+    )
+    return reconstruct(c, basis), MomentumSolveInfo(iterations, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -1268,7 +1210,6 @@ def tendencies(state: State, reg: RegParams, p: EosParams, forcing=None) -> Tend
     if f_e is not None:
         rhoe_dot = rhoe_dot + f_e
 
-    n = basis.n
     p_tot = uw.term(("momentum_pressure", reg, p), th,
                     lambda: momentum_pressure(rho, b, th, reg, p))
     rhs = _momentum_load(uw, p_tot, terms.grad_rho, reg)
@@ -1276,17 +1217,9 @@ def tendencies(state: State, reg: RegParams, p: EosParams, forcing=None) -> Tend
         rhs = rhs + f_u
     # d/dt (M c) = rhs - V c, so M c_dot = rhs - V c - dM/dt c with
     # dM/dt = M(rho_dot)
-    if _matrix_free(basis):
-        rhs = rhs - _operator_load(state.u, rho_dot, p.mu(th), uw.grads_u)
-        c_dot, _ = _complex_solve(basis, rho, None, rhs,
-                                  f"momentum tendency mass solve at t = {state.t:g}")
-    else:
-        c = state.u.coeffs.reshape(2, n)
-        viscous = uw.term(("viscous", p), th, lambda: _viscous_matrix(th, basis, p))
-        vz = viscous @ (c[0] + 1j * c[1])
-        rhs = rhs.reshape(2, n) - np.stack([vz.real, vz.imag])
-        rhs -= c @ _mass_matrix(rates_cc[0], basis)
-        c_dot = np.linalg.solve(uw.mass, rhs.T).T.ravel()
+    rhs = rhs - _operator_load(state.u, rho_dot, p.mu(th), uw.grads_u)
+    c_dot, _ = _complex_solve(basis, rho, None, rhs,
+                              f"momentum tendency mass solve at t = {state.t:g}")
     return Tendencies(
         rho_dot, b_dot, rhoe_dot, c_dot, reconstruct(c_dot, basis), terms
     )

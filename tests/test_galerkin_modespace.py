@@ -2,10 +2,10 @@
 
 The oracle forms every Galerkin quantity as a product of the (n, nx*ny)
 tables phi, phi_x, phi_y that the basis evaluates on request; the package
-itself assembles from transform coefficients and never reads the tables.
-The oracle also keeps the real 2n x 2n momentum system, which the package
-solves as its n x n complex Hermitian form: by lookups and a factorization
-below the crossover in n, matrix-free by PCG above it.
+itself assembles from the per-axis mode tables and never reads the nodal
+ones.  The oracle also keeps the real 2n x 2n momentum system, which the
+package solves as its n x n complex Hermitian form: assembled from the mode
+tables and factorized below the crossover in n, matrix-free by PCG above it.
 """
 
 import tracemalloc
@@ -14,14 +14,13 @@ import numpy as np
 import pytest
 
 from mhdlab import diagnostics, solver
+from mhdlab import grid as grid_module
 from mhdlab.errors import NewtonError, StepFailure
 from mhdlab.grid import (
-    COS,
     GalerkinBasis,
     Grid,
     ScalarField,
     VectorField,
-    fwd2,
     galerkin_load,
     gradient,
     project_velocity,
@@ -31,12 +30,11 @@ from mhdlab.mms import manufactured_forcing, standard_smooth_solution
 from mhdlab.solver import (
     InitialData,
     RegParams,
+    _assemble,
     _complex_solve,
-    _mass_matrix,
     _matrix_free,
     _momentum_load,
     _operator_load,
-    _viscous_matrix,
     advance_momentum,
     initial_state,
     momentum_pressure,
@@ -54,6 +52,9 @@ CASES = [
     (Grid(16, 16, 1.2, 0.8), 49),  # every mode: kmax * lmax
     (Grid(64, 64, 1.3, 0.7), 32),
     (Grid(64, 64, 1.3, 0.7), 256),
+    # kmax != lmax on a grid with nx != ny: a swapped l/k gather shows here
+    (Grid(64, 128, 1.3, 0.7), 100),
+    (Grid(128, 64, 0.7, 1.3), 5),
 ]
 IDS = [f"{g.nx}x{g.ny}-n{n}" for g, n in CASES]
 
@@ -133,20 +134,23 @@ class TestAgainstDenseOracle:
     def test_mass_matrix(self, grid, n):
         basis = GalerkinBasis(grid, n)
         rho = positive_field(np.random.default_rng(1), grid, 0.5)
-        got = _mass_matrix(fwd2(rho, (COS, COS)), basis)
-        assert_rel_close(got, dense_mass(rho, basis))
+        got = _assemble(basis, rho, None)
+        assert not got.imag.any()
+        assert_rel_close(got.real, dense_mass(rho, basis))
 
     def test_viscous_matrix(self, grid, n):
+        # M(0) = 0 exactly, so this is V alone
         basis = GalerkinBasis(grid, n)
         theta = positive_field(np.random.default_rng(2), grid, 0.3)
-        got = _viscous_matrix(theta, basis, P)
+        got = _assemble(basis, np.zeros(grid.shape), P.mu(theta))
         assert got.shape == (n, n)
         assert_rel_close(real_form(got), dense_viscous(theta, basis, P))
 
     def test_viscous_matrix_is_hermitian(self, grid, n):
         basis = GalerkinBasis(grid, n)
-        theta = positive_field(np.random.default_rng(2), grid, 0.3)
-        h = _viscous_matrix(theta, basis, P)
+        rng = np.random.default_rng(2)
+        theta = positive_field(rng, grid, 0.3)
+        h = _assemble(basis, positive_field(rng, grid, 0.5), P.mu(theta))
         assert np.array_equal(h, h.conj().T)
 
     def test_load(self, grid, n):
@@ -186,10 +190,10 @@ def momentum_state(n, seed):
 
 
 def test_crossover_depends_on_the_grid():
-    # n*n >= 4*nx*ny: n = 128 is matrix-free on 64^2 but dense on 128^2
-    assert [_matrix_free(GalerkinBasis(Grid(64, 64), n)) for n in (127, 128)] \
-        == [False, True]
-    assert [_matrix_free(GalerkinBasis(Grid(128, 128), n)) for n in (128, 255, 256)] \
+    # n*n >= 2*nx*ny: n = 128 is matrix-free on 64^2 but dense on 128^2
+    assert [_matrix_free(GalerkinBasis(Grid(64, 64), n)) for n in (90, 91, 128)] \
+        == [False, True, True]
+    assert [_matrix_free(GalerkinBasis(Grid(128, 128), n)) for n in (128, 181, 182)] \
         == [False, False, True]
 
 
@@ -221,9 +225,8 @@ def test_matrix_free_operator_matches_assembled(n):
     rho, theta = positive_field(rng, grid, 0.5), positive_field(rng, grid, 0.3)
     u = reconstruct(rng.standard_normal(2 * n), basis)
     z = u.coeffs[:n] + 1j * u.coeffs[n:]
-    mass = _mass_matrix(fwd2(rho, (COS, COS)), basis)
-    h = dt * _viscous_matrix(theta, basis, P)
-    h.real += mass
+    mass = _assemble(basis, rho, None)
+    h = _assemble(basis, rho, dt * P.mu(theta))
     for got, hz in ((_operator_load(u, rho), mass @ z),
                     (_operator_load(u, rho, dt * P.mu(theta)), h @ z)):
         want = np.concatenate([hz.real, hz.imag])
@@ -310,13 +313,48 @@ def test_matrix_free_breakdown_raises_the_given_failure(case):
         _complex_solve(basis, rho, mu, rhs, "test solve")
 
 
+def test_dense_advance_takes_no_full_transform(monkeypatch):
+    # below the crossover the old-level M(rho) c is a Galerkin load and the
+    # matrix is assembled from the mode tables: with the workspace parts a
+    # step's earlier stages form, the advance transforms no grid field
+    st, new = momentum_state(4, seed=12)
+    reg = RegParams(epsilon=1e-2, delta=1e-2, n=4)
+    assert not _matrix_free(st.u.basis)
+    want, _ = advance_momentum(st, reg, P, 2.5e-3, *new)
+    warm = st.copy()
+    warm.workspace.grads_u, warm.workspace.advection_tensor
+    calls = []
+    for mod in (grid_module, solver):
+        for name in ("fwd2", "bwd2"):
+            def counted(*args, _orig=getattr(mod, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, counted)
+    got, _ = advance_momentum(warm, reg, P, 2.5e-3, *new)
+    assert calls == []
+    assert np.array_equal(got.coeffs, want.coeffs)
+
+
+@pytest.mark.parametrize("n", [4, 256])
+def test_zero_density_tendencies_raise_step_failure(n):
+    # M(0) is singular: the dense solve's LinAlgError and the PCG breakdown
+    # both leave the package as the tendency mass solve's StepFailure
+    st = analytic_state(Grid(64, 64, 1.2, 0.8), n)
+    st.rho = ScalarField(st.grid, np.zeros(st.grid.shape))
+    reg = RegParams(epsilon=1e-2, delta=1e-2, n=n)
+    for evaluate in (tendencies, diagnostics.report):
+        with pytest.raises(StepFailure, match="momentum tendency mass solve at t = 0"):
+            evaluate(st.copy(), reg, P)
+
+
 def test_momentum_advance_peak_allocation():
     # the real 2n-dimensional form (an np.block assembly, then an LU of
     # twice the dimension) peaked at 8.0 MB here; the complex form needs one
     # n x n complex matrix and its factor
     st, new = momentum_state(256, seed=6)
     reg = RegParams(epsilon=1e-2, delta=1e-2, n=256)
-    advance_momentum(st, reg, P, 2.5e-3, *new)  # basis slots and transform matrices
+    advance_momentum(st, reg, P, 2.5e-3, *new)  # basis and transform tables
     fresh = st.copy()
     # a step forms these in its scalar and temperature stages
     fresh.workspace.grads_u, fresh.workspace.scalar_adv_cc
@@ -330,8 +368,7 @@ def test_momentum_advance_peak_allocation():
 
 
 def test_matrix_free_advance_peak_allocation():
-    # every mode of 64^2: the dense path peaked at 67 MB here on top of the
-    # 44 MB of pair_slots; matrix-free, no n x n array is formed (0.95 MB)
+    # every mode of 64^2: matrix-free, no n x n array is formed (0.95 MB)
     st, new = momentum_state(961, seed=6)
     reg = RegParams(epsilon=1e-2, delta=1e-2, n=961)
     advance_momentum(st, reg, P, 2.5e-3, *new)  # transform matrices
@@ -385,14 +422,14 @@ def test_step_tendencies_report_forcing_read_no_tables(no_tables):
 
 
 @pytest.fixture
-def no_pair_slots(monkeypatch):
-    def refuse(self):
-        raise AssertionError("pair_slots formed")
+def no_assembly(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Galerkin matrix assembled")
 
-    monkeypatch.setattr(GalerkinBasis, "pair_slots", property(refuse))
+    monkeypatch.setattr(GalerkinBasis, "gram", refuse)
 
 
-def test_matrix_free_step_and_report_form_no_pair_slots(no_pair_slots):
+def test_matrix_free_step_and_report_assemble_no_matrix(no_assembly):
     grid, reg = Grid(64, 64, 1.2, 0.8), RegParams(epsilon=0.05, delta=0.05, n=961)
     st = analytic_state(grid, reg.n)
     new, rep = step(st, reg, P, 1e-3)

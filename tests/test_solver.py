@@ -528,15 +528,16 @@ class TestStep:
         # the advective divergences of rho and b that the stages read; that
         # of rho is formed from the workspace's mass flux, the other
         # divergence is the energy advection.  The step forms grad
-        # rho_new and grad b_new once each, and one conduction term per
-        # Newton residual (two iterations here); handing its new-level terms
-        # on forms no workspace for the new state
+        # rho_new and grad b_new once each, one conduction term per Newton
+        # residual (two iterations here) and one Galerkin matrix, that of
+        # its momentum solve; handing its new-level terms on forms no
+        # workspace for the new state
         st = initial_state(*smooth_initial(Grid(16, 16), amp=0.02))
         calls = count_evaluations(monkeypatch)
         _, rep = step(st, RegParams(epsilon=1e-2, delta=1e-2, n=4), P, 2e-3)
         assert rep.newton_iterations == 2
         assert calls == {"cfl_bound": 1, "velocity_gradient": 1, "__init__": 1,
-                         "_advective_divergence_cc": 2, "_mass_matrix": 2,
+                         "_advective_divergence_cc": 2, "_assemble": 1,
                          "gradient": 2, "_kirchhoff_laplacian": 3}
         assert rep.cfl_limit == cfl_bound(st.u)
         assert st.workspace is st.workspace
@@ -564,17 +565,17 @@ class TestStep:
 
 def count_evaluations(monkeypatch):
     """Count the workspaces, CFL bounds, velocity gradients, advective
-    divergences, Galerkin mass matrices, scalar gradients and conduction
+    divergences, assembled Galerkin matrices, scalar gradients and conduction
     terms formed from here on."""
     from mhdlab import solver
 
     calls = {"cfl_bound": 0, "velocity_gradient": 0, "__init__": 0,
-             "_advective_divergence_cc": 0, "_mass_matrix": 0, "gradient": 0,
+             "_advective_divergence_cc": 0, "_assemble": 0, "gradient": 0,
              "_kirchhoff_laplacian": 0}
     for owner, name in ((solver, "cfl_bound"), (solver, "velocity_gradient"),
                         (solver.VelocityWorkspace, "__init__"),
                         (solver, "_advective_divergence_cc"),
-                        (solver, "_mass_matrix"), (solver, "gradient"),
+                        (solver, "_assemble"), (solver, "gradient"),
                         (solver, "_kirchhoff_laplacian")):
         def counted(*args, _orig=getattr(owner, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -869,13 +870,14 @@ class TestRun:
 
     def test_run_evaluates_each_state_once(self, monkeypatch):
         # 5 steps and 6 reports: the report on a state and the step from it
-        # share its workspace, M(rho), the mass flux (the advective
-        # divergence of rho) and the energy advection included; the
-        # final state needs no CFL bound.  Each step forms M(rho_new), grad
-        # rho_new, grad b_new and one conduction term per Newton residual
-        # (10 iterations in all) and hands them to the report on its result,
-        # so only the report on the initial state forms its own; each report
-        # forms grad theta and M(rho_dot)
+        # share its workspace, the mass flux (the advective divergence of
+        # rho) and the energy advection included; the final state needs no
+        # CFL bound.  Each step forms grad rho_new, grad b_new and one
+        # conduction term per Newton residual (10 iterations in all) and
+        # hands them to the report on its result, so only the report on the
+        # initial state forms its own; each report forms grad theta.  Each
+        # step assembles its momentum matrix and each report its mass
+        # matrix M(rho), 11 in all
         init, basis = smooth_initial(Grid(16, 16), amp=0.05)
         calls = count_evaluations(monkeypatch)
         traj = run(init, RegParams(epsilon=1e-2, delta=1e-2, n=4), P,
@@ -883,7 +885,7 @@ class TestRun:
         assert len(traj.diagnostics) == 6
         assert sum(r.newton_iterations for r in traj.step_reports) == 10
         assert calls == {"__init__": 6, "cfl_bound": 5, "velocity_gradient": 6,
-                         "_advective_divergence_cc": 12, "_mass_matrix": 12,
+                         "_advective_divergence_cc": 12, "_assemble": 11,
                          "gradient": 18, "_kirchhoff_laplacian": 16}
 
     def test_snapshot_stride(self):

@@ -62,8 +62,6 @@ def test_report_on_a_stepped_state_equals_the_cold_report(n):
     new, _ = step(st, reg, P, DT)
     keys = {("grad_rho",), ("grad_b",), ("momentum_pressure", reg, P),
             ("kirchhoff_laplacian", reg, P), ("heat_source", reg)}
-    if n == 4:
-        keys |= {("viscous", P), ("mass",)}
     assert set(new.handed) == keys
     cold = new.copy()
     assert cold.handed == {}
