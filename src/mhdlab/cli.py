@@ -29,15 +29,20 @@ def _fail(msg: str, code: int = 1) -> int:
     return code
 
 
+def _initial_data(cfg):
+    """Initial data of a run or sweep: expression data gets the positive
+    mollifier; a snapshot restart is already a solver state, used verbatim."""
+    initial = cfg.build_initial_data()
+    if cfg.snapshot_path is None:
+        initial = regularize_initial_data(initial, cfg.reg)
+    return initial
+
+
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     out_dir = args.output_dir or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
-    initial = cfg.build_initial_data()
-    if cfg.snapshot_path is None:
-        # expression-generated data gets the positive mollifier; a snapshot
-        # restart is already a solver state and is used verbatim
-        initial = regularize_initial_data(initial, cfg.reg)
+    initial = _initial_data(cfg)
     traj = run_solver(initial, cfg.reg, cfg.eos, cfg.schedule, diagnostics_every=1)
 
     if "snapshot" in cfg.output_formats:
@@ -117,9 +122,8 @@ def cmd_sweep(args) -> int:
         )
     except MhdError as exc:
         return _fail(str(exc), 2)
-    initial = regularize_initial_data(cfg.build_initial_data(), cfg.reg)
     try:
-        report = sweeps_mod.sweep(plan, initial, cfg.eos)
+        report = sweeps_mod.sweep(plan, _initial_data(cfg), cfg.eos)
     except BasisError as exc:
         return _fail(str(exc), 2)
     out_dir = args.output_dir or cfg.output_dir

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
@@ -25,7 +25,7 @@ __all__ = ["Config", "parse_config", "load_config", "evaluate_expression"]
 
 _KNOWN = {
     "grid": {"nx", "ny", "lx", "ly"},
-    "eos": {"gamma", "a", "c_v", "mu0", "mu1", "kappa0", "kappa2", "kappa3"},
+    "eos": {f.name.lower() for f in dataclass_fields(EosParams)},
     "reg": {"epsilon", "delta", "gamma_cap", "n", "theta_bar"},
     "time": {"t_final", "dt", "snapshot_stride"},
     "initial": {"rho", "b", "theta", "ux", "uy", "snapshot"},
@@ -35,14 +35,8 @@ _KNOWN = {
 DEFAULTS = {
     ("grid", "lx"): "1.0",
     ("grid", "ly"): "1.0",
-    ("eos", "gamma"): "1.6666666666666667",
-    ("eos", "a"): "1.0",
-    ("eos", "c_v"): "1.0",
-    ("eos", "mu0"): "1.0",
-    ("eos", "mu1"): "1.0",
-    ("eos", "kappa0"): "1.0",
-    ("eos", "kappa2"): "1.0",
-    ("eos", "kappa3"): "1.0",
+    # the [eos] keys are the EosParams fields, lower-cased, with their defaults
+    **{("eos", f.name.lower()): repr(f.default) for f in dataclass_fields(EosParams)},
     ("reg", "gamma_cap"): "8.0",
     ("reg", "n"): "8",
     ("reg", "theta_bar"): "1.0",
@@ -96,6 +90,7 @@ class Config:
     reg: RegParams
     schedule: Schedule
     initial_exprs: dict
+    initial_values: dict  # nodal values of initial_exprs; empty for a snapshot
     snapshot_path: str | None
     output_dir: str
     output_formats: tuple
@@ -111,18 +106,11 @@ class Config:
                      f"{self.grid}"]
                 )
             return InitialData(state.rho, state.b, state.theta, state.u)
-        rho = ScalarField(self.grid, evaluate_expression(
-            self.initial_exprs["rho"], self.grid))
-        b = ScalarField(self.grid, evaluate_expression(
-            self.initial_exprs["b"], self.grid))
-        theta = ScalarField(self.grid, evaluate_expression(
-            self.initial_exprs["theta"], self.grid))
-        u = VectorField(
-            self.grid,
-            evaluate_expression(self.initial_exprs["ux"], self.grid),
-            evaluate_expression(self.initial_exprs["uy"], self.grid),
-        )
-        return InitialData(rho, b, theta, u)
+        # the values parse_config validated, copied for each call
+        v = {name: vals.copy() for name, vals in self.initial_values.items()}
+        g = self.grid
+        return InitialData(ScalarField(g, v["rho"]), ScalarField(g, v["b"]),
+                           ScalarField(g, v["theta"]), VectorField(g, v["ux"], v["uy"]))
 
 
 def parse_config(text: str) -> Config:
@@ -173,14 +161,10 @@ def parse_config(text: str) -> Config:
 
     eos = None
     eos_kwargs = {}
-    for key, attr in [
-        ("gamma", "gamma"), ("a", "a"), ("c_v", "c_V"), ("mu0", "mu0"),
-        ("mu1", "mu1"), ("kappa0", "kappa0"), ("kappa2", "kappa2"),
-        ("kappa3", "kappa3"),
-    ]:
-        val = number("eos", key)
+    for f in dataclass_fields(EosParams):
+        val = number("eos", f.name.lower())
         if val is not None:
-            eos_kwargs[attr] = val
+            eos_kwargs[f.name] = val
     try:
         eos = EosParams(**eos_kwargs)
     except DomainError as exc:
@@ -224,8 +208,8 @@ def parse_config(text: str) -> Config:
 
     snapshot_path = values.get(("initial", "snapshot"))
     exprs = {k: values[("initial", k)] for k in ("rho", "b", "theta", "ux", "uy")}
+    fields = {}
     if grid is not None and snapshot_path is None:
-        fields = {}
         for name in ("rho", "b", "theta", "ux", "uy"):
             try:
                 fields[name] = evaluate_expression(exprs[name], grid)
@@ -263,6 +247,7 @@ def parse_config(text: str) -> Config:
         reg=reg,
         schedule=schedule,
         initial_exprs=exprs,
+        initial_values=fields,
         snapshot_path=snapshot_path,
         output_dir=out_dir,
         output_formats=formats,

@@ -37,12 +37,14 @@ from .solver import (
     Terms,
     artificial_energy,
     artificial_energy_rate,
+    momentum_flux,
     momentum_pressure,
     rho_gradient_coupling,
     state_terms,
 )
 from .thermo import (
     EosParams,
+    deformation,
     gibbs_bracket,
     kappa_delta,
     rho_e,
@@ -98,13 +100,17 @@ CSV_COLUMNS = [f.name for f in dataclass_fields(DiagnosticsReport)]
 
 
 def sigma_nodal(state: State, reg: RegParams, p: EosParams):
-    """Nodal dissipation density; every term is a nonnegative product.
-
-    1/theta * [ S:grad u + kappa_delta/theta |grad theta|^2 + delta/theta^2 ]
-    + eps/theta |grad b|^2 + eps*delta/theta * gradient heating
-    + eps/(rho*theta) dp_M/drho |grad rho|^2.
-    """
+    """Nodal dissipation density `Terms.sigma`; every term is a nonnegative
+    product."""
     return state_terms(state, reg, p).sigma
+
+
+def _mechanical_parts(state: State, reg: RegParams):
+    """The kinetic, magnetic and artificial energy totals of a state."""
+    rho, b, w = state.rho.values, state.b.values, state.grid.weight
+    u2 = state.u.vx**2 + state.u.vy**2
+    return (float((0.5 * rho * u2).sum() * w), float((0.5 * b * b).sum() * w),
+            float(artificial_energy(rho, b, reg).sum() * w))
 
 
 def energy_total(state: State, reg: RegParams, p: EosParams) -> float:
@@ -119,7 +125,8 @@ def _entropy_production_terms(t: Terms, grid: Grid):
     rho, th, eps = t.rho, t.theta, t.reg.epsilon
     lap_rho = laplacian_neumann(ScalarField(grid, rho)).values
     gibbs_coupling = eps * lap_rho / th * gibbs_bracket(rho, th, t.p)
-    return t.sigma15 + gibbs_coupling - eps * th**4
+    th2 = th * th
+    return t.sigma15 + gibbs_coupling - eps * (th2 * th2)
 
 
 def report(state: State, reg: RegParams, p: EosParams) -> DiagnosticsReport:
@@ -147,10 +154,8 @@ def report(state: State, reg: RegParams, p: EosParams) -> DiagnosticsReport:
 
     mass_rho = float(rho.sum() * w)
     mass_b = float(b.sum() * w)
-    kinetic = float((0.5 * rho * u2).sum() * w)
-    magnetic = float((0.5 * b * b).sum() * w)
+    kinetic, magnetic, artificial = _mechanical_parts(state, reg)
     internal = float(state.workspace.energy(th, p)[0].sum() * w)
-    artificial = float(artificial_energy(rho, b, reg).sum() * w)
     total = kinetic + magnetic + internal + artificial
     entropy_tot = float(rho_s(rho, th, p).sum() * w)
     sigma_int = float(tend.terms.sigma.sum() * w)
@@ -211,10 +216,7 @@ def energy_defect(trajectory) -> float:
 
 def mechanical_energy_total(state: State, reg: RegParams, p: EosParams) -> float:
     """Kinetic + magnetic + artificial energy (no internal part)."""
-    rho, b = state.rho.values, state.b.values
-    u2 = state.u.vx**2 + state.u.vy**2
-    density = 0.5 * rho * u2 + 0.5 * b * b + artificial_energy(rho, b, reg)
-    return float(density.sum() * state.grid.weight)
+    return sum(_mechanical_parts(state, reg))
 
 
 def mechanical_energy_defect(trajectory) -> float:
@@ -453,18 +455,13 @@ def weak_residuals(trajectory, tests, p: EosParams, reg: RegParams):
         u1, u2 = s.u.vx, s.u.vy
         t = state_terms(s, reg, p)
         grho, gb, gth = t.grad_rho, t.grad_b, t.grad_theta
-        s11, s12 = t.stress
-        p_tot = momentum_pressure(rho, b, th, reg, p)
+        fx, fy = momentum_flux((rho * u1 * u1, rho * u1 * u2, rho * u2 * u2),
+                               momentum_pressure(rho, b, th, reg, p), t.stress)
         rhos = rho_s(rho, th, p)
-        kappa, kd = p.kappa(th), kappa_delta(th, p, reg.delta, reg.Gamma)
-        cond = kd / th
+        cond = kappa_delta(th, p, reg.delta, reg.Gamma) / th
         bracket = gibbs_bracket(rho, th, p)
-        # half-delta form: the delta parts of the conductivity and of the
-        # gradient heating enter with weight 1/2
-        sigma_half = (
-            t.shear + 0.5 * (kappa + kd) / th * (gth.vx**2 + gth.vy**2)
-            + reg.delta / th**2
-        ) / th + reg.epsilon * t.gb2 / th + 0.5 * t.art_heat / th
+        th2 = th * th
+        production = t.entropy_production(0.5) - reg.epsilon * (th2 * th2)
         source = float(t.source.sum() * w)
         eps1, eps2 = rho_gradient_coupling(grho, t.grads_u, reg)
 
@@ -487,22 +484,16 @@ def weak_residuals(trajectory, tests, p: EosParams, reg: RegParams):
                     - psi * cond * (gth.vx * gx + gth.vy * gy)
                     - psi * reg.epsilon * bracket / th
                     * (grho.vx * gx + grho.vy * gy)
-                    + psi * chi * (sigma_half - reg.epsilon * th**4)
+                    + psi * chi * production
                 )
                 series[("entropy", tf.name)].append(float(integrand.sum() * w))
 
         for tf, chi, grad in vector_tests:
             psi, dpsi = tf.temporal(s.t), tf.dtemporal(s.t)
             c1x, c1y, c2x, c2y = grad
-            s_dot_gchi = s11 * (c1x - c2y) + s12 * (c1y + c2x)
-            conv = rho * (
-                u1 * (u1 * c1x + u2 * c1y) + u2 * (u1 * c2x + u2 * c2y)
-            )
             integrand = (
                 dpsi * rho * (u1 * chi[0] + u2 * chi[1])
-                + psi * conv
-                + psi * p_tot * (c1x + c2y)
-                - psi * s_dot_gchi
+                + psi * (fx[0] * c1x + fx[1] * c1y + fy[0] * c2x + fy[1] * c2y)
                 - psi * (eps1 * chi[0] + eps2 * chi[1])
             )
             series[("momentum", tf.name)].append(float(integrand.sum() * w))
@@ -666,10 +657,9 @@ def inequality_constants(grid: Grid, samples: int = 100, seed: int = 0):
     poincare_max = 0.0
     for _ in range(samples):
         u = _random_noslip_vector(grid, rng)
-        u1x, u1y, u2x, u2y = velocity_gradient(u)
+        u1x, u1y, u2x, u2y = grads = velocity_gradient(u)
         grad2 = (u1x**2 + u1y**2 + u2x**2 + u2y**2).sum() * w
-        d = u1x - u2y
-        a12 = u1y + u2x
+        d, a12 = deformation(grads)
         a2 = (2.0 * d * d + 2.0 * a12 * a12).sum() * w
         if a2 > 1e-28:
             korn_max = max(korn_max, float(np.sqrt(grad2 / a2)))

@@ -36,11 +36,14 @@ from .solver import (
     Schedule,
     State,
     Terms,
+    momentum_flux,
     momentum_pressure,
     rho_gradient_coupling,
     run,
 )
-from .thermo import EosParams, kappa_delta, rho_e, rho_e_drho, rho_e_dtheta
+from .thermo import (
+    EosParams, kappa_delta, kappa_delta_dtheta, rho_e, rho_e_drho, rho_e_dtheta,
+)
 
 __all__ = [
     "CosineFactor",
@@ -340,13 +343,8 @@ class MmsForcing:
         rhoe_t = d_rhoe_drho * rho_t + d_rhoe_dth * th_t
         rhoe_x = d_rhoe_drho * rho_x + d_rhoe_dth * th_x
         rhoe_y = d_rhoe_drho * rho_y + d_rhoe_dth * th_y
-        # div(kappa_delta grad theta), with kappa_delta' by hand
-        kappa_d_prime = (
-            2.0 * p.kappa2 * th
-            + 3.0 * p.kappa3 * th**2
-            + reg.delta * (G * th ** (G - 1.0) - th**-2)
-        )
-        diff_th = kappa_d_prime * (th_x**2 + th_y**2) \
+        # div(kappa_delta grad theta)
+        diff_th = kappa_delta_dtheta(th, p, reg.delta, G) * (th_x**2 + th_y**2) \
             + kappa_delta(th, p, reg.delta, G) * lap_th
         g_e = (
             rhoe_t
@@ -360,21 +358,15 @@ class MmsForcing:
         # weak-form integrands (the same load the stepper computes), so the
         # midpoint rule's treatment of odd-parity integrands cancels and the
         # exact state is a discrete solution up to spectral-tail terms
-        p_tot = momentum_pressure(rho, b, th, reg, p)
-        t11 = rho * u1 * u1
-        t12 = rho * u1 * u2
-        t22 = rho * u2 * u2
+        fx, fy = momentum_flux((rho * u1 * u1, rho * u1 * u2, rho * u2 * u2),
+                               momentum_pressure(rho, b, th, reg, p), terms.stress)
         mom_t = np.stack([rho_t * u1 + rho * u1_t, rho_t * u2 + rho * u2_t])
-        # S : grad(phi) for phi = phi_q e_i uses D(phi) = +/- d_i phi and
-        # A12(phi) = d_(3-i) phi, mirroring the viscous assembly
-        s_d, s_a = terms.stress
 
         f_rho, f_b = fwd2(np.stack([g_rho, g_b]), (COS, COS))
         g_u = galerkin_load(
             self.basis,
             mom_t + rho_gradient_coupling(terms.grad_rho, terms.grads_u, reg),
-            -np.stack([t11 + p_tot - s_d, t12 - s_a]),
-            -np.stack([t12 - s_a, t22 + p_tot + s_d]),
+            -fx, -fy,
         )
         return f_rho, f_b, g_e, g_u
 

@@ -83,6 +83,7 @@ from .grid import (
 from .thermo import (
     EosParams,
     K_delta,
+    deformation,
     eos_pressure,
     kappa_delta,
     pressure_drho,
@@ -111,6 +112,7 @@ __all__ = [
     "artificial_energy",
     "artificial_energy_rate",
     "momentum_pressure",
+    "momentum_flux",
     "rho_gradient_coupling",
 ]
 
@@ -346,7 +348,7 @@ def regularize_initial_data(raw: InitialData, reg: RegParams) -> InitialData:
 # pointwise terms of the regularized system
 # ---------------------------------------------------------------------------
 # With the nodal forms in `thermo`, the one place the pointwise physics is
-# written: the stepper, tendencies, diagnostics and forcings all build on it.
+# written: the stepper, tendencies, diagnostics and forcings only combine it.
 
 def artificial_energy(rho, b, reg: RegParams):
     """Energy density of the artificial pressure,
@@ -380,6 +382,15 @@ def momentum_pressure(rho, b, theta, reg: RegParams, p: EosParams):
     )
 
 
+def momentum_flux(tensor, p_tot, stress=(0.0, 0.0)):
+    """Momentum flux rho u (x) u + p_tot I - S as the (fx, fy) integrands of
+    `galerkin_load`, from the advection tensor (t11, t12, t22) and the stress
+    (S11, S12); the stepper's explicit load leaves out S, which is implicit."""
+    (t11, t12, t22), (s11, s12) = tensor, stress
+    f12 = t12 - s12
+    return np.stack([t11 + p_tot - s11, f12]), np.stack([f12, t22 + p_tot + s11])
+
+
 def rho_gradient_coupling(grho: VectorField, grads_u, reg: RegParams):
     """eps*(grad rho . grad) u, stacked by component."""
     u1x, u1y, u2x, u2y = grads_u
@@ -394,9 +405,9 @@ def heating_parts(rho, b, theta, grads_u, grad_rho, grad_b, reg: RegParams,
     gb2 = |grad b|^2, the gradient heating art_heat and the sum heating =
     S:grad u - p div u + eps |grad b|^2 + art_heat."""
     G = reg.Gamma
-    u1x, u1y, u2x, u2y = grads_u
+    u1x, _, _, u2y = grads_u
     div_u = u1x + u2y
-    d, a12 = u1x - u2y, u1y + u2x
+    d, a12 = deformation(grads_u)
     shear = p.mu(theta) * (d * d + a12 * a12)
     gb2 = grad_b.vx * grad_b.vx + grad_b.vy * grad_b.vy
     art_heat = reg.epsilon * reg.delta * (
@@ -442,21 +453,28 @@ class Terms:
 
     @cached_property
     def stress(self):
-        u1x, u1y, u2x, u2y = self.grads_u
+        d, a12 = deformation(self.grads_u)
         mu = self.p.mu(self.theta)
-        return mu * (u1x - u2y), mu * (u1y + u2x)
+        return mu * d, mu * a12
 
     @cached_property
     def sigma15(self):
+        return self.entropy_production(1.0)
+
+    def entropy_production(self, delta_weight):
         """Entropy production 1/theta [S:grad u + kappa_delta/theta
         |grad theta|^2 + delta/theta^2] + eps/theta |grad b|^2 + gradient
-        heating/theta; every term is a nonnegative product."""
+        heating/theta, every term a nonnegative product; the delta parts of
+        kappa_delta and of the gradient heating carry the weight delta_weight:
+        1 in `sigma15`, 1/2 in the weak entropy inequality (the heating is
+        linear in delta; kappa_delta at delta/2 is (kappa + kappa_delta)/2)."""
         th, reg, gth = self.theta, self.reg, self.grad_theta
-        cond = kappa_delta(th, self.p, reg.delta, reg.Gamma) / th
+        cond = kappa_delta(th, self.p, delta_weight * reg.delta, reg.Gamma) / th
         return (
-            (self.shear + cond * (gth.vx**2 + gth.vy**2) + reg.delta / th**2) / th
+            (self.shear + cond * (gth.vx * gth.vx + gth.vy * gth.vy)
+             + reg.delta / (th * th)) / th
             + reg.epsilon * self.gb2 / th
-            + self.art_heat / th
+            + delta_weight * self.art_heat / th
         )
 
     @cached_property
@@ -883,16 +901,14 @@ def advance_temperature(
         if np.any(neg):
             limit = float(np.min(-0.9 * theta[neg] / dth[neg]))
             alpha = min(1.0, limit)
-        trial = theta + alpha * dth
-        trial_res, trial_lap, trial_source = residual(trial)
-        trial_norm = float(np.abs(trial_res).max()) / scale
-        backtracks = 0
-        while not trial_norm <= (1.0 - 1e-4 * alpha) * res_norm and backtracks < 8:
-            alpha *= 0.5
+        # halve alpha until the residual falls, at most 8 times
+        for backtracks in range(9):
             trial = theta + alpha * dth
             trial_res, trial_lap, trial_source = residual(trial)
             trial_norm = float(np.abs(trial_res).max()) / scale
-            backtracks += 1
+            if trial_norm <= (1.0 - 1e-4 * alpha) * res_norm:
+                break
+            alpha *= 0.5
         theta, res, res_norm = trial, trial_res, trial_norm
         lap, source = trial_lap, trial_source
         iterations += 1
@@ -929,10 +945,9 @@ def _momentum_load(uw: VelocityWorkspace, p_tot, grho, reg):
     of the time-t state; p_tot is the `momentum_pressure` and grho enters
     the eps*(grad rho . grad) u coupling.
     """
-    t11, t12, t22 = uw.advection_tensor
     return galerkin_load(
         uw.u.basis, -rho_gradient_coupling(grho, uw.grads_u, reg),
-        np.stack([t11 + p_tot, t12]), np.stack([t12, t22 + p_tot]),
+        *momentum_flux(uw.advection_tensor, p_tot),
     )
 
 
@@ -972,11 +987,11 @@ def _operator_load(u: VectorField, rho, mu=None, grads_u=None):
     f = rho * np.stack([u.vx, u.vy])
     if mu is None:
         return galerkin_load(u.basis, f)
-    u1x, u1y, u2x, u2y = velocity_gradient(u) if grads_u is None else grads_u
-    s11, s12 = mu * (u1x - u2y), mu * (u1y + u2x)
+    d, a12 = deformation(velocity_gradient(u) if grads_u is None else grads_u)
+    s11, s12 = mu * d, mu * a12
     # a PCG product is the peak of a matrix-free step: drop each grid
     # stack once read
-    del u1x, u1y, u2x, u2y
+    del d, a12
     fx, fy = np.stack([s11, s12]), np.stack([s12, -s11])
     del s11, s12
     return galerkin_load(u.basis, f, fx, fy)

@@ -38,7 +38,9 @@ __all__ = [
     "rho_s_dtheta",
     "gibbs_bracket",
     "kappa_delta",
+    "kappa_delta_dtheta",
     "K_delta",
+    "deformation",
     "internal_energy",
     "internal_energy_split",
     "entropy",
@@ -267,15 +269,13 @@ def transport(theta, p: EosParams, delta: float, Gamma: float):
 
 
 def viscous_stress(grad_u, theta, p: EosParams):
-    """Traceless viscous stress S = mu(theta)(grad u + grad u^T - div u I)."""
+    """Traceless viscous stress S = mu(theta)(grad u + grad u^T - div u I)
+    of grad_u[i, j] = d u_i / d x_j."""
     g = np.asarray(grad_u, dtype=float)
     if g.shape != (2, 2):
         raise DomainError(f"grad_u must be 2x2, got shape {g.shape}")
-    div = g[0, 0] + g[1, 1]
-    s = g + g.T
-    s[0, 0] -= div
-    s[1, 1] -= div
-    return p.mu(theta) * s
+    d, a12 = deformation(g.ravel())
+    return p.mu(theta) * np.array([[d, a12], [a12, -d]])
 
 
 def heat_flux(grad_theta, theta, p: EosParams):
@@ -362,6 +362,12 @@ def kappa_delta(theta, p: EosParams, delta: float, Gamma: float):
     return p.kappa(theta) + delta * (theta**Gamma + 1.0 / theta)
 
 
+def kappa_delta_dtheta(theta, p: EosParams, delta: float, Gamma: float):
+    """d kappa_delta / d theta."""
+    return (2.0 * p.kappa2 * theta + 3.0 * p.kappa3 * (theta * theta)
+            + delta * (Gamma * theta ** (Gamma - 1.0) - theta**-2))
+
+
 def K_delta(theta, p: EosParams, delta: float, Gamma: float):
     """Primitive int_1^theta kappa_delta(z) dz in closed form."""
     th2 = theta * theta
@@ -372,3 +378,10 @@ def K_delta(theta, p: EosParams, delta: float, Gamma: float):
         + p.kappa3 * (th3 * theta - 1.0) / 4.0
         + delta * ((theta ** (Gamma + 1.0) - 1.0) / (Gamma + 1.0) + np.log(theta))
     )
+
+
+def deformation(grads_u):
+    """The entries (D, A12) = (u1x - u2y, u1y + u2x) of grad u + grad u^T -
+    div u I = [[D, A12], [A12, -D]] from the Jacobian (u1x, u1y, u2x, u2y)."""
+    u1x, u1y, u2x, u2y = grads_u
+    return u1x - u2y, u1y + u2x

@@ -124,6 +124,14 @@ def test_n_ladder_passes_its_gates_and_reference():
     assert out["mismatch"] is None, out["mismatch"]
 
 
+def test_mms_temporal_passes_its_gates_and_reference():
+    # the only workload that evaluates the manufactured forcings every step
+    out = run_with_bench(WORKLOAD_SCRIPT, "mms_temporal_32",
+                         str(ROOT / "bench" / "reference.json"))
+    assert out["gates"] and all(out["gates"].values()), out["gates"]
+    assert out["mismatch"] is None, out["mismatch"]
+
+
 def test_import_leaves_scipy_sparse_out_and_gmres_resolvable():
     # nothing in the package calls gmres, but the benchmark binds
     # solver.gmres; importing scipy.sparse for it cost 8.5 MB of RSS

@@ -11,7 +11,7 @@ import pytest
 
 from mhdlab import cli
 from mhdlab.config import evaluate_expression, parse_config
-from mhdlab.errors import ConfigError, SnapshotError
+from mhdlab.errors import BasisError, ConfigError, SnapshotError
 from mhdlab.grid import Grid, ScalarField, VectorField, GalerkinBasis
 from mhdlab.snapshot import MAGIC, VERSION, read_snapshot, write_snapshot
 from mhdlab.solver import InitialData, initial_state
@@ -133,6 +133,35 @@ theta = -1
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert any("CFL" in v for v in err.value.violations)
+
+    def test_build_initial_data_evaluates_no_expression(self, monkeypatch):
+        # parse_config evaluates every expression once to validate it, and
+        # the initial data is built from those values
+        from mhdlab import config
+
+        text = MINIMAL + """
+[initial]
+rho = 1 + 0.1*cos(pi*x)
+b = 2 + 0.2*cos(pi*x)*cos(pi*y)
+theta = exp(0.05*cos(pi*y))
+ux = 0.01*sin(pi*x)*sin(pi*y)
+uy = 0.02*sin(2*pi*x)*sin(pi*y)
+"""
+        cfg = parse_config(text)
+        want = {k: evaluate_expression(e, cfg.grid)
+                for k, e in cfg.initial_exprs.items()}
+
+        def no_evaluation(expr, grid):
+            raise AssertionError(f"evaluated {expr!r} again")
+
+        monkeypatch.setattr(config, "evaluate_expression", no_evaluation)
+        init = cfg.build_initial_data()
+        for name, got in (("rho", init.rho0.values), ("b", init.b0.values),
+                          ("theta", init.theta0.values), ("ux", init.u0.vx),
+                          ("uy", init.u0.vy)):
+            assert np.array_equal(got, want[name]), name
+        # each call hands out its own arrays
+        assert cfg.build_initial_data().rho0.values is not init.rho0.values
 
     def test_build_initial_data(self):
         text = MINIMAL + """
@@ -308,6 +337,38 @@ class TestCli:
         code = cli.main(["run", "--config", str(cfg2),
                          "--output-dir", str(tmp_path / "out2")])
         assert code == 0
+
+    def test_sweep_from_snapshot_hands_its_fields_unchanged(self, tmp_path,
+                                                             monkeypatch):
+        # a snapshot restart is already a solver state: `sweep`, like `run`,
+        # starts from it verbatim instead of mollifying it
+        g = Grid(16, 16)
+        basis = GalerkinBasis(g, 4)
+        rho = 1.0 + 0.1 * np.cos(np.pi * g.X) * np.cos(np.pi * g.Y)
+        st = initial_state(InitialData(
+            ScalarField(g, rho), ScalarField(g, 2.0 * rho),
+            ScalarField(g, 1.0 + 0.1 * np.cos(np.pi * g.Y)),
+            VectorField(g, 0.05 * basis.phi[0].reshape(g.shape), np.zeros(g.shape)),
+        ), basis)
+        write_snapshot(st, tmp_path / "start.mhdw")
+        cfg = tmp_path / "restart.ini"
+        cfg.write_text(MINIMAL + f"\n[initial]\nsnapshot = {tmp_path / 'start.mhdw'}\n")
+        handed = []
+
+        def first_rung_only(plan, initial, eos):
+            handed.append(initial)
+            raise BasisError("stop after the hand-off")
+
+        monkeypatch.setattr(cli.sweeps_mod, "sweep", first_rung_only)
+        code = cli.main(["sweep", "--config", str(cfg), "--which", "epsilon",
+                         "--ladder", "0.1,0.05,0.025",
+                         "--output-dir", str(tmp_path / "out")])
+        assert code == 2 and len(handed) == 1
+        got = handed[0]
+        for a, b in ((got.rho0.values, st.rho.values), (got.b0.values, st.b.values),
+                     (got.theta0.values, st.theta.values), (got.u0.vx, st.u.vx),
+                     (got.u0.vy, st.u.vy)):
+            assert np.array_equal(a, b)
 
     def test_sweep_precondition_exit_code(self, tmp_path):
         cfg = tmp_path / "eq.ini"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from weak_form_oracles import weak_entropy_momentum_table
 
 from mhdlab import diagnostics as diag
 from mhdlab.errors import DomainError
@@ -294,6 +295,18 @@ class TestWeakResiduals:
         assert sum(t.vector for t in tests) == 4
         assert all(t.compact_support for t in tests if t.vector)
         assert sum(t.nonneg for t in tests) >= 2
+
+    def test_entropy_and_momentum_entries_match_the_hand_expanded_oracle(
+            self, dt_pair):
+        # the half-delta entropy production and the momentum flux now come
+        # from the term layer; the hand-expanded integrands agree to round-off
+        traj = dt_pair[1e-3]
+        tests = diag.canonical_test_functions(traj.states[0].grid, 0.1)
+        table = diag.weak_residuals(traj, tests, P, REG)
+        want = weak_entropy_momentum_table(traj, tests, P, REG)
+        assert {k[0] for k in want} == {"entropy", "momentum"}
+        for key, value in want.items():
+            assert table[key] == pytest.approx(value, rel=0.0, abs=1e-14), key
 
     def test_momentum_test_must_be_compact(self, trajectory):
         tests = diag.canonical_test_functions(trajectory.states[0].grid, 0.1)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from weak_form_oracles import mms_momentum_forcing
 
 from mhdlab.errors import BasisError, DomainError
 from mhdlab.grid import Grid, GalerkinBasis
@@ -12,6 +13,7 @@ from mhdlab.mms import (
     TimeFactor,
     manufactured_forcing,
     spatial_order_study,
+    spectral_probe_solution,
     standard_smooth_solution,
     temporal_order_study,
 )
@@ -91,6 +93,21 @@ class TestForcing:
         assert np.abs(tend.b_dot).max() <= 1e-10
         assert np.abs(tend.rhoe_dot).max() <= 1e-9
         assert np.abs(tend.c_dot).max() <= 1e-10
+
+    @pytest.mark.parametrize("ms, t", [
+        (standard_smooth_solution(unsteady=True), 0.0),
+        (standard_smooth_solution(unsteady=True), 0.13),
+        (spectral_probe_solution(0.8), 0.0),
+    ])
+    def test_momentum_forcing_matches_the_hand_expanded_oracle(self, ms, t):
+        grid = Grid(32, 32)
+        basis = GalerkinBasis(grid, 4)
+        p = EosParams(gamma=1.4, mu0=2.0, mu1=0.5, kappa2=2.0, a=0.5)
+        forcing = manufactured_forcing(ms, REG, p, grid, basis)
+        want = mms_momentum_forcing(forcing, t)
+        got = forcing.at(t)[3]
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=4 * np.finfo(float).eps * np.abs(want).max())
 
     def test_velocity_mode_outside_basis_rejected(self):
         grid = Grid(32, 32)

@@ -287,6 +287,30 @@ class TestAdvanceTemperature:
         expected = P.kappa(1.0) * np.pi**2 / (P.c_V * 1.0 + 4.0 * P.a)
         assert rate == pytest.approx(expected, rel=0.02)
 
+    def test_line_search_backtracks_an_overlong_direction(self, monkeypatch):
+        # a first Newton direction three times too long overshoots to about
+        # -2 times the residual; one halving brings it to -1/2 times, which
+        # the line search accepts, and Newton then converges as before
+        from mhdlab import solver
+
+        st = uniform_state(Grid(16, 16), theta=1.2)
+        reg = RegParams(epsilon=1.0, delta=2.0)
+        want, plain = frozen_temperature(st, reg, 5e-3)
+        assert plain.line_search_backtracks == 0
+        directions = []
+
+        def overlong(*args, _orig=solver._newton_direction):
+            v, iterations = _orig(*args)
+            directions.append(v)
+            return (3.0 * v if len(directions) == 1 else v), iterations
+
+        monkeypatch.setattr(solver, "_newton_direction", overlong)
+        got, info = frozen_temperature(st, reg, 5e-3)
+        assert info.line_search_backtracks == 1
+        assert info.iterations > plain.iterations
+        assert info.residual <= solver.NEWTON_TOL
+        np.testing.assert_allclose(got.values, want.values, rtol=1e-10, atol=0.0)
+
 
 class TestKirchhoffPcg:
     """The temperature Newton direction: PCG on cosine coefficients in the

@@ -18,6 +18,8 @@ from mhdlab.thermo import (
     helmholtz,
     internal_energy,
     internal_energy_split,
+    kappa_delta,
+    kappa_delta_dtheta,
     pressure,
     pressure_drho,
     pressure_split,
@@ -240,6 +242,17 @@ class TestTransport:
         assert np.all(np.diff(K) > 0.0)
         _, _, _, K1 = transport(1.0, EosParams(), 0.1, 8.0)
         assert K1 == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("delta, Gamma", [(0.0, 8.0), (0.3, 8.0), (0.3, 9.5)])
+    def test_kappa_delta_derivative_matches_central_difference(self, delta, Gamma):
+        # the fourth-order stencil with steps 1e-3*theta is accurate to about
+        # 1e-10 relative across the thermo grid
+        p = EosParams(kappa0=0.5, kappa2=2.0, kappa3=0.25)
+        theta = np.linspace(TOLERANCES["thermo_grid_lo"],
+                            TOLERANCES["thermo_grid_hi"], 34)
+        fd = _central4(lambda t: kappa_delta(t, p, delta, Gamma), theta, 1e-3 * theta)
+        np.testing.assert_allclose(kappa_delta_dtheta(theta, p, delta, Gamma), fd,
+                                   rtol=1e-9, atol=0.0)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
