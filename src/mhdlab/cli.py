@@ -40,9 +40,9 @@ def _initial_data(cfg):
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
+    initial = _initial_data(cfg)
     out_dir = args.output_dir or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
-    initial = _initial_data(cfg)
     traj = run_solver(initial, cfg.reg, cfg.eos, cfg.schedule, diagnostics_every=1)
 
     if "snapshot" in cfg.output_formats:

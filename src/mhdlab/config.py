@@ -83,6 +83,16 @@ def evaluate_expression(expr: str, grid: Grid):
     return np.broadcast_to(np.asarray(vals, dtype=float), grid.shape).copy()
 
 
+def _cfl_violations(u0: VectorField, dt: float) -> list:
+    """The violation, if any, of the CFL bound by initial velocity u0 at dt;
+    checked at load for expression data and for a snapshot restart alike."""
+    bound = cfl_bound(u0)
+    if dt > bound:
+        return [f"[time] dt = {dt:g} violates the CFL bound "
+                f"0.5*h/max|u| = {bound:g} at t = 0"]
+    return []
+
+
 @dataclass
 class Config:
     grid: Grid
@@ -105,6 +115,9 @@ class Config:
                     [f"snapshot grid {state.grid} does not match config grid "
                      f"{self.grid}"]
                 )
+            violations = _cfl_violations(state.u, self.schedule.dt)
+            if violations:
+                raise ConfigError(violations)
             return InitialData(state.rho, state.b, state.theta, state.u)
         # the values parse_config validated, copied for each call
         v = {name: vals.copy() for name, vals in self.initial_values.items()}
@@ -224,12 +237,7 @@ def parse_config(text: str) -> Config:
                 violations.append(f"[initial] {name} must be finite")
         if schedule is not None and "ux" in fields and "uy" in fields:
             u0 = VectorField(grid, fields["ux"], fields["uy"])
-            bound = cfl_bound(u0)
-            if schedule.dt > bound:
-                violations.append(
-                    f"[time] dt = {schedule.dt:g} violates the CFL bound "
-                    f"0.5*h/max|u| = {bound:g} at t = 0"
-                )
+            violations += _cfl_violations(u0, schedule.dt)
 
     out_dir = values[("output", "directory")]
     formats = tuple(

@@ -19,19 +19,16 @@ Nyquist sine mode is dropped.  The 2D transforms and the dealiasing helpers
 act on the last two axes, so a stack of fields (k, ny, nx) transforms in one
 call.
 
-Each axis takes one of two transform paths, chosen by its length alone, so
-a 128x64 grid takes one path in y and the other in x.  Up to 96 nodes (the
-16^2 to 64^2 grids and the fine grids that dealias them) an axis is one
-product with a cached dense matrix: at those lengths a scipy.fft call costs
-mostly dispatch, and a chain of axis operators folds into one matrix (the
-derivative, the zero-pad-then-evaluate of `to_fine`, the analyse-then-
-truncate of `from_fine`).  From 128 nodes on, the O(n^2) work per line
-loses to pocketfft, which serves those axes.  Both paths map a constant
-exactly onto the first cosine slot.  Two chains are one cached matrix per
-axis at every length, since up to 256 nodes the matrix beats the pocketfft
-passes it replaces: the sine-to-cosine change of a flux derivative
-(`sine_to_cosine`) and the restriction of fine-grid values to the coarse
-nodes (`restrict_nodal`).
+Each axis operator (`_axis`) takes one of two paths, chosen by its kind and
+the axis length alone from one table of cut-offs (`_DENSE_MAX`), so a
+128x256 grid takes one path in y and the other in x.  Up to the cut-off it
+is one product with a cached dense matrix, and a chain of operators folds
+into one matrix (the derivative, `to_fine`, `from_fine`, the restriction
+`restrict_nodal`, the sine-to-cosine change `sine_to_cosine`); longer axes
+go through scipy's pocketfft, imported by the first of them.  Every axis of
+the 16^2 to 128^2 grids and of the band-sized fine grids that dealias them
+(see below) is dense, so a run on them never loads scipy.  Both paths map a
+constant exactly onto the first cosine slot.
 
 A velocity from the Galerkin basis fills only the (lmax, kmax) corner of
 sine space, kmax and lmax its largest mode indices.  Its transforms are
@@ -52,10 +49,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from math import gcd
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import dct, dst, idct, idst, next_fast_len
 
 from .errors import BasisError, GridMismatchError
 
@@ -217,21 +214,23 @@ class VectorField:
 # one-dimensional transform primitives
 # ---------------------------------------------------------------------------
 
-# Axis lengths up to this take cached dense matrices, longer ones pocketfft.
-# A 2D cosine transform, forward / backward, on one BLAS thread of a 2-core
-# Xeon: 12-21 / 6-11 us as matrix products against 21-57 / 22-34 us through
-# scipy.fft at 16-48 nodes per axis, 69 / 54 against 78 / 82 us at 96, but
-# 184 / 155 against 147 / 143 us at 128 and 906 / 539 against 292 / 325 us
-# at 192.  So the 16^2 to 64^2 grids and their fine grids (up to 96 nodes
-# under the 3/2 rule, 72 to 80 when sized from a velocity's band) take the
-# matrices.  The fused sine-to-cosine change and restriction take them at
-# every length: on the same host, per flux divergence at 32 / 64 / 128 / 256
-# nodes 8 / 27 / 213 / 1570 us against 51 / 105 / 750 / 3200 us for the
-# bwd2-then-fwd2 chain, and per restriction of three fields from 36 / 72 /
-# 135 / 270 fine nodes 12 / 83 / 1100 / 5100 us against 67 / 242 / 1890 /
-# 6700 us.  From 540 fine nodes on (512^2) the restriction loses, 37
-# against 26 ms.
-_DENSE_MAX = 96
+# One cut-off per kind: the longest axis (the longer of its input and output
+# lengths) served by the cached dense matrix; longer axes take the pocketfft
+# chain, and the first of them imports scipy.fft (27.6 MB of RSS, 0.4 s).
+# Dense / pocketfft in us, both axes of one field (from_fine two, restrict
+# three, s2c one per axis), best of 21, one BLAS thread of a shared 2-core
+# Xeon; ms where marked, medians of six:
+#   fwd, bwd   128: 268 / 239, 240 / 222; 192: 839 / 295, 475 / 316
+#   deriv      128: 269 / 598; 256: 1744 / 2033
+#   to_fine    128->135: 195 / 180; 128->192: 397 / 337
+#   from_fine  160->128: 432 / 767; 270->256: 3742 / 2923
+#   restrict   160->128: 1442 / 1618; 270->256: 6.3 / 6.5 ms; 320->256: 8.1 / 6.2 ms
+#   s2c        128: 174 / 322; 256: 1386 / 1630; 512: 10.6 / 8.2 ms
+# 160 covers the 16^2 to 128^2 grids and their band-sized fine axes
+# (fine_length(128, 63) = 160): fwd and bwd give up to 1.5x there, deriv and
+# from_fine gain up to 2x, and scipy stays unloaded.
+_DENSE_MAX = {"fwd": 160, "bwd": 160, "deriv": 160, "to_fine": 160,
+              "from_fine": 160, "restrict": 160, "s2c": 256}
 
 
 def _sl(ndim, axis, index):
@@ -241,6 +240,8 @@ def _sl(ndim, axis, index):
 
 
 def _fft_fwd1(values, axis, parity, overwrite=False):
+    from scipy.fft import dct, dst  # loaded by the first axis past a cut-off
+
     v = np.asarray(values, dtype=float)
     n = v.shape[axis]
     if parity == COS:
@@ -255,6 +256,8 @@ def _fft_fwd1(values, axis, parity, overwrite=False):
 
 
 def _fft_bwd1(coeffs, axis, parity, overwrite=False):
+    from scipy.fft import idct, idst
+
     c = np.asarray(coeffs, dtype=float)
     if overwrite:
         c *= c.shape[axis]
@@ -355,29 +358,56 @@ def _dense(kind, values, axis, parity, m=None):
     return out
 
 
-def _fwd1(values, axis, parity, overwrite=False):
-    if np.shape(values)[axis] <= _DENSE_MAX:
-        return _dense("fwd", values, axis, parity)
-    return _fft_fwd1(values, axis, parity, overwrite)
+def _pocketfft(kind, values, axis, parity, m, overwrite):
+    """One axis operator as its chain of pocketfft passes; the derivative is
+    taken on an axis of length pi, as its matrix is."""
+    if kind == "bwd":
+        return _fft_bwd1(values, axis, parity, overwrite)
+    if kind == "to_fine":
+        padded = _pad_axis(values, axis, parity, m)
+        return _fft_bwd1(padded, axis, parity, overwrite=True)
+    if kind == "s2c":
+        nodal = _fft_bwd1(values, axis, SIN, overwrite)
+        return _fft_fwd1(nodal, axis, COS, overwrite=True)
+    c = _fft_fwd1(values, axis, parity, overwrite)
+    if kind == "deriv":
+        dc, flipped = _deriv_coeffs(c, axis, parity, np.pi)
+        return _fft_bwd1(dc, axis, flipped, overwrite=True)
+    if kind == "fwd":
+        return c
+    c = _truncate_axis(c, axis, parity, m)
+    if kind == "from_fine":
+        return c
+    return _fft_bwd1(c, axis, parity, overwrite=True)  # restrict
 
 
-def _bwd1(coeffs, axis, parity, overwrite=False):
-    if np.shape(coeffs)[axis] <= _DENSE_MAX:
-        return _dense("bwd", coeffs, axis, parity)
-    return _fft_bwd1(coeffs, axis, parity, overwrite)
+def _axis(kind, values, axis, parity, m=None, overwrite=False):
+    """Every transform of the module: one axis operator along `axis` of an
+    array or a stack (m outputs for `to_fine`, `from_fine` and `restrict`),
+    by its cached dense matrix up to the kind's cut-off in `_DENSE_MAX`,
+    else by pocketfft, in place on `values` when `overwrite`."""
+    if max(np.shape(values)[axis], m or 0) <= _DENSE_MAX[kind]:
+        return _dense(kind, values, axis, parity, m)
+    return _pocketfft(kind, values, axis, parity, m, overwrite)
 
 
-# On the pocketfft path the second pass of a 2D transform works in place on
-# the first pass's output: a fresh output per pass costs up to 1.5x on
-# stacked fine grids.
+def _along_yx(kind, values, parity, shape=(None, None)):
+    """Apply one kind along x, the last axis, then along y, with output
+    lengths `shape` (ny, nx) where the kind takes them.  On the pocketfft
+    path the second pass works in place on the first pass's output: a fresh
+    output per pass costs up to 1.5x on stacked fine grids."""
+    once = _axis(kind, values, -1, parity[1], shape[1])
+    return _axis(kind, once, -2, parity[0], shape[0], overwrite=True)
+
+
 def fwd2(values, parity):
     """Nodal -> coefficients, parity given per axis (y, x)."""
-    return _fwd1(_fwd1(values, -1, parity[1]), -2, parity[0], overwrite=True)
+    return _along_yx("fwd", values, parity)
 
 
 def bwd2(coeffs, parity):
     """Coefficients -> nodal, parity given per axis (y, x)."""
-    return _bwd1(_bwd1(coeffs, -1, parity[1]), -2, parity[0], overwrite=True)
+    return _along_yx("bwd", coeffs, parity)
 
 
 def _deriv_coeffs(coeffs, axis, parity, length):
@@ -397,13 +427,9 @@ def _deriv_coeffs(coeffs, axis, parity, length):
 
 def deriv_nodal(values, axis, parity, length):
     """Spectral derivative of a nodal array, or a stack, along one axis."""
-    if np.shape(values)[axis] <= _DENSE_MAX:
-        d = _dense("deriv", values, axis, parity)
-        d *= np.pi / length
-        return d
-    c = _fft_fwd1(values, axis, parity)
-    dc, new_parity = _deriv_coeffs(c, axis, parity, length)
-    return _fft_bwd1(dc, axis, new_parity, overwrite=True)
+    d = _axis("deriv", values, axis, parity)
+    d *= np.pi / length
+    return d
 
 
 def _pad_axis(c, axis, parity, m):
@@ -438,31 +464,22 @@ def fine_length(n, kmax):
     The product holds modes up to n - 1 + kmax, and on m midpoint nodes a
     mode K >= m reads as mode 2m - K (up to sign), which stays outside the
     n kept slots while m >= n + kmax/2 - 1/2, that is m >= n + kmax//2.
-    Rounded up to a length pocketfft serves fast.  A basis has
+    Rounded up to a length pocketfft serves fast, the least 2^a 3^b 5^c, as
+    scipy.fft.next_fast_len(m, real=True) gives it.  A basis has
     kmax <= n/2 - 1, so m is at most 5n/4 (a fast length for n a power of
     two), short of the 3/2 rule's 3n/2 for two full-band factors.
     """
-    return next_fast_len(n + kmax // 2, real=True)
-
-
-def _to_fine1(coeffs, axis, parity, m):
-    if m <= _DENSE_MAX:
-        return _dense("to_fine", coeffs, axis, parity, m)
-    return _fft_bwd1(_pad_axis(coeffs, axis, parity, m), axis, parity, overwrite=True)
-
-
-def _from_fine1(fine_values, axis, parity, n):
-    if fine_values.shape[axis] <= _DENSE_MAX:
-        return _dense("from_fine", fine_values, axis, parity, n)
-    return _truncate_axis(_fft_fwd1(fine_values, axis, parity), axis, parity, n)
+    m = n + kmax // 2
+    while m // gcd(m, 30 ** m.bit_length()) > 1:  # a prime factor above 5 is left
+        m += 1
+    return m
 
 
 def to_fine(coeffs, parity, shape=None):
     """Evaluate a coefficient-space field on the zero-padded nodal grid of
     `shape` (ny, nx), by default the 3/2 rule's."""
     ny, nx = coeffs.shape[-2:]
-    my, mx = shape or (3 * ny // 2, 3 * nx // 2)
-    return _to_fine1(_to_fine1(coeffs, -1, parity[1], mx), -2, parity[0], my)
+    return _along_yx("to_fine", coeffs, parity, shape or (3 * ny // 2, 3 * nx // 2))
 
 
 def from_fine(fine_values, parity, shape=None):
@@ -470,23 +487,22 @@ def from_fine(fine_values, parity, shape=None):
     coarse `shape` (ny, nx), by default two thirds of the fine ones per
     axis."""
     my, mx = fine_values.shape[-2:]
-    ny, nx = shape or (2 * my // 3, 2 * mx // 3)
-    return _from_fine1(_from_fine1(fine_values, -1, parity[1], nx), -2, parity[0], ny)
+    shape = shape or (2 * my // 3, 2 * mx // 3)
+    return _along_yx("from_fine", fine_values, parity, shape)
 
 
 def restrict_nodal(fine_values, shape):
     """Nodal values on the coarse `shape` of the cosine-cosine projection of
-    fine-grid nodal values, bwd2(from_fine(v, (COS, COS), shape)) with one
-    matrix per axis."""
-    ny, nx = shape
-    return _dense("restrict", _dense("restrict", fine_values, -1, COS, nx), -2, COS, ny)
+    fine-grid nodal values, bwd2(from_fine(v, (COS, COS), shape)) as one
+    operator per axis."""
+    return _along_yx("restrict", fine_values, (COS, COS), shape)
 
 
 def sine_to_cosine(coeffs, axis):
     """Cosine coefficients along `axis` of the nodal values that sine
-    coefficients describe there, fwd(COS) of bwd(SIN) as one matrix; the
+    coefficients describe there, fwd(COS) of bwd(SIN) as one operator; the
     other axis is left as it is."""
-    return _dense("s2c", coeffs, axis, SIN)
+    return _axis("s2c", coeffs, axis, SIN)
 
 
 # ---------------------------------------------------------------------------
@@ -638,11 +654,11 @@ class GalerkinBasis:
         lmax = grid.ny // 2 - 1
         self.grid = grid
         self.n = int(n)
-        candidates = [(k, l) for k in range(1, kmax + 1) for l in range(1, lmax + 1)]
-        candidates.sort(key=lambda kl: (kl[0] ** 2 + kl[1] ** 2, kl[0], kl[1]))
-        self.modes = candidates[:n]
+        k, l = np.indices((kmax, lmax)).reshape(2, -1) + 1
+        first = np.lexsort((l, k, k * k + l * l))[:n]
+        self.k, self.l = k[first], l[first]
+        self.modes = list(zip(self.k.tolist(), self.l.tolist()))
         self.mode_norm2 = grid.lx * grid.ly / 4.0
-        self.k, self.l = np.array(self.modes).T
         self.ax = self.k * np.pi / grid.lx
         self.ay = self.l * np.pi / grid.ly
         self.kmax, self.lmax = int(self.k.max()), int(self.l.max())

@@ -434,6 +434,28 @@ class TestCli:
         code = cli.main(["run", "--config", str(cfg)])
         assert code == 2
 
+    def test_snapshot_restart_checked_against_the_cfl_bound(self, tmp_path, capsys):
+        # max|u| = 5 on 16^2 bounds dt by 0.5*h/5 = 0.00625, so dt = 0.01 is
+        # rejected at load, as for expression data, and no directory is made
+        g = Grid(16, 16)
+        basis = GalerkinBasis(g, 4)
+        phi = basis.phi[0].reshape(g.shape)
+        ones = np.ones(g.shape)
+        st = initial_state(InitialData(
+            ScalarField(g, ones), ScalarField(g, 2.0 * ones), ScalarField(g, ones),
+            VectorField(g, 5.0 * phi / phi.max(), np.zeros(g.shape)),
+        ), basis)
+        write_snapshot(st, tmp_path / "fast.mhdw")
+        cfg = tmp_path / "restart.ini"
+        cfg.write_text(with_value("time", "dt", "0.01")
+                       + f"\n[initial]\nsnapshot = {tmp_path / 'fast.mhdw'}\n")
+        out_dir = tmp_path / "out"
+        code = cli.main(["run", "--config", str(cfg), "--output-dir", str(out_dir)])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "config rejected" in out and "violates the CFL bound" in out
+        assert not out_dir.exists()
+
     def test_run_rejects_infinite_t_final(self, tmp_path, capsys):
         cfg = tmp_path / "inf.ini"
         cfg.write_text(with_value("time", "t_final", "inf"))

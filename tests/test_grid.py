@@ -1,3 +1,9 @@
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.fft import next_fast_len
@@ -20,6 +26,7 @@ from mhdlab.grid import (
     bwd2,
     deriv_nodal,
     divergence,
+    fine_length,
     from_fine,
     fwd2,
     galerkin_load,
@@ -65,6 +72,87 @@ def random_ss_vector(grid, seed, decay=0.5):
         c[:, -1] = 0.0
         comps.append(bwd2(c, (SIN, SIN)))
     return VectorField(grid, comps[0], comps[1])
+
+
+INITIAL = """
+import resource
+import sys
+
+import numpy as np
+from mhdlab import diagnostics, solver
+from mhdlab.grid import COS, GalerkinBasis, Grid, ScalarField, VectorField, fwd2
+from mhdlab.thermo import EosParams
+
+
+def initial(n):
+    g = Grid(n, n)
+    rho = 1.0 + 0.05 * np.cos(np.pi * g.X) * np.cos(np.pi * g.Y)
+    return solver.InitialData(
+        ScalarField(g, rho), ScalarField(g, 2.0 * rho),
+        ScalarField(g, 1.0 + 0.05 * np.cos(np.pi * g.Y)),
+        VectorField(g, 0.05 * np.sin(np.pi * g.X) * np.sin(np.pi * g.Y),
+                    np.zeros(g.shape)))
+"""
+
+# five 128^2 steps at n = 4, a 64^2 report and a 64^2 step at n = 256 run on
+# dense axes alone; a 256^2 transform then loads scipy.fft
+NO_SCIPY_SCRIPT = INITIAL + """
+eos = EosParams()
+reg = solver.RegParams(epsilon=1e-2, delta=1e-2, n=4)
+init = solver.regularize_initial_data(initial(128), reg)
+traj = solver.run(init, reg, eos, solver.Schedule(t_final=5e-3, dt=1e-3),
+                  diagnostics_every=0)
+assert len(traj.step_reports) == 5
+diagnostics.report(solver.initial_state(initial(64), GalerkinBasis(Grid(64, 64), 4)),
+                   reg, eos)
+reg256 = solver.RegParams(epsilon=1e-2, delta=1e-2, n=256)
+solver.step(solver.initial_state(initial(64), GalerkinBasis(Grid(64, 64), 256)),
+            reg256, eos, 1e-3)
+loaded = [m for m in sys.modules if m.startswith("scipy")]
+assert not loaded, loaded
+
+v = np.random.default_rng(0).standard_normal((256, 256))
+got = fwd2(v, (COS, COS))
+assert "scipy.fft" in sys.modules
+from scipy.fft import dctn
+
+want = dctn(v, type=2) / v.size
+want[0] *= 0.5
+want[:, 0] *= 0.5
+assert np.abs(got - want).max() <= 1e-14 * 256 * np.abs(want).max()
+"""
+
+
+# a 64^2 report frees about 1.8 MB of temporaries; once warm, the next
+# reports take them from the heap again without a page fault
+HEAP_SCRIPT = INITIAL + """
+reg, eos = solver.RegParams(epsilon=1e-2, delta=1e-2, n=4), EosParams()
+st = solver.initial_state(initial(64), GalerkinBasis(Grid(64, 64), 4))
+diagnostics.report(st.copy(), reg, eos)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    diagnostics.report(st.copy(), reg, eos)
+faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5
+assert faults < 20, faults
+"""
+
+
+def run_in_fresh_process(script):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_desk_scale_runs_leave_scipy_unloaded():
+    # scipy.fft costs about 28 MB of RSS at import; no axis of the 16^2 to
+    # 128^2 grids or their band-sized fine grids needs it
+    run_in_fresh_process(NO_SCIPY_SCRIPT)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's thresholds")
+def test_reports_take_their_temporaries_from_the_heap():
+    run_in_fresh_process(HEAP_SCRIPT)
 
 
 class TestGrid:
@@ -129,9 +217,19 @@ def assert_close(got, ref, n):
     assert np.abs(got - ref).max() <= 1e-15 * n * np.abs(ref).max()
 
 
+# the path each kind takes on an axis of 64, 128, 160, 256 and 540 nodes
+# (the longer of its input and output lengths): "d" the dense matrix, "p"
+# the pocketfft chain
+PATHS = {
+    "fwd": "dddpp", "bwd": "dddpp", "deriv": "dddpp", "to_fine": "dddpp",
+    "from_fine": "dddpp", "restrict": "dddpp", "s2c": "ddddp",
+}
+
+
 class TestDenseTransforms:
     """The matrix path against the pocketfft primitives it replaces up to
-    96 nodes per axis; the path is chosen per axis length, never per grid."""
+    each kind's cut-off; the path is chosen per axis length, never per
+    grid."""
 
     @pytest.mark.parametrize("n, kind", [
         (n, kind)
@@ -171,10 +269,13 @@ class TestDenseTransforms:
                     ref = fft_axis("deriv", v, axis, p) * (np.pi / length)
                     assert_close(deriv_nodal(v, axis, p, length), ref, n)
 
-    @pytest.mark.parametrize("shape", [(64, 128), (128, 64), (128, 128)])
+    @pytest.mark.parametrize("shape", [(64, 128), (128, 256), (256, 128)])
     def test_each_axis_takes_its_own_path(self, shape):
         def axis_path(kind, v, axis, parity):
-            if v.shape[axis] <= 96:
+            # dense while the longer of the axis's two lengths is at most 160:
+            # the fine one for to_fine (3/2 of its input) and from_fine
+            n = v.shape[axis]
+            if (3 * n // 2 if kind == "to_fine" else n) <= 160:
                 return grid_module._dense(kind, v, axis, parity)
             return fft_axis(kind, v, axis, parity)
 
@@ -187,8 +288,22 @@ class TestDenseTransforms:
                 ref = axis_path(kind, axis_path(kind, v, -1, parity[1]), -2, parity[0])
                 assert np.array_equal(op(v, parity), ref), (kind, parity)
 
-    def test_grids_of_128_build_no_matrix(self):
-        g = Grid(128, 128, 1.3, 0.9)
+    @pytest.mark.parametrize("kind", sorted(PATHS))
+    def test_each_kind_takes_the_path_of_its_cut_off(self, kind):
+        parity = SIN if kind == "s2c" else COS
+        for n, path in zip((64, 128, 160, 256, 540), PATHS[kind]):
+            # to_fine evaluates n/2 slots on n nodes; from_fine and restrict
+            # take n nodes onto n/2
+            length, m = {"to_fine": (n // 2, n), "from_fine": (n, n // 2),
+                         "restrict": (n, n // 2)}.get(kind, (n, None))
+            v = np.random.default_rng(n).standard_normal((2, length))
+            grid_module._matrix.cache_clear()
+            got = grid_module._axis(kind, v, -1, parity, m)
+            assert (grid_module._matrix.cache_info().currsize == 1) == (path == "d"), n
+            assert_close(got, grid_module._dense(kind, v, -1, parity, m), n)
+
+    def test_grids_of_256_build_no_matrix(self):
+        g = Grid(256, 256, 1.3, 0.9)
         f = random_cc_field(g, 6)
         grid_module._matrix.cache_clear()
         divergence(gradient(f))
@@ -196,6 +311,7 @@ class TestDenseTransforms:
         velocity_gradient(random_ss_vector(g, 7))
         dealiased_product(fwd2(f.values, (COS, COS)), (COS, COS),
                           fwd2(f.values, (COS, COS)), (COS, COS))
+        restrict_nodal(np.ones((3, 270, 270)), g.shape)  # the band of n = 4
         assert grid_module._matrix.cache_info().currsize == 0
 
     @pytest.mark.parametrize("shape", [(16, 16), (64, 64), (128, 128), (64, 128)])
@@ -360,6 +476,16 @@ class TestBasis:
         g = Grid(64, 64, 1.0, 1.0)
         basis = GalerkinBasis(g, 4)
         assert basis.modes == [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+    @pytest.mark.parametrize("nx, ny", [(16, 16), (64, 128), (128, 128)])
+    def test_modes_match_the_sorted_tuples(self, nx, ny):
+        kmax, lmax = nx // 2 - 1, ny // 2 - 1
+        oracle = sorted(((k, l) for k in range(1, kmax + 1) for l in range(1, lmax + 1)),
+                        key=lambda kl: (kl[0] ** 2 + kl[1] ** 2, kl[0], kl[1]))
+        for n in (1, 4, kmax * lmax):
+            basis = GalerkinBasis(Grid(nx, ny), n)
+            assert basis.modes == oracle[:n]
+            assert list(zip(basis.k, basis.l)) == oracle[:n]
 
     def test_too_large_rejected(self):
         g = Grid(16, 16)
@@ -547,6 +673,11 @@ class TestBandLimited:
         ny, nx = shape
         u = reconstruct(np.ones(2 * n), GalerkinBasis(Grid(nx, ny), n))
         assert VelocityWorkspace(None, None, u).u_fine.shape == (2,) + band
+
+    def test_fine_length_is_the_next_fast_length(self):
+        for n in range(1, 1025):
+            for kmax in range((n + 1) // 2):
+                assert fine_length(n, kmax) == next_fast_len(n + kmax // 2, real=True)
 
     def test_nodal_tables_are_the_basis_tables(self):
         basis = GalerkinBasis(Grid(16, 32, 1.3, 0.9), 40)
