@@ -13,8 +13,6 @@ import sys
 import numpy as np
 
 from . import diagnostics as diag
-from . import mms as mms_mod
-from . import sweeps as sweeps_mod
 from .config import load_config
 from .errors import BasisError, ConfigError, DomainError, MhdError
 from .grid import Grid
@@ -110,6 +108,8 @@ def _parse_grid_sizes(text: str) -> tuple:
 
 
 def cmd_sweep(args) -> int:
+    from . import sweeps as sweeps_mod  # only this command loads it
+
     cfg = load_config(args.config)
     try:
         ladder = _parse_ladder(args.ladder, args.which)
@@ -187,6 +187,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_mms(args) -> int:
+    from . import mms as mms_mod  # only this command loads it
+
     try:
         sizes = _parse_grid_sizes(args.grid_sizes)
     except MhdError as exc:

@@ -22,10 +22,13 @@ call.
 Each axis operator (`_axis`) takes one of two paths, chosen by its kind and
 the axis length alone from one table of cut-offs (`_DENSE_MAX`), so a
 128x256 grid takes one path in y and the other in x.  Up to the cut-off it
-is one product with a cached dense matrix, and a chain of operators folds
-into one matrix (the derivative, `to_fine`, `from_fine`, the restriction
-`restrict_nodal`, the sine-to-cosine change `sine_to_cosine`); longer axes
-go through scipy's pocketfft, imported by the first of them.  Every axis of
+is one product with a cached dense matrix, and each chain of linear axis
+operators between two pointwise products folds into one matrix (the
+derivative, the second derivative of `laplacian_neumann`, `to_fine`,
+`from_fine`, the nodal refinement `refine_nodal`, the restriction and the
+restriction with a derivative of `restricted_divergence`, the sine-to-cosine
+change `sine_to_cosine`); longer axes go through scipy's pocketfft, imported
+by the first of them, as the same chain of passes.  Every axis of
 the 16^2 to 128^2 grids and of the band-sized fine grids that dealias them
 (see below) is dense, so a run on them never loads scipy.  Both paths map a
 constant exactly onto the first cosine slot.
@@ -34,7 +37,9 @@ A velocity from the Galerkin basis fills only the (lmax, kmax) corner of
 sine space, kmax and lmax its largest mode indices.  Its transforms are
 band-limited: evaluation on the grid and on the fine grid, the Jacobian,
 the Galerkin load and the projection are small matrix products with the
-basis's per-axis mode tables (see `GalerkinBasis`), never full transforms.
+basis's per-axis mode tables (see `GalerkinBasis`), never full transforms;
+so is the load of fine-grid integrands, with the tables composed with the
+restriction.
 A velocity without coefficients takes the full transforms.
 
 Every product the scheme dealiases has one such velocity as a factor, so
@@ -103,11 +108,6 @@ class Grid:
         ky = np.arange(self.ny) * np.pi / self.ly
         # |k|^2 for the cosine-cosine representation (Neumann Laplacian)
         self.k2_cc = ky[:, None] ** 2 + kx[None, :] ** 2
-        # weight of the cosine-cosine coefficients in the nodal inner product:
-        # sum(f*g) = nx*ny*sum(w_cc*f_cc*g_cc)
-        self.w_cc = np.full(self.shape, 0.25)
-        self.w_cc[0, :] = self.w_cc[:, 0] = 0.5
-        self.w_cc[0, 0] = 1.0
 
     @property
     def shape(self):
@@ -219,18 +219,25 @@ class VectorField:
 # chain, and the first of them imports scipy.fft (27.6 MB of RSS, 0.4 s).
 # Dense / pocketfft in us, both axes of one field (from_fine two, restrict
 # three, s2c one per axis), best of 21, one BLAS thread of a shared 2-core
-# Xeon; ms where marked, medians of six:
+# Xeon; ms where marked, medians of six (of three for the last four rows):
 #   fwd, bwd   128: 268 / 239, 240 / 222; 192: 839 / 295, 475 / 316
 #   deriv      128: 269 / 598; 256: 1744 / 2033
 #   to_fine    128->135: 195 / 180; 128->192: 397 / 337
 #   from_fine  160->128: 432 / 767; 270->256: 3742 / 2923
 #   restrict   160->128: 1442 / 1618; 270->256: 6.3 / 6.5 ms; 320->256: 8.1 / 6.2 ms
 #   s2c        128: 174 / 322; 256: 1386 / 1630; 512: 10.6 / 8.2 ms
+#   lap        128: 266 / 485; 192: 778 / 949; 256: 1712 / 1929
+#   refine     128->135: 341 / 515; 128->160: 407 / 547; 256->270: 1881 / 2341
+#   restrict_deriv, sine, one field: 135->128: 264 / 774; 160->128: 361 /
+#              1136; 270->256: 2259 / 3208 (restrict, sine, one field:
+#              314 / 562, 407 / 874, 2134 / 2506)
 # 160 covers the 16^2 to 128^2 grids and their band-sized fine axes
-# (fine_length(128, 63) = 160): fwd and bwd give up to 1.5x there, deriv and
-# from_fine gain up to 2x, and scipy stays unloaded.
-_DENSE_MAX = {"fwd": 160, "bwd": 160, "deriv": 160, "to_fine": 160,
-              "from_fine": 160, "restrict": 160, "s2c": 256}
+# (fine_length(128, 63) = 160): fwd and bwd give up to 1.5x there, the other
+# kinds gain up to 3x, and scipy stays unloaded.  Past it the dense chains
+# still gain a little, but a 256-node matrix costs 0.5 MB of cache.
+_DENSE_MAX = {"fwd": 160, "bwd": 160, "deriv": 160, "lap": 160, "to_fine": 160,
+              "from_fine": 160, "refine": 160, "restrict": 160,
+              "restrict_deriv": 160, "s2c": 256}
 
 
 def _sl(ndim, axis, index):
@@ -287,7 +294,8 @@ def _trig(n, parity):
 def _build(kind, n, parity, m=None):
     """Dense matrix (output by input) of one axis operator on n inputs; m is
     the output length of `to_fine` (3n/2 by default), `from_fine` (2n/3 by
-    default) and `restrict`."""
+    default), `refine`, `restrict` and `restrict_deriv`.  A chain of
+    operators is the product of its links' matrices."""
     if kind == "fwd":
         mat = (2.0 / n) * _trig(n, parity)
         if parity == COS:
@@ -303,12 +311,20 @@ def _build(kind, n, parity, m=None):
     if kind == "deriv":  # on an axis of length pi (wavenumbers k, to an ulp)
         dc, flipped = _deriv_coeffs(_build("fwd", n, parity), 0, parity, np.pi)
         return _build("bwd", n, flipped) @ dc
+    if kind == "lap":  # second derivative on an axis of length pi
+        k2 = np.arange(n) ** 2.0
+        return _build("bwd", n, parity) @ (-k2[:, None] * _build("fwd", n, parity))
     if kind == "s2c":  # sine slots -> cosine slots of the same nodal values
         return _build("fwd", n, COS) @ _build("bwd", n, SIN)
     if kind == "to_fine":  # zero-pad n slots to m, then evaluate
         return _truncate_axis(_build("bwd", m or 3 * n // 2, parity), 1, parity, n)
+    if kind == "refine":  # analyse n nodes, then to_fine onto m nodes
+        return _build("to_fine", n, parity, m) @ _build("fwd", n, parity)
     if kind == "restrict":  # from_fine onto m slots, then evaluate
         return _build("bwd", m, parity) @ _build("from_fine", n, parity, m)
+    if kind == "restrict_deriv":  # from_fine onto m slots, differentiate, evaluate
+        dc, flipped = _deriv_coeffs(_build("from_fine", n, parity, m), 0, parity, np.pi)
+        return _build("bwd", m, flipped) @ dc
     # from_fine: analyse n fine nodes, then keep the first m slots
     return _truncate_axis(_build("fwd", n, parity), 0, parity, m or 2 * n // 3)
 
@@ -336,13 +352,13 @@ def _dense(kind, values, axis, parity, m=None):
 
     Cosine analysis maps a constant exactly onto slot 0, as pocketfft does
     (a Neumann Laplacian of a constant is 0.0, not round-off): rows past
-    slot 0, and the derivative, annihilate constants, so the product acts on
+    slot 0, and the derivatives, annihilate constants, so the product acts on
     v - v0, v0 the first node along the axis, and v0 goes back into slot 0,
-    or onto every node for the nodal output of `restrict`.
+    or onto every node for the nodal outputs of `refine` and `restrict`.
     """
     v = np.asarray(values, dtype=float)
     mt = _matrix(kind, v.shape[axis], parity, m)
-    shift = parity == COS and kind in ("fwd", "deriv", "from_fine", "restrict")
+    shift = parity == COS and kind not in ("bwd", "to_fine", "s2c")
     if shift:
         first = _sl(v.ndim, axis, slice(0, 1))
         v0 = v[first]
@@ -351,9 +367,9 @@ def _dense(kind, values, axis, parity, m=None):
         out = v @ mt
     else:
         out = (mt.T @ v.swapaxes(axis, -2)).swapaxes(axis, -2)
-    if shift and kind == "restrict":
+    if shift and kind in ("refine", "restrict"):
         out += v0
-    elif shift and kind != "deriv":
+    elif shift and kind in ("fwd", "from_fine"):
         out[first] += v0
     return out
 
@@ -373,17 +389,26 @@ def _pocketfft(kind, values, axis, parity, m, overwrite):
     if kind == "deriv":
         dc, flipped = _deriv_coeffs(c, axis, parity, np.pi)
         return _fft_bwd1(dc, axis, flipped, overwrite=True)
+    if kind == "lap":
+        shape = [1] * c.ndim
+        shape[axis] = c.shape[axis]
+        c *= -np.arange(c.shape[axis]).reshape(shape) ** 2.0
+        return _fft_bwd1(c, axis, parity, overwrite=True)
     if kind == "fwd":
         return c
+    if kind == "refine":
+        return _fft_bwd1(_pad_axis(c, axis, parity, m), axis, parity, overwrite=True)
     c = _truncate_axis(c, axis, parity, m)
     if kind == "from_fine":
         return c
+    if kind == "restrict_deriv":
+        c, parity = _deriv_coeffs(c, axis, parity, np.pi)
     return _fft_bwd1(c, axis, parity, overwrite=True)  # restrict
 
 
 def _axis(kind, values, axis, parity, m=None, overwrite=False):
     """Every transform of the module: one axis operator along `axis` of an
-    array or a stack (m outputs for `to_fine`, `from_fine` and `restrict`),
+    array or a stack (m outputs for the kinds that change the length),
     by its cached dense matrix up to the kind's cut-off in `_DENSE_MAX`,
     else by pocketfft, in place on `values` when `overwrite`."""
     if max(np.shape(values)[axis], m or 0) <= _DENSE_MAX[kind]:
@@ -491,11 +516,30 @@ def from_fine(fine_values, parity, shape=None):
     return _along_yx("from_fine", fine_values, parity, shape)
 
 
-def restrict_nodal(fine_values, shape):
-    """Nodal values on the coarse `shape` of the cosine-cosine projection of
-    fine-grid nodal values, bwd2(from_fine(v, (COS, COS), shape)) as one
+def refine_nodal(values, shape):
+    """Values on the fine grid of `shape` (ny, nx) of the cosine-cosine field
+    with nodal `values` (or a stack), to_fine(fwd2(v, (COS, COS))) as one
     operator per axis."""
-    return _along_yx("restrict", fine_values, (COS, COS), shape)
+    return _along_yx("refine", values, (COS, COS), shape)
+
+
+def restricted_divergence(flux, grid: Grid):
+    """Nodal divergence on `grid` of the projection of a fine-grid flux whose
+    components (x then y) are odd across the walls they face.
+
+    Each component is projected and differentiated along its own axis in one
+    operator (`restrict_deriv`: from_fine, derivative, bwd) and projected
+    along the other by the sine restriction: two passes per component.
+    """
+    q1, q2 = flux
+    ny, nx = grid.shape
+    d1 = _axis("restrict_deriv", q1, -1, SIN, nx)
+    d1 = _axis("restrict", d1, -2, SIN, ny, overwrite=True)
+    d2 = _axis("restrict", q2, -1, SIN, nx)
+    d2 = _axis("restrict_deriv", d2, -2, SIN, ny, overwrite=True)
+    d1 *= np.pi / grid.lx
+    d1 += (np.pi / grid.ly) * d2
+    return d1
 
 
 def sine_to_cosine(coeffs, axis):
@@ -539,10 +583,15 @@ def velocity_gradient(u: VectorField):
 
 
 def laplacian_neumann(f: ScalarField) -> ScalarField:
-    """Neumann Laplacian, diagonal in the cosine representation."""
+    """Neumann Laplacian, diagonal in the cosine representation: the second
+    derivative along x plus that along y, each one operator (`lap`, bwd of
+    -k^2 times fwd) on its axis, since the cosine round trip along the other
+    axis is the identity."""
     g = f.grid
-    c = fwd2(f.values, (COS, COS))
-    return ScalarField(g, bwd2(-g.k2_cc * c, (COS, COS)))
+    lap = _axis("lap", f.values, -1, COS)
+    lap *= (np.pi / g.lx) ** 2
+    lap += (np.pi / g.ly) ** 2 * _axis("lap", f.values, -2, COS)
+    return ScalarField(g, lap)
 
 
 def integrate(f) -> float:
@@ -597,6 +646,17 @@ class ModeTables(NamedTuple):
     sy_fine: np.ndarray
 
 
+class LoadTables(NamedTuple):
+    """The tables `GalerkinBasis.analyse` contracts a load with: the x sine
+    and derivative tables transposed (`sxt`, `dxt`, nodes by modes) and the
+    y ones (`sy`, `dy`, modes by nodes)."""
+
+    sxt: np.ndarray
+    dxt: np.ndarray
+    sy: np.ndarray
+    dy: np.ndarray
+
+
 def _axis_tables(kmax, n, length):
     """Sine, derivative and fine-grid sine tables of modes 1..kmax on an
     axis of n midpoint nodes."""
@@ -636,8 +696,11 @@ class GalerkinBasis:
     the coefficients, the Jacobian Sy^T C Dx and Dy^T C Sx, values on the
     band-sized fine grid the same with the fine tables, and the quadratures
     of f phi + fx d_x(phi) + fy d_y(phi) are Sy (f Sx^T + fx Dx^T) +
-    Dy fy Sx^T, gathered at the modes.  The (n, ny*nx) nodal tables `phi`, `phi_x`,
-    `phi_y` are formed only on request.
+    Dy fy Sx^T, gathered at the modes; those of fine-grid integrands,
+    restricted to the grid, the same with Sy Ry, Dy Ry, Rx^T Sx^T and
+    Rx^T Dx^T for the cosine restriction R (`fine_load_tables`, also built
+    on first use).  The (n, ny*nx) nodal tables `phi`, `phi_x`, `phi_y` are
+    formed only on request.
 
     Products of two modes are four cosine (or sine) modes of index |k-k'| or
     k+k' <= nx-2, and midpoint quadrature integrates them, times any weight
@@ -672,6 +735,18 @@ class GalerkinBasis:
         sy, dy, sy_fine = _axis_tables(self.lmax, g.ny, g.ly)
         return ModeTables(sx, np.ascontiguousarray(sx.T), dx,
                           np.ascontiguousarray(dx.T), sx_fine, sy, dy, sy_fine)
+
+    @cached_property
+    def fine_load_tables(self) -> LoadTables:
+        """The load tables composed with the cosine restriction of the fine
+        axes of `tables`: the quadratures, on the grid, of the cosine-cosine
+        projection of fine-grid integrands, taken on the fine grid.  Built on
+        first use from the restriction's dense matrix, whatever the axis
+        length."""
+        g, t = self.grid, self.tables
+        ry = _build("restrict", t.sy_fine.shape[1], COS, g.ny)
+        rx = _build("restrict", t.sx_fine.shape[1], COS, g.nx)
+        return LoadTables(rx.T @ t.sxt, rx.T @ t.dxt, t.sy @ ry, t.dy @ ry)
 
     def _nodal(self, ty, tx):
         """(n, ny*nx) table of the mode products ty[l-1](y) tx[k-1](x)."""
@@ -745,17 +820,21 @@ class GalerkinBasis:
         (u1x, u2x), (u1y, u2y) = t.sy.T @ (c @ t.dx), t.dy.T @ csx
         return u1x, u1y, u2x, u2y
 
-    def analyse(self, f, fx=None, fy=None):
+    def analyse(self, f, fx=None, fy=None, fine=False):
         """Nodal sums of f_i*phi + fx_i*d_x(phi) + fy_i*d_y(phi) for every
         mode, per component i of the (2, ny, nx) stacks: the 2n quadratures
-        without the weight hx*hy (x block then y block)."""
-        t = self.tables
-        g = f @ t.sxt
-        if fx is not None:
-            g += fx @ t.dxt
-            c = t.sy @ g + t.dy @ (fy @ t.sxt)
+        without the weight hx*hy (x block then y block).  f may be None
+        where fx and fy are given.  With `fine`, the stacks live on the fine
+        grid of the mode tables and are restricted first (see
+        `fine_load_tables`)."""
+        t = self.fine_load_tables if fine else self.tables
+        if fx is None:
+            c = t.sy @ (f @ t.sxt)
         else:
-            c = t.sy @ g
+            g = fx @ t.dxt
+            if f is not None:
+                g += f @ t.sxt
+            c = t.sy @ g + t.dy @ (fy @ t.sxt)
         return c.reshape(2, -1)[:, self.corner_index].ravel()
 
 

@@ -40,7 +40,13 @@ def write_snapshot(state: State, path):
 
 
 def read_snapshot(path) -> State:
-    """Read a snapshot; the velocity carries no basis coefficients."""
+    """Read a snapshot; the velocity carries no basis coefficients.
+
+    The state carries no temperature history either, so a run restarted
+    from it starts Newton cold for two steps and from the quadratic for the
+    third, where the uninterrupted run extrapolates the cubic: the restart
+    leaves that run by round-off inside the Newton tolerance.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size:

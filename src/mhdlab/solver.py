@@ -10,11 +10,20 @@ coefficients in the Kirchhoff variable), and the Galerkin momentum equation
 coupling explicit).  This mirrors the fix-velocity-then-solve-scalars
 structure of the underlying construction, in one pass per step.
 
-The temperature Newton solve starts from the quadratic extrapolation of
-theta through the state's level and the two before it (`State.theta_history`,
-which each step hands to the new state); one iteration then usually meets
-the tolerance, where a start from theta^n takes two.  The first two steps of
-a run, and a step whose extrapolation is not positive, start from theta^n.
+The temperature Newton solve starts from the cubic extrapolation of theta
+through the state's level and the three before it (`State.theta_history`,
+which each step hands to the new state; the quadratic with two); one
+iteration then usually meets the tolerance, where a start from theta^n takes
+two.  The first two steps of a run, and a step whose extrapolation is not
+positive, start from theta^n.  Newton stops at a residual scaled by its
+largest term at the start, so its round-off stays below the tolerance.
+
+Each chain of linear axis operators between two pointwise products is one
+operator per axis (see `grid`): the Neumann Laplacian of the Newton residual,
+and the energy flux, whose rho*e goes to the fine grid and whose flux comes
+back as a nodal divergence in one operator per axis each.  The advection
+tensor is never restricted to the grid: its Galerkin load is taken on the
+fine grid (`VelocityWorkspace.advection_load`).
 
 The Galerkin momentum system for the 2n coefficients (c_x, c_y) is solved
 as one n x n complex system in z = c_x + i*c_y.  Its viscous coupling block
@@ -75,7 +84,8 @@ from .grid import (
     laplacian_neumann,
     project_velocity,
     reconstruct,
-    restrict_nodal,
+    refine_nodal,
+    restricted_divergence,
     sine_to_cosine,
     to_fine,
     velocity_gradient,
@@ -174,11 +184,12 @@ class State:
     `handed` holds the terms of this level that the step which produced the
     state formed, for a report on it to read (see `VelocityWorkspace.term`);
     the step from the state empties it.  `theta_history` holds the
-    temperature of the two levels before this one, (t, theta array) pairs
+    temperature of the three levels before this one, (t, theta array) pairs
     newest first, which the temperature stage extrapolates its Newton start
-    from (see `advance_temperature`).  The step that produced the state
-    hands it on; a state built by hand, from a snapshot or by
-    `initial_state` has none.
+    from (see `_newton_start`).  The step that produced the state hands it
+    on; a state built by hand, from a snapshot or by `initial_state` has
+    none, so the first two steps from it start cold and the third from the
+    quadratic.
     """
 
     t: float
@@ -516,8 +527,9 @@ class VelocityWorkspace:
     """A state's one evaluation, each part formed on first use: the CFL bound
     `cfl_limit`, the velocity on the fine grid `u_fine` (x then y), its
     Jacobian `grads_u`, the cosine coefficients of (rho, b) `scalar_cc`,
-    their advective divergences `scalar_adv_cc`, the `advection_tensor`
-    and the old-level energy flux (`energy`).  The terms handed on by the
+    their advective divergences `scalar_adv_cc`, the Galerkin load of the
+    advection tensor `advection_load` and the old-level energy flux
+    (`energy`).  The terms handed on by the
     step that produced the state are read through `term`.
 
     It holds the state's fields and handed-on terms, never the state, so a
@@ -583,7 +595,7 @@ class VelocityWorkspace:
     @cached_property
     def mass_flux(self):
         """Sine-sine coefficients of the dealiased mass flux rho*u (x then
-        y), read by the rho advance and the advection tensor."""
+        y), read by the rho advance and the advection load."""
         return _flux_cc(self.scalar_cc[0], self)
 
     @cached_property
@@ -595,12 +607,16 @@ class VelocityWorkspace:
         ])
 
     @cached_property
-    def advection_tensor(self):
-        """Nodal rho*u_i*u_j (stacked t11, t12, t22) with pairwise dealiased
-        products of the mass flux and the velocity.
+    def advection_load(self):
+        """Galerkin load (2n) of the advection tensor rho*u_i*u_j as the
+        momentum flux rows (t11, t12), (t12, t22), its entries the pairwise
+        dealiased products of the mass flux and the velocity.
 
-        Each fine-grid stack is dropped once read and the products are
-        written into one array: this is the largest transient of a step.
+        The products are contracted on the fine grid with the basis's
+        restricted load tables (`GalerkinBasis.fine_load_tables`), so the
+        tensor is never restricted to the grid.  Each fine-grid stack is
+        dropped once read and the products are written into one array: this
+        is the largest transient of a step.
         """
         u1, u2 = self.u_fine
         ru_fine = to_fine(self.mass_flux, (SIN, SIN), u1.shape)
@@ -609,7 +625,9 @@ class VelocityWorkspace:
         np.multiply(ru_fine[0], u2, out=prods[1])
         np.multiply(ru_fine[1], u2, out=prods[2])
         del ru_fine
-        return restrict_nodal(prods, self.u.grid.shape)
+        basis = self.u.basis
+        return basis.grid.weight * basis.analyse(None, prods[:2], prods[1:],
+                                                 fine=True)
 
 
 def _flux_cc(f_cc, uw: VelocityWorkspace):
@@ -644,9 +662,13 @@ def _flux_divergence_cc(flux, grid: Grid):
 
 
 def _energy_advection(rhoe, uw: VelocityWorkspace):
-    """Nodal div(rho*e u), dealiased like the scalar advances' fluxes."""
-    adv_cc = _advective_divergence_cc(fwd2(rhoe, (COS, COS)), uw, uw.u.grid)
-    return bwd2(adv_cc, (COS, COS))
+    """Nodal div(rho*e u), dealiased like the scalar advances' fluxes: rho*e
+    goes to the fine grid in one operator per axis (`refine_nodal`), and the
+    flux is differentiated and restricted back in one operator per axis
+    (`restricted_divergence`), six single-field passes in all."""
+    u_fine = uw.u_fine
+    return restricted_divergence(refine_nodal(rhoe, u_fine.shape[-2:]) * u_fine,
+                                 uw.u.grid)
 
 
 def advance_scalar(state: State, epsilon: float, dt: float, forcing_cc=None):
@@ -680,7 +702,7 @@ def _kirchhoff_operator(a, dt: float, grid: Grid):
     """z_cc -> cosine coefficients of a*z - dt*Lap z.
 
     This is the temperature Newton operator in the Kirchhoff variable
-    z = kappa_delta*v: symmetric in the inner product sum(w_cc*f*g) (the
+    z = kappa_delta*v: symmetric in the inner product of `_cosine_dot` (the
     nodal one) and positive definite when a > 0.
     """
     k2dt = dt * grid.k2_cc
@@ -739,10 +761,17 @@ def _pcg(apply, rhs, symbol, dot, fail, rtol: float, atol: float,
 
 def _cosine_dot(grid: Grid):
     """The nodal inner product of two cosine coefficient arrays,
-    nx*ny*sum(w_cc*f*g).  nx*ny is a power of two, so the PCG ratios come out
-    as if the sum alone were taken."""
-    w, nodes = grid.w_cc, grid.nx * grid.ny
-    return lambda f, g: nodes * float(np.sum(w * f * g))
+    nx*ny*sum(w*f*g) with the weights w of the coefficients (1/4, 1/2 on row
+    0 and column 0, 1 at the corner), formed without grid temporaries as
+    nx*ny/4*(f.g + row 0 + column 0 + f00*g00).  nx*ny/4 is a power of two,
+    so the PCG ratios come out as if the sums alone were taken."""
+    quarter = grid.nx * grid.ny / 4
+
+    def dot(f, g):
+        return quarter * float(np.vdot(f, g) + np.dot(f[0], g[0])
+                               + np.dot(f[:, 0], g[:, 0]) + f[0, 0] * g[0, 0])
+
+    return dot
 
 
 def _temperature_failure(reason: str):
@@ -793,29 +822,42 @@ class TemperatureSolveInfo:
 
 
 def _newton_start(state: State, s: float):
-    """The temperature at time s extrapolated quadratically through the
-    state's level and the two of its `theta_history`; theta^n where the
-    step starts cold.
+    """The temperature at time s extrapolated through the state's level and
+    those of its `theta_history`: cubic with three levels, quadratic with
+    two; theta^n where the step starts cold.
 
     The extrapolation is written in divided differences,
-    theta^n + (s - t_n) D1 + (s - t_n)(s - t_n-1) D2 with the weights taken
-    from the stored times, so a steady theta maps to itself bitwise; with
-    equal steps it is 3 theta^n - 3 theta^n-1 + theta^n-2.  The step starts
-    cold, from a copy of theta^n, when the history holds fewer than two
-    levels, a stored time coincides with another, a stored array has
-    another shape than theta^n, or the prediction has a non-positive or
-    non-finite node.
+    theta^n + (s - t_n) D1 + (s - t_n)(s - t_n-1) D2 + ... with the weights
+    taken from the stored times, so a steady theta maps to itself bitwise
+    and unequal steps need nothing more; with equal steps the cubic is
+    4 theta^n - 6 theta^n-1 + 4 theta^n-2 - theta^n-3.  The history is used
+    up to its first level whose time coincides with a newer one or whose
+    array has another shape than theta^n.  The step starts cold, from a
+    copy of theta^n, when that leaves fewer than two levels or the
+    prediction has a non-positive or non-finite node.
     """
     th0, t0 = state.theta.values, state.t
-    if len(state.theta_history) >= 2:
-        (t1, th1), (t2, th2) = state.theta_history[:2]
-        if th1.shape == th2.shape == th0.shape and len({t0, t1, t2}) == 3:
-            d1 = (th0 - th1) / (t0 - t1)
-            d2 = (d1 - (th1 - th2) / (t1 - t2)) / (t0 - t2)
-            pred = th0 + (s - t0) * d1 + ((s - t0) * (s - t1)) * d2
-            # written so that a NaN node fails
-            if 0.0 < pred.min() <= pred.max() < np.inf:
-                return pred
+    # row[j] is the divided difference over the j + 1 oldest levels taken so
+    # far; its last entry, over all of them, is the next Newton coefficient
+    times, coeffs, row = [t0], [th0], [th0]
+    for t, th in state.theta_history[:3]:
+        if th.shape != th0.shape or t in times:
+            break
+        new = [th]
+        for j in range(1, len(times) + 1):
+            new.append((row[j - 1] - new[j - 1]) / (times[-j] - t))
+        times.append(t)
+        coeffs.append(new[-1])
+        row = new
+    if len(times) < 3:
+        return th0.copy()
+    pred, weight = th0, 1.0
+    for t, c in zip(times, coeffs[1:]):
+        weight = weight * (s - t)
+        pred = pred + weight * c
+    # written so that a NaN node fails
+    if 0.0 < pred.min() <= pred.max() < np.inf:
+        return pred
     return th0.copy()
 
 
@@ -845,10 +887,13 @@ def advance_temperature(
     solve raises NewtonError; a non-finite rho_new or b_new raises
     StepFailure before anything is formed from them.
 
-    Newton starts from the quadratic extrapolation of the state's
-    temperature history to t + dt (`_newton_start`), which one iteration
-    usually takes to NEWTON_TOL, or cold from the state's theta; `info`
-    reports the start's scaled residual next to the final one.
+    Newton starts from the cubic extrapolation of the state's temperature
+    history to t + dt (`_newton_start`), which one iteration usually takes
+    to NEWTON_TOL, or cold from the state's theta; `info` reports the
+    start's scaled residual next to the final one.  Residuals are scaled by
+    the largest of 1, |w|, dt*|Lap K_delta| and dt*|source| at the start,
+    the terms the residual sums, so round-off alone never keeps it above
+    NEWTON_TOL where the conduction term dwarfs the energy.
 
     `info.terms` holds the new-level terms to hand on: grad b_new, the heat
     source at the returned theta and, unless a floor clamp changed theta,
@@ -871,7 +916,6 @@ def advance_temperature(
     rhoe_old, adv = uw.energy(th_o, p)
 
     w = rhoe_old - dt * adv + dt * explicit
-    scale = max(1.0, float(np.abs(w).max()))
 
     def residual(theta):
         """The residual and its conduction term and heat source."""
@@ -881,6 +925,9 @@ def advance_temperature(
 
     theta = _newton_start(state, state.t + dt)
     res, lap, source = residual(theta)
+    # the residual's round-off is that of its largest term, at the start
+    scale = max(1.0, float(np.abs(w).max()), dt * float(np.abs(lap).max()),
+                dt * float(np.abs(source).max()))
     res_norm = start_norm = float(np.abs(res).max()) / scale
     iterations = krylov = backtracks_total = 0
 
@@ -941,13 +988,15 @@ def advance_temperature(
 def _momentum_load(uw: VelocityWorkspace, p_tot, grho, reg):
     """Galerkin load of the explicit momentum terms.
 
-    The advection tensor and the velocity Jacobian come from the workspace
+    The advection load and the velocity Jacobian come from the workspace
     of the time-t state; p_tot is the `momentum_pressure` and grho enters
-    the eps*(grad rho . grad) u coupling.
+    the eps*(grad rho . grad) u coupling.  Their load is that of
+    `momentum_flux` with a zero tensor.
     """
-    return galerkin_load(
+    zero = np.zeros_like(p_tot)
+    return uw.advection_load + galerkin_load(
         uw.u.basis, -rho_gradient_coupling(grho, uw.grads_u, reg),
-        *momentum_flux(uw.advection_tensor, p_tot),
+        *momentum_flux((zero, zero, zero), p_tot),
     )
 
 
@@ -1131,7 +1180,7 @@ def step(
     the stages form at the new level are handed to the new state for a
     report on it; those handed to `state` are released first, read or not,
     since no stage reads them.  The new state's `theta_history` is this
-    state's theta and the newest level of its history."""
+    state's theta and the two newest levels of its history."""
     state.handed.clear()
     f_scalar = f_e = f_u = None
     if forcing is not None:
@@ -1157,7 +1206,7 @@ def step(
         u_new,
         {"theta": state.floor_violations.get("theta", 0) + info.floor_hits},
         handed,
-        ((state.t, state.theta.values),) + state.theta_history[:1],
+        ((state.t, state.theta.values),) + state.theta_history[:2],
     )
     new_state.validate_positive()
 
@@ -1264,7 +1313,7 @@ def run(
     """Integrate to t_final, collecting strided snapshots and diagnostics.
 
     The snapshots are copies without the temperature history: they are
-    records, and the history would keep two more theta arrays alive per
+    records, and the history would keep three more theta arrays alive per
     snapshot.  A step from one starts its Newton solve cold.
     """
     grid = initial.rho0.grid

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mhdlab import cli
+from mhdlab import cli, mms, sweeps
 from mhdlab.config import evaluate_expression, parse_config
 from mhdlab.errors import BasisError, ConfigError, SnapshotError
 from mhdlab.grid import Grid, ScalarField, VectorField, GalerkinBasis
@@ -359,7 +359,7 @@ class TestCli:
             handed.append(initial)
             raise BasisError("stop after the hand-off")
 
-        monkeypatch.setattr(cli.sweeps_mod, "sweep", first_rung_only)
+        monkeypatch.setattr(sweeps, "sweep", first_rung_only)
         code = cli.main(["sweep", "--config", str(cfg), "--which", "epsilon",
                          "--ladder", "0.1,0.05,0.025",
                          "--output-dir", str(tmp_path / "out")])
@@ -506,8 +506,8 @@ class TestCli:
         def refuse(*args, **kwargs):
             raise AssertionError("an order study ran")
 
-        monkeypatch.setattr(cli.mms_mod, "spatial_order_study", refuse)
-        monkeypatch.setattr(cli.mms_mod, "temporal_order_study", refuse)
+        monkeypatch.setattr(mms, "spatial_order_study", refuse)
+        monkeypatch.setattr(mms, "temporal_order_study", refuse)
         assert cli.main(["mms", "--grid-sizes", sizes]) == 2
 
     def test_closed_stdout_ends_without_traceback(self):

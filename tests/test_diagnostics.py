@@ -80,15 +80,18 @@ class TestReport:
         # sigma and the entropy production reuse the terms of the tendencies:
         # one bundle (shear and gradient heating), one gradient per field, one
         # workspace with no CFL bound, and the advective divergences of b and
-        # rho*e once each (that of rho comes from the workspace's mass flux)
+        # rho*e once each (that of rho comes from the workspace's mass flux,
+        # that of rho*e is the nodal energy advection)
         from mhdlab import solver
 
         calls = {"gradient": 0, "velocity_gradient": 0, "__post_init__": 0,
-                 "__init__": 0, "cfl_bound": 0, "_advective_divergence_cc": 0}
+                 "__init__": 0, "cfl_bound": 0, "_advective_divergence_cc": 0,
+                 "_energy_advection": 0}
         for owner, name in ((solver, "gradient"), (solver, "velocity_gradient"),
                             (solver.Terms, "__post_init__"),
                             (solver.VelocityWorkspace, "__init__"),
-                            (solver, "cfl_bound"), (solver, "_advective_divergence_cc")):
+                            (solver, "cfl_bound"), (solver, "_advective_divergence_cc"),
+                            (solver, "_energy_advection")):
             def counted(*args, _orig=getattr(owner, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _orig(*args, **kwargs)
@@ -96,7 +99,8 @@ class TestReport:
             monkeypatch.setattr(owner, name, counted)
         diag.report(smooth_state(Grid(16, 16), seed=1), REG, P)
         assert calls == {"gradient": 3, "velocity_gradient": 1, "__post_init__": 1,
-                         "__init__": 1, "cfl_bound": 0, "_advective_divergence_cc": 2}
+                         "__init__": 1, "cfl_bound": 0, "_advective_divergence_cc": 1,
+                         "_energy_advection": 1}
 
     def test_csv_column_order(self, tmp_path):
         g = Grid(16, 16)

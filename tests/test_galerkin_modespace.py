@@ -322,7 +322,7 @@ def test_dense_advance_takes_no_full_transform(monkeypatch):
     assert not _matrix_free(st.u.basis)
     want, _ = advance_momentum(st, reg, P, 2.5e-3, *new)
     warm = st.copy()
-    warm.workspace.grads_u, warm.workspace.advection_tensor
+    warm.workspace.grads_u, warm.workspace.advection_load
     calls = []
     for mod in (grid_module, solver):
         for name in ("fwd2", "bwd2"):

@@ -9,7 +9,14 @@ and again when the temperature Newton solve started from the extrapolated
 theta history.  Both solves meet the Newton tolerance but stop at other
 residuals; the largest move was entropy_total, 6.0e-12 relative.  Against a
 solve to a 100 times tighter Newton tolerance the old values were off by up
-to 7.4e-12 relative and the new ones by up to 2.4e-12.
+to 7.4e-12 relative and the new ones by up to 2.4e-12.  It was re-recorded
+once more when the Newton start became the cubic extrapolation, the
+Laplacian and the energy flux fused chains of axis operators and the
+advection load moved to the fine grid: the largest move was entropy_total,
+4.0e-12 relative (the balance residuals 3.6e-15 absolute).  Against the same
+tighter solve the old values were off by up to 2.4e-12 relative and the new
+ones by up to 5.3e-12; both stop inside the Newton tolerance, the new ones
+after fewer iterations.
 Any drift in a constitutive or regularization term moves these values, also
 away from an equilibrium where the balance residuals are not zero by
 symmetry.

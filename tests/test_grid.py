@@ -9,9 +9,13 @@ import pytest
 from scipy.fft import next_fast_len
 
 from dealias_oracles import (
+    advection_load_chain,
     dealiased_product,
+    energy_advection_chain,
     fine_shape,
     flux_divergence_chain,
+    laplacian_chain,
+    restrict_nodal,
     restriction_chain,
 )
 from mhdlab import grid as grid_module
@@ -36,12 +40,16 @@ from mhdlab.grid import (
     laplacian_neumann,
     project_velocity,
     reconstruct,
-    restrict_nodal,
     sine_to_cosine,
     to_fine,
     velocity_gradient,
 )
-from mhdlab.solver import VelocityWorkspace, _flux_cc, _flux_divergence_cc
+from mhdlab.solver import (
+    VelocityWorkspace,
+    _energy_advection,
+    _flux_cc,
+    _flux_divergence_cc,
+)
 from mhdlab.tolerances import TOLERANCES
 
 
@@ -221,8 +229,9 @@ def assert_close(got, ref, n):
 # (the longer of its input and output lengths): "d" the dense matrix, "p"
 # the pocketfft chain
 PATHS = {
-    "fwd": "dddpp", "bwd": "dddpp", "deriv": "dddpp", "to_fine": "dddpp",
-    "from_fine": "dddpp", "restrict": "dddpp", "s2c": "ddddp",
+    "fwd": "dddpp", "bwd": "dddpp", "deriv": "dddpp", "lap": "dddpp",
+    "to_fine": "dddpp", "from_fine": "dddpp", "refine": "dddpp",
+    "restrict": "dddpp", "restrict_deriv": "dddpp", "s2c": "ddddp",
 }
 
 
@@ -292,10 +301,11 @@ class TestDenseTransforms:
     def test_each_kind_takes_the_path_of_its_cut_off(self, kind):
         parity = SIN if kind == "s2c" else COS
         for n, path in zip((64, 128, 160, 256, 540), PATHS[kind]):
-            # to_fine evaluates n/2 slots on n nodes; from_fine and restrict
-            # take n nodes onto n/2
-            length, m = {"to_fine": (n // 2, n), "from_fine": (n, n // 2),
-                         "restrict": (n, n // 2)}.get(kind, (n, None))
+            # to_fine and refine take n/2 slots or nodes onto n nodes;
+            # from_fine, restrict and restrict_deriv take n nodes onto n/2
+            length, m = {"to_fine": (n // 2, n), "refine": (n // 2, n),
+                         "from_fine": (n, n // 2), "restrict": (n, n // 2),
+                         "restrict_deriv": (n, n // 2)}.get(kind, (n, None))
             v = np.random.default_rng(n).standard_normal((2, length))
             grid_module._matrix.cache_clear()
             got = grid_module._axis(kind, v, -1, parity, m)
@@ -364,6 +374,72 @@ class TestDenseTransforms:
         g = Grid(n, n, 1.3, 0.9)
         velocity_gradient(random_ss_vector(g, 8))
         assert calls == [(2, n, n), (2, n, n)]
+
+
+def chain_axis(kind, v, axis, parity, m):
+    """One fused axis operator as a chain of pocketfft passes (on an axis of
+    length pi, as its matrix is); the cosine second derivative as two first
+    derivatives."""
+    if kind == "lap":
+        return fft_axis("deriv", fft_axis("deriv", v, axis, COS), axis, SIN)
+    g = grid_module
+    if kind == "refine":
+        c = g._pad_axis(fft_axis("fwd", v, axis, parity), axis, parity, m)
+        return g._fft_bwd1(c, axis, parity)
+    c = g._truncate_axis(fft_axis("fwd", v, axis, parity), axis, parity, m)
+    if kind == "restrict_deriv":
+        c, parity = g._deriv_coeffs(c, axis, parity, np.pi)
+    return g._fft_bwd1(c, axis, parity)
+
+
+# (kind, parity, input length, output length) of the fused operators, on the
+# lengths and parities the solver uses, up to 512^2 grids and their fine axes
+FUSED = (
+    [("lap", COS, n, None) for n in (16, 64, 128, 160, 256, 540)]
+    + [("refine", COS, n, m) for n, m in ((16, 18), (64, 72), (128, 135),
+                                          (128, 160), (256, 270), (512, 540))]
+    + [(kind, SIN, m, n) for kind in ("restrict", "restrict_deriv")
+       for n, m in ((16, 18), (64, 72), (128, 135), (128, 160), (256, 270),
+                    (512, 540))]
+)
+
+
+class TestFusedOperators:
+    """The operators that fuse a chain of axis operators, on both paths,
+    against that chain."""
+
+    @pytest.mark.parametrize("kind, parity, n, m", FUSED,
+                             ids=[f"{k}-{p}-{n}-{m or n}" for k, p, n, m in FUSED])
+    def test_both_paths_match_the_chain(self, kind, parity, n, m):
+        rng = np.random.default_rng(n + (m or 0))
+        for shape in ((n, n), (3, n, n)):
+            v = rng.standard_normal(shape)
+            for axis in (-1, -2):
+                want = chain_axis(kind, v, axis, parity, m)
+                dense = grid_module._dense(kind, v, axis, parity, m)
+                fft = grid_module._pocketfft(kind, v, axis, parity, m, False)
+                assert_close(dense, want, max(n, m or n))
+                assert_close(fft, want, max(n, m or n))
+
+    @pytest.mark.parametrize("shape", [(16, 16), (128, 128), (256, 256), (64, 128),
+                                       (128, 64)])
+    def test_laplacian_of_a_constant_is_exactly_zero(self, shape):
+        ny, nx = shape
+        f = ScalarField.constant(Grid(nx, ny, 1.3, 0.9), 3.7)
+        assert np.all(laplacian_neumann(f).values == 0.0)
+
+    def test_refinement_keeps_a_constant(self):
+        v = np.full((2, 128, 128), 3.7)
+        assert np.all(grid_module._dense("refine", v, -1, COS, 135) == 3.7)
+        assert np.all(grid_module._dense("refine", v, -2, COS, 160) == 3.7)
+
+    @pytest.mark.parametrize("shape", [(16, 16), (64, 64), (128, 128), (64, 128),
+                                       (128, 64), (256, 256)])
+    def test_laplacian_matches_the_chain(self, shape):
+        ny, nx = shape
+        g = Grid(nx, ny, 1.3, 0.9)
+        f = random_cc_field(g, nx + ny, decay=0.05)
+        assert rel_err(laplacian_neumann(f).values, laplacian_chain(f.values, g)) <= 1e-13
 
 
 class TestOperators:
@@ -785,3 +861,34 @@ class TestFusedChains:
             got = restrict_nodal(v, shape)
             assert rel_err(got, restriction_chain(v, shape)) <= 1e-13
             assert np.all(restrict_nodal(np.full(fine, 3.7), shape) == 3.7)
+
+    @pytest.mark.parametrize("shape", BAND_GRIDS + [(256, 256)])
+    def test_energy_advection_matches_the_chain(self, shape):
+        ny, nx = shape
+        g = Grid(nx, ny, 1.3, 0.9)
+        rng = np.random.default_rng(nx + 3 * ny)
+        rhoe = 2.0 + random_cc_field(g, nx).values
+        for u in (reconstruct(rng.standard_normal(8), GalerkinBasis(g, 4)),
+                  random_ss_vector(g, ny)):  # band-sized and 3/2 fine grids
+            uw = VelocityWorkspace(None, None, u)
+            got = _energy_advection(rhoe, uw)
+            # a derivative of rough data: round-off grows with the modes
+            assert rel_err(got, energy_advection_chain(rhoe, uw)) <= 2e-15 * max(shape)
+
+    @pytest.mark.parametrize("nx, n", [(64, 4), (64, 32), (64, 256), (128, 4),
+                                       (256, 4)])
+    def test_advection_load_matches_the_load_of_the_restricted_tensor(self, nx, n):
+        g = Grid(nx, nx, 1.3, 0.9)
+        rng = np.random.default_rng(nx + n)
+        rho = ScalarField(g, 1.5 + random_cc_field(g, n).values)
+        u = reconstruct(rng.standard_normal(2 * n), GalerkinBasis(g, n))
+        uw = VelocityWorkspace(rho, rho, u)
+        assert rel_err(uw.advection_load, advection_load_chain(uw)) <= 1e-13
+
+    def test_fine_load_tables_are_built_on_first_use(self):
+        basis = GalerkinBasis(Grid(64, 64, 1.3, 0.9), 4)
+        assert "fine_load_tables" not in vars(basis) and "tables" not in vars(basis)
+        t = basis.fine_load_tables
+        my, mx = basis.tables.sy_fine.shape[1], basis.tables.sx_fine.shape[1]
+        assert t.sxt.shape == t.dxt.shape == (mx, basis.kmax)
+        assert t.sy.shape == t.dy.shape == (basis.lmax, my)

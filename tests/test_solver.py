@@ -76,6 +76,16 @@ def advance_one_scalar(f, u, epsilon, dt):
     return rho_new
 
 
+def cosine_weights(grid):
+    """Weights of the cosine-cosine coefficients in the nodal inner product,
+    sum(f*g) = nx*ny*sum(w_cc*f_cc*g_cc): 1/4, 1/2 on row and column 0, 1 at
+    the corner."""
+    w_cc = np.full(grid.shape, 0.25)
+    w_cc[0, :] = w_cc[:, 0] = 0.5
+    w_cc[0, 0] = 1.0
+    return w_cc
+
+
 def frozen_temperature(st, reg, dt):
     """`advance_temperature` with rho and b held at their time-t values."""
     return advance_temperature(st, reg, P, dt, st.rho, st.b, gradient(st.rho))
@@ -311,6 +321,28 @@ class TestAdvanceTemperature:
         assert info.residual <= solver.NEWTON_TOL
         np.testing.assert_allclose(got.values, want.values, rtol=1e-10, atol=0.0)
 
+    def test_stopping_test_scales_with_the_terms_of_the_residual(self):
+        # theta about 5 with delta = 0.28 and Gamma = 9.8: K_delta(theta)
+        # reaches 6.8e7, and dt*|Lap K_delta| at the start, 3.8e7, is about
+        # 1e4 times |w|.  Scaled by max(1, |w|) alone, the round-off of
+        # dt*Lap K_delta held the residual at 1.5e-11 and Newton stalled
+        # there after 40 iterations; scaled by the largest term it meets the
+        # tolerance in 9
+        from mhdlab.solver import MAX_NEWTON, NEWTON_TOL
+
+        g = Grid(32, 8, 1.0, 0.5)
+        reg = RegParams(epsilon=1e-3, delta=0.28, Gamma=9.8, n=1)
+        mode = np.cos(np.pi * g.X) * np.cos(np.pi * g.Y / g.ly)
+        init = InitialData(
+            ScalarField(g, 1.0 + 0.2 * mode), ScalarField(g, 1.0 + 0.3 * mode),
+            ScalarField(g, 5.0 * (1.0 + 0.5 * mode)),
+            VectorField(g, np.sin(np.pi * g.X) * np.sin(np.pi * g.Y / g.ly),
+                        np.zeros(g.shape)),
+        )
+        _, rep = step(initial_state(init, GalerkinBasis(g, 1)), reg, P, 3.6e-3)
+        assert rep.newton_residual <= NEWTON_TOL
+        assert rep.newton_iterations < MAX_NEWTON
+
 
 class TestKirchhoffPcg:
     """The temperature Newton direction: PCG on cosine coefficients in the
@@ -352,14 +384,18 @@ class TestKirchhoffPcg:
         apply = _kirchhoff_operator(diag / kd, self.DT, g)
         rng = np.random.default_rng(1)
         x, y = rng.standard_normal((2,) + g.shape)
-        xay = np.sum(g.w_cc * apply(x) * y)
-        axy = np.sum(g.w_cc * x * apply(y))
+        w_cc = cosine_weights(g)
+        xay = np.sum(w_cc * apply(x) * y)
+        axy = np.sum(w_cc * x * apply(y))
         assert abs(xay - axy) <= 1e-12 * abs(xay)
         # the weight is the nodal inner product of cosine coefficients
         f, h = rng.standard_normal((2,) + g.shape)
         nodal = np.sum(f * h)
-        coeff = g.nx * g.ny * np.sum(g.w_cc * fwd2(f, (COS, COS)) * fwd2(h, (COS, COS)))
+        f_cc, h_cc = fwd2(f, (COS, COS)), fwd2(h, (COS, COS))
+        coeff = g.nx * g.ny * np.sum(w_cc * f_cc * h_cc)
         assert coeff == pytest.approx(nodal, rel=1e-12)
+        # which the PCG forms without grid temporaries
+        assert _cosine_dot(g)(f_cc, h_cc) == pytest.approx(coeff, rel=1e-13)
 
     def test_uniform_coefficients_converge_in_one_iteration(self):
         g = Grid(32, 16)
@@ -549,9 +585,9 @@ class TestStep:
 
     def test_step_evaluates_its_velocity_once(self, monkeypatch):
         # the state's one workspace carries the CFL bound, the Jacobian and
-        # the advective divergences of rho and b that the stages read; that
-        # of rho is formed from the workspace's mass flux, the other
-        # divergence is the energy advection.  The step forms grad
+        # the advective divergences of rho, b and rho*e that the stages
+        # read; that of rho is formed from the workspace's mass flux, that
+        # of rho*e is the nodal energy advection.  The step forms grad
         # rho_new and grad b_new once each, one conduction term per Newton
         # residual (two iterations here) and one Galerkin matrix, that of
         # its momentum solve; handing its new-level terms on forms no
@@ -561,8 +597,8 @@ class TestStep:
         _, rep = step(st, RegParams(epsilon=1e-2, delta=1e-2, n=4), P, 2e-3)
         assert rep.newton_iterations == 2
         assert calls == {"cfl_bound": 1, "velocity_gradient": 1, "__init__": 1,
-                         "_advective_divergence_cc": 2, "_assemble": 1,
-                         "gradient": 2, "_kirchhoff_laplacian": 3}
+                         "_advective_divergence_cc": 1, "_energy_advection": 1,
+                         "_assemble": 1, "gradient": 2, "_kirchhoff_laplacian": 3}
         assert rep.cfl_limit == cfl_bound(st.u)
         assert st.workspace is st.workspace
         assert "workspace" not in vars(st.copy())
@@ -594,11 +630,12 @@ def count_evaluations(monkeypatch):
     from mhdlab import solver
 
     calls = {"cfl_bound": 0, "velocity_gradient": 0, "__init__": 0,
-             "_advective_divergence_cc": 0, "_assemble": 0, "gradient": 0,
-             "_kirchhoff_laplacian": 0}
+             "_advective_divergence_cc": 0, "_energy_advection": 0,
+             "_assemble": 0, "gradient": 0, "_kirchhoff_laplacian": 0}
     for owner, name in ((solver, "cfl_bound"), (solver, "velocity_gradient"),
                         (solver.VelocityWorkspace, "__init__"),
                         (solver, "_advective_divergence_cc"),
+                        (solver, "_energy_advection"),
                         (solver, "_assemble"), (solver, "gradient"),
                         (solver, "_kirchhoff_laplacian")):
         def counted(*args, _orig=getattr(owner, name), _name=name, **kwargs):
@@ -626,9 +663,9 @@ def spy_newton_start(monkeypatch):
 
 
 class TestNewtonStart:
-    """The temperature Newton start: the quadratic extrapolation of the
-    state's theta history to the new time, or theta^n where a step starts
-    cold."""
+    """The temperature Newton start: the cubic (with two levels of history,
+    quadratic) extrapolation of the state's theta history to the new time,
+    or theta^n where a step starts cold."""
 
     reg = RegParams(epsilon=1e-2, delta=1e-2, n=4)
 
@@ -681,6 +718,46 @@ class TestNewtonStart:
         st.theta_history = ((0.2, a.copy()), (0.17, a.copy()))
         assert np.array_equal(_newton_start(st, 0.4), a)
 
+    def test_extrapolation_is_exact_for_cubics_with_unequal_steps(self):
+        g = Grid(16, 16)
+        rng = np.random.default_rng(4)
+        a = 2.0 + rng.random(g.shape)
+        b, c, d = (rng.standard_normal(g.shape) for _ in range(3))
+
+        def cubic(t):
+            return a + t * (b + t * (c + t * d))
+
+        st = initial_state(*smooth_initial(g))
+        st.t, st.theta = 0.31, ScalarField(g, cubic(0.31))
+        st.theta_history = tuple((t, cubic(t)) for t in (0.27, 0.2, 0.17))
+        assert np.abs(_newton_start(st, 0.4) / cubic(0.4) - 1.0).max() <= 1e-13
+
+    def test_steady_theta_maps_to_itself_bitwise(self):
+        st = initial_state(*smooth_initial(Grid(16, 16)))
+        th = st.theta.values
+        st.t = 0.3
+        st.theta_history = ((0.2, th.copy()), (0.1, th.copy()), (0.0, th.copy()))
+        start = _newton_start(st, 0.4)
+        assert np.array_equal(start, th) and start is not th
+
+    @pytest.mark.parametrize("third", [None, "same_time", "other_shape"])
+    def test_two_usable_levels_give_the_quadratic(self, third):
+        # the quadratic in divided differences, as the start was written
+        # before the cubic, bitwise
+        st = initial_state(*smooth_initial(Grid(16, 16)))
+        th0 = st.theta.values
+        rng = np.random.default_rng(5)
+        th1, th2 = (th0 * (1.0 + 0.01 * rng.random(th0.shape)) for _ in range(2))
+        st.t, s, t1, t2 = 0.31, 0.4, 0.27, 0.2
+        history = ((t1, th1), (t2, th2))
+        st.theta_history = history + {
+            None: (), "same_time": ((t1, 0.5 * th0),),
+            "other_shape": ((0.1, np.ones((8, 8))),)}[third]
+        d1 = (th0 - th1) / (st.t - t1)
+        d2 = (d1 - (th1 - th2) / (t1 - t2)) / (st.t - t2)
+        want = th0 + (s - st.t) * d1 + ((s - st.t) * (s - t1)) * d2
+        assert np.array_equal(_newton_start(st, s), want)
+
     def test_history_holds_the_clamped_theta(self, monkeypatch):
         # theta spans [0.95, 1.05]: a floor at 1 clamps about half the nodes
         from mhdlab import solver
@@ -697,9 +774,9 @@ class TestNewtonStart:
 
     def test_step_from_a_copy_is_bitwise_the_step(self, monkeypatch):
         st = initial_state(*smooth_initial(Grid(16, 16)))
-        for _ in range(3):
+        for _ in range(4):
             st, _ = step(st, self.reg, P, 2.5e-3)
-        assert [t for t, _ in st.theta_history] == [0.005, 0.0025]
+        assert [t for t, _ in st.theta_history] == [0.0075, 0.005, 0.0025]
         cold = spy_newton_start(monkeypatch)
         got, got_rep = step(st.copy(), self.reg, P, 2.5e-3)
         want, want_rep = step(st, self.reg, P, 2.5e-3)
@@ -909,8 +986,9 @@ class TestRun:
         assert len(traj.diagnostics) == 6
         assert sum(r.newton_iterations for r in traj.step_reports) == 10
         assert calls == {"__init__": 6, "cfl_bound": 5, "velocity_gradient": 6,
-                         "_advective_divergence_cc": 12, "_assemble": 11,
-                         "gradient": 18, "_kirchhoff_laplacian": 16}
+                         "_advective_divergence_cc": 6, "_energy_advection": 6,
+                         "_assemble": 11, "gradient": 18,
+                         "_kirchhoff_laplacian": 16}
 
     def test_snapshot_stride(self):
         g = Grid(16, 16)
