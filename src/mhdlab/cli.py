@@ -143,6 +143,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check(args) -> int:
+    try:  # bad arguments exit 2 before any check runs
+        grid = Grid(args.grid, args.grid)
+        diag.check_samples(args.samples)
+    except MhdError as exc:
+        return _fail(str(exc), 2)
     status = 0
     p = EosParams()
     vals = np.linspace(
@@ -170,7 +175,6 @@ def cmd_check(args) -> int:
     print(f"check: K_delta strictly increasing {'PASS' if ok else 'FAIL'}")
     status |= 0 if ok else 1
 
-    grid = Grid(args.grid, args.grid)
     korn, poincare, margin = diag.inequality_constants(
         grid, samples=args.samples, seed=args.seed
     )

@@ -71,6 +71,7 @@ __all__ = [
     "cutoff_T_prime",
     "cutoff_L",
     "renormalized_residual",
+    "check_samples",
     "inequality_constants",
     "write_diagnostics_csv",
 ]
@@ -637,6 +638,13 @@ def _random_noslip_vector(grid: Grid, rng):
     return VectorField(grid, comps[0], comps[1])
 
 
+def check_samples(samples: int):
+    """Raise DomainError unless `inequality_constants` gets the 100 samples
+    or more its maxima need."""
+    if samples < 100:
+        raise DomainError("at least 100 samples are required")
+
+
 def inequality_constants(grid: Grid, samples: int = 100, seed: int = 0):
     """Empirical (korn_ratio_max, poincare_ratio_max, coercivity_min_margin).
 
@@ -647,8 +655,7 @@ def inequality_constants(grid: Grid, samples: int = 100, seed: int = 0):
     with unit reference state.  Degenerate (numerically zero) samples are
     skipped.
     """
-    if samples < 100:
-        raise DomainError("at least 100 samples are required")
+    check_samples(samples)
     rng = np.random.default_rng(seed)
     w = grid.weight
     half = grid.X < 0.5 * grid.lx

@@ -19,19 +19,17 @@ Nyquist sine mode is dropped.  The 2D transforms and the dealiasing helpers
 act on the last two axes, so a stack of fields (k, ny, nx) transforms in one
 call.
 
-Each axis operator (`_axis`) takes one of two paths, chosen by its kind and
-the axis length alone from one table of cut-offs (`_DENSE_MAX`), so a
-128x256 grid takes one path in y and the other in x.  Up to the cut-off it
-is one product with a cached dense matrix, and each chain of linear axis
-operators between two pointwise products folds into one matrix (the
-derivative, the second derivative of `laplacian_neumann`, `to_fine`,
-`from_fine`, the nodal refinement `refine_nodal`, the restriction and the
-restriction with a derivative of `restricted_divergence`, the sine-to-cosine
-change `sine_to_cosine`); longer axes go through scipy's pocketfft, imported
-by the first of them, as the same chain of passes.  Every axis of
-the 16^2 to 128^2 grids and of the band-sized fine grids that dealias them
-(see below) is dense, so a run on them never loads scipy.  Both paths map a
-constant exactly onto the first cosine slot.
+Each axis operator (`_axis`) is one product with a cached dense matrix, at
+every axis length, and each chain of linear axis operators between two
+pointwise products folds into one matrix (the derivative, the second
+derivative of `laplacian_neumann`, `to_fine`, `from_fine`, the nodal
+refinement `refine_nodal`, the restriction and the restriction with a
+derivative of `restricted_divergence`, the sine-to-cosine change
+`sine_to_cosine`).  A pass over a 2D field of n^2 nodes costs O(n^3): on
+the 64^2 and 128^2 grids of a desk-scale run that matches or beats an FFT
+chain, past 256^2 it falls behind (a step takes 2.1x as long at 1024^2).
+The module needs numpy alone.  A constant maps exactly onto the first
+cosine slot.
 
 A velocity from the Galerkin basis fills only the (lmax, kmax) corner of
 sine space, kmax and lmax its largest mode indices.  Its transforms are
@@ -45,8 +43,8 @@ A velocity without coefficients takes the full transforms.
 Every product the scheme dealiases has one such velocity as a factor, so
 its fine grid is sized from the velocity's band (`fine_length`), not by
 the 3/2 rule for two full-band factors: with a basis of 4 modes 128^2
-dealiases on 135^2 and 64^2 on 72^2, with the full sine space on 160^2 and
-80^2.  A velocity without a basis keeps the 3/2 grid, the default of
+dealiases on 129^2 and 64^2 on 65^2, with the full sine space on 159^2 and
+79^2.  A velocity without a basis keeps the 3/2 grid, the default of
 `to_fine` and `from_fine`.
 """
 
@@ -54,7 +52,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from math import gcd
 from typing import NamedTuple
 
 import numpy as np
@@ -214,66 +211,10 @@ class VectorField:
 # one-dimensional transform primitives
 # ---------------------------------------------------------------------------
 
-# One cut-off per kind: the longest axis (the longer of its input and output
-# lengths) served by the cached dense matrix; longer axes take the pocketfft
-# chain, and the first of them imports scipy.fft (27.6 MB of RSS, 0.4 s).
-# Dense / pocketfft in us, both axes of one field (from_fine two, restrict
-# three, s2c one per axis), best of 21, one BLAS thread of a shared 2-core
-# Xeon; ms where marked, medians of six (of three for the last four rows):
-#   fwd, bwd   128: 268 / 239, 240 / 222; 192: 839 / 295, 475 / 316
-#   deriv      128: 269 / 598; 256: 1744 / 2033
-#   to_fine    128->135: 195 / 180; 128->192: 397 / 337
-#   from_fine  160->128: 432 / 767; 270->256: 3742 / 2923
-#   restrict   160->128: 1442 / 1618; 270->256: 6.3 / 6.5 ms; 320->256: 8.1 / 6.2 ms
-#   s2c        128: 174 / 322; 256: 1386 / 1630; 512: 10.6 / 8.2 ms
-#   lap        128: 266 / 485; 192: 778 / 949; 256: 1712 / 1929
-#   refine     128->135: 341 / 515; 128->160: 407 / 547; 256->270: 1881 / 2341
-#   restrict_deriv, sine, one field: 135->128: 264 / 774; 160->128: 361 /
-#              1136; 270->256: 2259 / 3208 (restrict, sine, one field:
-#              314 / 562, 407 / 874, 2134 / 2506)
-# 160 covers the 16^2 to 128^2 grids and their band-sized fine axes
-# (fine_length(128, 63) = 160): fwd and bwd give up to 1.5x there, the other
-# kinds gain up to 3x, and scipy stays unloaded.  Past it the dense chains
-# still gain a little, but a 256-node matrix costs 0.5 MB of cache.
-_DENSE_MAX = {"fwd": 160, "bwd": 160, "deriv": 160, "lap": 160, "to_fine": 160,
-              "from_fine": 160, "refine": 160, "restrict": 160,
-              "restrict_deriv": 160, "s2c": 256}
-
-
 def _sl(ndim, axis, index):
     sl = [slice(None)] * ndim
     sl[axis] = index
     return tuple(sl)
-
-
-def _fft_fwd1(values, axis, parity, overwrite=False):
-    from scipy.fft import dct, dst  # loaded by the first axis past a cut-off
-
-    v = np.asarray(values, dtype=float)
-    n = v.shape[axis]
-    if parity == COS:
-        c = dct(v, type=2, axis=axis, overwrite_x=overwrite)
-        c *= 1.0 / n
-        c[_sl(c.ndim, axis, 0)] *= 0.5
-    else:
-        c = dst(v, type=2, axis=axis, overwrite_x=overwrite)
-        c *= 1.0 / n
-        c[_sl(c.ndim, axis, -1)] = 0.0  # Nyquist sine mode dropped
-    return c
-
-
-def _fft_bwd1(coeffs, axis, parity, overwrite=False):
-    from scipy.fft import idct, idst
-
-    c = np.asarray(coeffs, dtype=float)
-    if overwrite:
-        c *= c.shape[axis]
-    else:
-        c = c * c.shape[axis]
-    if parity == COS:
-        c[_sl(c.ndim, axis, 0)] *= 2.0
-        return idct(c, type=2, axis=axis, overwrite_x=True)
-    return idst(c, type=2, axis=axis, overwrite_x=True)
 
 
 def _phase(k, n):
@@ -347,10 +288,12 @@ def _matrix(kind, n, parity, m=None):
     return mt
 
 
-def _dense(kind, values, axis, parity, m=None):
-    """Apply a cached matrix along one axis of an array or a stack.
+def _axis(kind, values, axis, parity, m=None):
+    """Every transform of the module: one axis operator along `axis` of an
+    array or a stack (m outputs for the kinds that change the length), as
+    one product with its cached matrix.
 
-    Cosine analysis maps a constant exactly onto slot 0, as pocketfft does
+    Cosine analysis maps a constant exactly onto slot 0, as the DCT does
     (a Neumann Laplacian of a constant is 0.0, not round-off): rows past
     slot 0, and the derivatives, annihilate constants, so the product acts on
     v - v0, v0 the first node along the axis, and v0 goes back into slot 0,
@@ -374,55 +317,11 @@ def _dense(kind, values, axis, parity, m=None):
     return out
 
 
-def _pocketfft(kind, values, axis, parity, m, overwrite):
-    """One axis operator as its chain of pocketfft passes; the derivative is
-    taken on an axis of length pi, as its matrix is."""
-    if kind == "bwd":
-        return _fft_bwd1(values, axis, parity, overwrite)
-    if kind == "to_fine":
-        padded = _pad_axis(values, axis, parity, m)
-        return _fft_bwd1(padded, axis, parity, overwrite=True)
-    if kind == "s2c":
-        nodal = _fft_bwd1(values, axis, SIN, overwrite)
-        return _fft_fwd1(nodal, axis, COS, overwrite=True)
-    c = _fft_fwd1(values, axis, parity, overwrite)
-    if kind == "deriv":
-        dc, flipped = _deriv_coeffs(c, axis, parity, np.pi)
-        return _fft_bwd1(dc, axis, flipped, overwrite=True)
-    if kind == "lap":
-        shape = [1] * c.ndim
-        shape[axis] = c.shape[axis]
-        c *= -np.arange(c.shape[axis]).reshape(shape) ** 2.0
-        return _fft_bwd1(c, axis, parity, overwrite=True)
-    if kind == "fwd":
-        return c
-    if kind == "refine":
-        return _fft_bwd1(_pad_axis(c, axis, parity, m), axis, parity, overwrite=True)
-    c = _truncate_axis(c, axis, parity, m)
-    if kind == "from_fine":
-        return c
-    if kind == "restrict_deriv":
-        c, parity = _deriv_coeffs(c, axis, parity, np.pi)
-    return _fft_bwd1(c, axis, parity, overwrite=True)  # restrict
-
-
-def _axis(kind, values, axis, parity, m=None, overwrite=False):
-    """Every transform of the module: one axis operator along `axis` of an
-    array or a stack (m outputs for the kinds that change the length),
-    by its cached dense matrix up to the kind's cut-off in `_DENSE_MAX`,
-    else by pocketfft, in place on `values` when `overwrite`."""
-    if max(np.shape(values)[axis], m or 0) <= _DENSE_MAX[kind]:
-        return _dense(kind, values, axis, parity, m)
-    return _pocketfft(kind, values, axis, parity, m, overwrite)
-
-
 def _along_yx(kind, values, parity, shape=(None, None)):
     """Apply one kind along x, the last axis, then along y, with output
-    lengths `shape` (ny, nx) where the kind takes them.  On the pocketfft
-    path the second pass works in place on the first pass's output: a fresh
-    output per pass costs up to 1.5x on stacked fine grids."""
+    lengths `shape` (ny, nx) where the kind takes them."""
     once = _axis(kind, values, -1, parity[1], shape[1])
-    return _axis(kind, once, -2, parity[0], shape[0], overwrite=True)
+    return _axis(kind, once, -2, parity[0], shape[0])
 
 
 def fwd2(values, parity):
@@ -457,23 +356,6 @@ def deriv_nodal(values, axis, parity, length):
     return d
 
 
-def _pad_axis(c, axis, parity, m):
-    """Zero-pad a coefficient array to m slots along an axis.
-
-    Cosine slots map directly; sine slot i holds mode i+1, so modes 1..n-1
-    also map to the same slots.
-    """
-    shape = list(c.shape)
-    n = shape[axis]
-    shape[axis] = m
-    out = np.zeros(shape, dtype=c.dtype)
-    if parity == COS:
-        out[_sl(c.ndim, axis, slice(0, n))] = c
-    else:
-        out[_sl(c.ndim, axis, slice(0, n - 1))] = c[_sl(c.ndim, axis, slice(0, n - 1))]
-    return out
-
-
 def _truncate_axis(c, axis, parity, n):
     out = c[_sl(c.ndim, axis, slice(0, n))].copy()
     if parity == SIN:
@@ -488,16 +370,12 @@ def fine_length(n, kmax):
 
     The product holds modes up to n - 1 + kmax, and on m midpoint nodes a
     mode K >= m reads as mode 2m - K (up to sign), which stays outside the
-    n kept slots while m >= n + kmax/2 - 1/2, that is m >= n + kmax//2.
-    Rounded up to a length pocketfft serves fast, the least 2^a 3^b 5^c, as
-    scipy.fft.next_fast_len(m, real=True) gives it.  A basis has
-    kmax <= n/2 - 1, so m is at most 5n/4 (a fast length for n a power of
-    two), short of the 3/2 rule's 3n/2 for two full-band factors.
+    n kept slots while m >= n + kmax/2 - 1/2, that is m >= n + kmax//2,
+    the length returned, unrounded: a dense axis operator costs the same at
+    any length.  A basis has kmax <= n/2 - 1, so m is under 5n/4, short of
+    the 3/2 rule's 3n/2 for two full-band factors.
     """
-    m = n + kmax // 2
-    while m // gcd(m, 30 ** m.bit_length()) > 1:  # a prime factor above 5 is left
-        m += 1
-    return m
+    return n + kmax // 2
 
 
 def to_fine(coeffs, parity, shape=None):
@@ -534,9 +412,9 @@ def restricted_divergence(flux, grid: Grid):
     q1, q2 = flux
     ny, nx = grid.shape
     d1 = _axis("restrict_deriv", q1, -1, SIN, nx)
-    d1 = _axis("restrict", d1, -2, SIN, ny, overwrite=True)
+    d1 = _axis("restrict", d1, -2, SIN, ny)
     d2 = _axis("restrict", q2, -1, SIN, nx)
-    d2 = _axis("restrict_deriv", d2, -2, SIN, ny, overwrite=True)
+    d2 = _axis("restrict_deriv", d2, -2, SIN, ny)
     d1 *= np.pi / grid.lx
     d1 += (np.pi / grid.ly) * d2
     return d1
@@ -741,8 +619,7 @@ class GalerkinBasis:
         """The load tables composed with the cosine restriction of the fine
         axes of `tables`: the quadratures, on the grid, of the cosine-cosine
         projection of fine-grid integrands, taken on the fine grid.  Built on
-        first use from the restriction's dense matrix, whatever the axis
-        length."""
+        first use from the restriction's dense matrix."""
         g, t = self.grid, self.tables
         ry = _build("restrict", t.sy_fine.shape[1], COS, g.ny)
         rx = _build("restrict", t.sx_fine.shape[1], COS, g.nx)

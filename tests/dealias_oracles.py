@@ -3,22 +3,98 @@
 The 3/2 rule dealiases the product of any two resolved fields; the solver's
 band-sized fine grid and its one-matrix chains are checked against these
 longer forms, which are the forms the solver used before each chain was
-fused.
+fused.  Every axis operator of `grid` is a dense matrix; `pocketfft_axis`
+is the same operator as its chain of scipy.fft passes, the reference the
+matrices are checked against at every length.
 """
 
 import numpy as np
+from scipy.fft import dct, dst, idct, idst
 
 from mhdlab.grid import (
     COS,
     SIN,
     _along_yx,
     _deriv_coeffs,
+    _sl,
+    _truncate_axis,
     bwd2,
     from_fine,
     fwd2,
     galerkin_load,
     to_fine,
 )
+
+
+def fft_fwd1(values, axis, parity):
+    """Nodal values -> cosine or sine coefficients along one axis."""
+    n = values.shape[axis]
+    if parity == COS:
+        c = dct(values, type=2, axis=axis)
+        c *= 1.0 / n
+        c[_sl(c.ndim, axis, 0)] *= 0.5
+    else:
+        c = dst(values, type=2, axis=axis)
+        c *= 1.0 / n
+        c[_sl(c.ndim, axis, -1)] = 0.0  # Nyquist sine mode dropped
+    return c
+
+
+def fft_bwd1(coeffs, axis, parity):
+    """Cosine or sine coefficients -> nodal values along one axis."""
+    c = coeffs * coeffs.shape[axis]
+    if parity == COS:
+        c[_sl(c.ndim, axis, 0)] *= 2.0
+        return idct(c, type=2, axis=axis)
+    return idst(c, type=2, axis=axis)
+
+
+def pad_axis(c, axis, parity, m):
+    """Zero-pad a coefficient array to m slots along an axis.
+
+    Cosine slots map directly; sine slot i holds mode i+1, so modes 1..n-1
+    also map to the same slots.
+    """
+    shape = list(c.shape)
+    n = shape[axis]
+    shape[axis] = m
+    out = np.zeros(shape, dtype=c.dtype)
+    keep = n if parity == COS else n - 1
+    out[_sl(c.ndim, axis, slice(0, keep))] = c[_sl(c.ndim, axis, slice(0, keep))]
+    return out
+
+
+def pocketfft_axis(kind, values, axis, parity, m=None):
+    """One axis operator of `grid._axis` as its chain of pocketfft passes;
+    the derivatives are taken on an axis of length pi, as the matrices are,
+    and m defaults to the 3/2 rule's lengths as in `to_fine` and
+    `from_fine`."""
+    n = values.shape[axis]
+    if kind == "bwd":
+        return fft_bwd1(values, axis, parity)
+    if kind == "to_fine":
+        return fft_bwd1(pad_axis(values, axis, parity, m or 3 * n // 2), axis, parity)
+    if kind == "s2c":
+        return fft_fwd1(fft_bwd1(values, axis, SIN), axis, COS)
+    c = fft_fwd1(values, axis, parity)
+    if kind == "fwd":
+        return c
+    if kind == "deriv":
+        dc, flipped = _deriv_coeffs(c, axis, parity, np.pi)
+        return fft_bwd1(dc, axis, flipped)
+    if kind == "lap":
+        shape = [1] * c.ndim
+        shape[axis] = n
+        c *= -np.arange(n).reshape(shape) ** 2.0
+        return fft_bwd1(c, axis, parity)
+    if kind == "refine":
+        return fft_bwd1(pad_axis(c, axis, parity, m), axis, parity)
+    c = _truncate_axis(c, axis, parity, m or 2 * n // 3)
+    if kind == "from_fine":
+        return c
+    if kind == "restrict_deriv":
+        c, parity = _deriv_coeffs(c, axis, parity, np.pi)
+    return fft_bwd1(c, axis, parity)  # restrict
 
 
 def fine_shape(shape):

@@ -38,10 +38,9 @@ def passes(monkeypatch):
     """(kind, parity, fields) of every axis pass from here on."""
     seen = []
 
-    def counted(kind, values, axis, parity, m=None, overwrite=False,
-                _orig=grid_module._axis):
+    def counted(kind, values, axis, parity, m=None, _orig=grid_module._axis):
         seen.append((kind, parity, int(np.prod(np.shape(values)[:-2]))))
-        return _orig(kind, values, axis, parity, m, overwrite)
+        return _orig(kind, values, axis, parity, m)
 
     monkeypatch.setattr(grid_module, "_axis", counted)
     return seen

@@ -6,15 +6,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.fft import next_fast_len
+from scipy.fft import dctn
 
 from dealias_oracles import (
     advection_load_chain,
     dealiased_product,
     energy_advection_chain,
+    fft_bwd1,
     fine_shape,
     flux_divergence_chain,
     laplacian_chain,
+    pad_axis,
+    pocketfft_axis,
     restrict_nodal,
     restriction_chain,
 )
@@ -88,7 +91,8 @@ import sys
 
 import numpy as np
 from mhdlab import diagnostics, solver
-from mhdlab.grid import COS, GalerkinBasis, Grid, ScalarField, VectorField, fwd2
+from mhdlab.grid import (COS, GalerkinBasis, Grid, ScalarField, VectorField,
+                         deriv_nodal, fwd2, laplacian_neumann)
 from mhdlab.thermo import EosParams
 
 
@@ -102,8 +106,8 @@ def initial(n):
                     np.zeros(g.shape)))
 """
 
-# five 128^2 steps at n = 4, a 64^2 report and a 64^2 step at n = 256 run on
-# dense axes alone; a 256^2 transform then loads scipy.fft
+# five 128^2 steps at n = 4, a 64^2 report, a 64^2 step at n = 256 and
+# transforms, Laplacians and derivatives on 256^2 and 512^2 grids
 NO_SCIPY_SCRIPT = INITIAL + """
 eos = EosParams()
 reg = solver.RegParams(epsilon=1e-2, delta=1e-2, n=4)
@@ -116,18 +120,13 @@ diagnostics.report(solver.initial_state(initial(64), GalerkinBasis(Grid(64, 64),
 reg256 = solver.RegParams(epsilon=1e-2, delta=1e-2, n=256)
 solver.step(solver.initial_state(initial(64), GalerkinBasis(Grid(64, 64), 256)),
             reg256, eos, 1e-3)
+for n in (256, 512):
+    v = np.random.default_rng(n).standard_normal((n, n))
+    fwd2(v, (COS, COS))
+    laplacian_neumann(ScalarField(Grid(n, n), v))
+    deriv_nodal(v, 1, COS, 1.0)
 loaded = [m for m in sys.modules if m.startswith("scipy")]
 assert not loaded, loaded
-
-v = np.random.default_rng(0).standard_normal((256, 256))
-got = fwd2(v, (COS, COS))
-assert "scipy.fft" in sys.modules
-from scipy.fft import dctn
-
-want = dctn(v, type=2) / v.size
-want[0] *= 0.5
-want[:, 0] *= 0.5
-assert np.abs(got - want).max() <= 1e-14 * 256 * np.abs(want).max()
 """
 
 
@@ -153,9 +152,16 @@ def run_in_fresh_process(script):
 
 
 def test_desk_scale_runs_leave_scipy_unloaded():
-    # scipy.fft costs about 28 MB of RSS at import; no axis of the 16^2 to
-    # 128^2 grids or their band-sized fine grids needs it
+    # the package needs numpy alone, at every grid size
     run_in_fresh_process(NO_SCIPY_SCRIPT)
+
+
+def test_cosine_transform_matches_dctn():
+    v = np.random.default_rng(0).standard_normal((256, 256))
+    want = dctn(v, type=2) / v.size
+    want[0] *= 0.5
+    want[:, 0] *= 0.5
+    assert np.abs(fwd2(v, (COS, COS)) - want).max() <= 1e-14 * 256 * np.abs(want).max()
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's thresholds")
@@ -201,48 +207,21 @@ class TestTransforms:
 PARITIES = [(COS, COS), (SIN, SIN), (COS, SIN), (SIN, COS)]
 
 
-def fft_axis(kind, v, axis, parity):
-    """pocketfft reference for one axis operator (deriv on an axis of length pi)."""
-    g = grid_module
-    n = v.shape[axis]
-    if kind == "fwd":
-        return g._fft_fwd1(v, axis, parity)
-    if kind == "bwd":
-        return g._fft_bwd1(v, axis, parity)
-    if kind == "deriv":
-        dc, flipped = g._deriv_coeffs(g._fft_fwd1(v, axis, parity), axis, parity, np.pi)
-        return g._fft_bwd1(dc, axis, flipped)
-    if kind == "to_fine":
-        return g._fft_bwd1(g._pad_axis(v, axis, parity, 3 * n // 2), axis, parity)
-    return g._truncate_axis(g._fft_fwd1(v, axis, parity), axis, parity, 2 * n // 3)
-
-
 def fft_2d(kind, v, parity):
-    return fft_axis(kind, fft_axis(kind, v, -1, parity[1]), -2, parity[0])
+    return pocketfft_axis(kind, pocketfft_axis(kind, v, -1, parity[1]), -2, parity[0])
 
 
 def assert_close(got, ref, n):
     assert np.abs(got - ref).max() <= 1e-15 * n * np.abs(ref).max()
 
 
-# the path each kind takes on an axis of 64, 128, 160, 256 and 540 nodes
-# (the longer of its input and output lengths): "d" the dense matrix, "p"
-# the pocketfft chain
-PATHS = {
-    "fwd": "dddpp", "bwd": "dddpp", "deriv": "dddpp", "lap": "dddpp",
-    "to_fine": "dddpp", "from_fine": "dddpp", "refine": "dddpp",
-    "restrict": "dddpp", "restrict_deriv": "dddpp", "s2c": "ddddp",
-}
-
-
 class TestDenseTransforms:
-    """The matrix path against the pocketfft primitives it replaces up to
-    each kind's cut-off; the path is chosen per axis length, never per
-    grid."""
+    """The matrices against the pocketfft chains of the same operators, up
+    to 1024 nodes."""
 
     @pytest.mark.parametrize("n, kind", [
         (n, kind)
-        for n in (8, 12, 16, 24, 32, 48, 64, 96, 128, 192)
+        for n in (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 540, 1024)
         for kind in ("fwd", "bwd", "deriv", "to_fine", "from_fine")
         if kind != "from_fine" or n % 3 == 0  # from_fine reads a 3/2 fine axis
     ])
@@ -253,7 +232,7 @@ class TestDenseTransforms:
                 v = rng.standard_normal(shape)
                 got = v
                 for axis, p in ((-1, parity[1]), (-2, parity[0])):
-                    got = grid_module._dense(kind, got, axis, p)
+                    got = grid_module._axis(kind, got, axis, p)
                 assert_close(got, fft_2d(kind, v, parity), n)
 
     @pytest.mark.parametrize("shape", [(16, 16), (64, 64), (64, 128), (128, 64), (128, 128)])
@@ -271,58 +250,12 @@ class TestDenseTransforms:
                 assert_close(fine, fft_2d("to_fine", v, parity), n)
                 padded = v
                 for axis, p, m in ((-1, parity[1], 3 * nx // 2), (-2, parity[0], 3 * ny // 2)):
-                    padded = grid_module._pad_axis(padded, axis, p, m)
+                    padded = pad_axis(padded, axis, p, m)
                 assert_close(fine, bwd2(padded, parity), n)
                 assert_close(from_fine(fine, parity), fft_2d("from_fine", fine, parity), n)
                 for axis, length, p in ((-1, g.lx, parity[1]), (-2, g.ly, parity[0])):
-                    ref = fft_axis("deriv", v, axis, p) * (np.pi / length)
+                    ref = pocketfft_axis("deriv", v, axis, p) * (np.pi / length)
                     assert_close(deriv_nodal(v, axis, p, length), ref, n)
-
-    @pytest.mark.parametrize("shape", [(64, 128), (128, 256), (256, 128)])
-    def test_each_axis_takes_its_own_path(self, shape):
-        def axis_path(kind, v, axis, parity):
-            # dense while the longer of the axis's two lengths is at most 160:
-            # the fine one for to_fine (3/2 of its input) and from_fine
-            n = v.shape[axis]
-            if (3 * n // 2 if kind == "to_fine" else n) <= 160:
-                return grid_module._dense(kind, v, axis, parity)
-            return fft_axis(kind, v, axis, parity)
-
-        coarse = np.random.default_rng(4).standard_normal((3,) + shape)
-        fine = np.random.default_rng(5).standard_normal((3,) + fine_shape(shape))
-        for parity in PARITIES:
-            for kind, op, v in (("fwd", fwd2, coarse), ("bwd", bwd2, coarse),
-                                ("to_fine", to_fine, coarse),
-                                ("from_fine", from_fine, fine)):
-                ref = axis_path(kind, axis_path(kind, v, -1, parity[1]), -2, parity[0])
-                assert np.array_equal(op(v, parity), ref), (kind, parity)
-
-    @pytest.mark.parametrize("kind", sorted(PATHS))
-    def test_each_kind_takes_the_path_of_its_cut_off(self, kind):
-        parity = SIN if kind == "s2c" else COS
-        for n, path in zip((64, 128, 160, 256, 540), PATHS[kind]):
-            # to_fine and refine take n/2 slots or nodes onto n nodes;
-            # from_fine, restrict and restrict_deriv take n nodes onto n/2
-            length, m = {"to_fine": (n // 2, n), "refine": (n // 2, n),
-                         "from_fine": (n, n // 2), "restrict": (n, n // 2),
-                         "restrict_deriv": (n, n // 2)}.get(kind, (n, None))
-            v = np.random.default_rng(n).standard_normal((2, length))
-            grid_module._matrix.cache_clear()
-            got = grid_module._axis(kind, v, -1, parity, m)
-            assert (grid_module._matrix.cache_info().currsize == 1) == (path == "d"), n
-            assert_close(got, grid_module._dense(kind, v, -1, parity, m), n)
-
-    def test_grids_of_256_build_no_matrix(self):
-        g = Grid(256, 256, 1.3, 0.9)
-        f = random_cc_field(g, 6)
-        grid_module._matrix.cache_clear()
-        divergence(gradient(f))
-        laplacian_neumann(f)
-        velocity_gradient(random_ss_vector(g, 7))
-        dealiased_product(fwd2(f.values, (COS, COS)), (COS, COS),
-                          fwd2(f.values, (COS, COS)), (COS, COS))
-        restrict_nodal(np.ones((3, 270, 270)), g.shape)  # the band of n = 4
-        assert grid_module._matrix.cache_info().currsize == 0
 
     @pytest.mark.parametrize("shape", [(16, 16), (64, 64), (128, 128), (64, 128)])
     def test_constant_is_exact(self, shape):
@@ -381,19 +314,19 @@ def chain_axis(kind, v, axis, parity, m):
     length pi, as its matrix is); the cosine second derivative as two first
     derivatives."""
     if kind == "lap":
-        return fft_axis("deriv", fft_axis("deriv", v, axis, COS), axis, SIN)
-    g = grid_module
+        return pocketfft_axis("deriv", pocketfft_axis("deriv", v, axis, COS), axis, SIN)
     if kind == "refine":
-        c = g._pad_axis(fft_axis("fwd", v, axis, parity), axis, parity, m)
-        return g._fft_bwd1(c, axis, parity)
-    c = g._truncate_axis(fft_axis("fwd", v, axis, parity), axis, parity, m)
+        c = pocketfft_axis("fwd", v, axis, parity)
+        return pocketfft_axis("to_fine", c, axis, parity, m)
+    c = pocketfft_axis("from_fine", v, axis, parity, m)
     if kind == "restrict_deriv":
-        c, parity = g._deriv_coeffs(c, axis, parity, np.pi)
-    return g._fft_bwd1(c, axis, parity)
+        c, parity = grid_module._deriv_coeffs(c, axis, parity, np.pi)
+    return fft_bwd1(c, axis, parity)
 
 
 # (kind, parity, input length, output length) of the fused operators, on the
-# lengths and parities the solver uses, up to 512^2 grids and their fine axes
+# parities the solver uses and on grids up to 512^2 with fine axes of about
+# their dealiasing lengths
 FUSED = (
     [("lap", COS, n, None) for n in (16, 64, 128, 160, 256, 540)]
     + [("refine", COS, n, m) for n, m in ((16, 18), (64, 72), (128, 135),
@@ -405,8 +338,8 @@ FUSED = (
 
 
 class TestFusedOperators:
-    """The operators that fuse a chain of axis operators, on both paths,
-    against that chain."""
+    """The operators that fuse a chain of axis operators, as matrices and as
+    the oracle's fused pocketfft passes, against that chain."""
 
     @pytest.mark.parametrize("kind, parity, n, m", FUSED,
                              ids=[f"{k}-{p}-{n}-{m or n}" for k, p, n, m in FUSED])
@@ -416,8 +349,8 @@ class TestFusedOperators:
             v = rng.standard_normal(shape)
             for axis in (-1, -2):
                 want = chain_axis(kind, v, axis, parity, m)
-                dense = grid_module._dense(kind, v, axis, parity, m)
-                fft = grid_module._pocketfft(kind, v, axis, parity, m, False)
+                dense = grid_module._axis(kind, v, axis, parity, m)
+                fft = pocketfft_axis(kind, v, axis, parity, m)
                 assert_close(dense, want, max(n, m or n))
                 assert_close(fft, want, max(n, m or n))
 
@@ -430,8 +363,8 @@ class TestFusedOperators:
 
     def test_refinement_keeps_a_constant(self):
         v = np.full((2, 128, 128), 3.7)
-        assert np.all(grid_module._dense("refine", v, -1, COS, 135) == 3.7)
-        assert np.all(grid_module._dense("refine", v, -2, COS, 160) == 3.7)
+        assert np.all(grid_module._axis("refine", v, -1, COS, 135) == 3.7)
+        assert np.all(grid_module._axis("refine", v, -2, COS, 160) == 3.7)
 
     @pytest.mark.parametrize("shape", [(16, 16), (64, 64), (128, 128), (64, 128),
                                        (128, 64), (256, 256)])
@@ -680,8 +613,8 @@ def rel_err(got, want):
 
 
 def band_length(n, kmax):
-    """n + kmax//2 fine nodes, rounded up to a fast length."""
-    return next_fast_len(n + kmax // 2, real=True)
+    """n + kmax//2 fine nodes."""
+    return n + kmax // 2
 
 
 class TestBandLimited:
@@ -741,9 +674,9 @@ class TestBandLimited:
             assert parity == (COS, COS) and rel_err(prod[i], want) <= 1e-13
 
     @pytest.mark.parametrize("shape, n, band", [
-        ((128, 128), 4, (135, 135)), ((64, 64), 4, (72, 72)),
-        ((64, 64), 32, (72, 72)), ((128, 128), 3969, (160, 160)),
-        ((64, 64), 961, (80, 80)), ((16, 16), 1, (16, 16)),
+        ((128, 128), 4, (129, 129)), ((64, 64), 4, (65, 65)),
+        ((64, 64), 32, (67, 67)), ((128, 128), 3969, (159, 159)),
+        ((64, 64), 961, (79, 79)), ((16, 16), 1, (16, 16)),
     ])
     def test_fine_grid_is_sized_from_the_band(self, shape, n, band):
         ny, nx = shape
@@ -751,9 +684,11 @@ class TestBandLimited:
         assert VelocityWorkspace(None, None, u).u_fine.shape == (2,) + band
 
     def test_fine_length_is_the_next_fast_length(self):
+        # a dense axis operator is as fast at every length, so the fast
+        # length is the least one that dealiases, unrounded
         for n in range(1, 1025):
             for kmax in range((n + 1) // 2):
-                assert fine_length(n, kmax) == next_fast_len(n + kmax // 2, real=True)
+                assert fine_length(n, kmax) == n + kmax // 2
 
     def test_nodal_tables_are_the_basis_tables(self):
         basis = GalerkinBasis(Grid(16, 32, 1.3, 0.9), 40)
