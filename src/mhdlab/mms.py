@@ -11,7 +11,8 @@ discrete velocity space exactly.
 Forcings are the strong-form residuals of the regularized system
 evaluated pointwise from the analytic derivatives; adding them to the
 solver makes the manufactured state an exact solution, so the measured
-deviation isolates discretization error.
+deviation isolates discretization error.  The order studies run their
+forced rungs through `solver.run_ladder`.
 """
 
 from __future__ import annotations
@@ -33,13 +34,13 @@ from .grid import (
 from .solver import (
     InitialData,
     RegParams,
-    Schedule,
     State,
     Terms,
+    log2_orders,
     momentum_flux,
     momentum_pressure,
     rho_gradient_coupling,
-    run,
+    run_ladder,
 )
 from .thermo import (
     EosParams, kappa_delta, kappa_delta_dtheta, rho_e, rho_e_drho, rho_e_dtheta,
@@ -377,60 +378,51 @@ def manufactured_forcing(ms: ManufacturedSolution, reg: RegParams, p: EosParams,
     return MmsForcing(ms, reg, p, grid, basis)
 
 
-def _order_study(ms: ManufacturedSolution, reg: RegParams, p: EosParams, cases,
-                 t_final: float):
-    """Run the forced solver once per (grid, dt) case; returns (errors, orders)
-    with the orders log2 of consecutive error ratios."""
-    if len(cases) < 2:
-        raise DomainError(f"an order study needs at least two cases, got {len(cases)}")
-    errors = []
-    for grid, dt in cases:
-        basis = GalerkinBasis(grid, reg.n)
-        traj = run(
-            ms.initial_data(grid), reg, p,
-            Schedule(t_final=t_final, dt=dt, snapshot_stride=10**9),
-            forcing=manufactured_forcing(ms, reg, p, grid, basis),
-            diagnostics_every=0, basis=basis,
-        )
-        errors.append(ms.combined_error(traj.final()))
-    orders = [
-        float(np.log2(errors[i] / errors[i + 1])) for i in range(len(errors) - 1)
-    ]
-    return errors, orders
+def _forced_rung(ms: ManufacturedSolution, reg: RegParams, p: EosParams,
+                 grid: Grid, t_final: float, dt: float):
+    """A `run_ladder` rung: `ms` on `grid`, forced to be an exact solution."""
+    basis = GalerkinBasis(grid, reg.n)
+    return (ms.initial_data(grid), reg, p, t_final, dt,
+            manufactured_forcing(ms, reg, p, grid, basis), basis)
 
 
-def spatial_order_study(
-    reg: RegParams,
-    p: EosParams,
-    grid_sizes=(32, 64, 128),
-    t_final: float = 0.5,
-    dt: float = 2e-3,
-    r: float = 0.8,
-):
-    """Grid-doubling study against the steady spectral probe.
+def _measured_orders(ms: ManufacturedSolution, rungs):
+    """(errors against `ms` of each rung's final state, log2 orders)."""
+    finals, error = run_ladder(rungs)
+    if error is not None:
+        raise error
+    errors = [ms.combined_error(s) for s in finals]
+    return errors, log2_orders(errors)
+
+
+def spatial_order_study(reg: RegParams, p: EosParams, grid_sizes=(32, 64, 128)):
+    """Grid-doubling study against the steady spectral probe, to t = 0.5
+    in steps of 2e-3.
 
     Returns (errors, orders); the solution is steady, so the discrete fixed
     point is independent of dt and the measured error is purely spatial.
     """
-    cases = [(Grid(n_side, n_side, 1.0, 1.0), dt) for n_side in grid_sizes]
-    return _order_study(spectral_probe_solution(r), reg, p, cases, t_final)
+    if len(grid_sizes) < 2:
+        raise DomainError(f"an order study needs two grids or more, got {grid_sizes}")
+    ms = spectral_probe_solution()
+    return _measured_orders(ms, (
+        _forced_rung(ms, reg, p, Grid(n_side, n_side, 1.0, 1.0), 0.5, 2e-3)
+        for n_side in grid_sizes
+    ))
 
 
-def temporal_order_study(
-    reg: RegParams,
-    p: EosParams,
-    grid_size: int = 32,
-    dts=(8e-3, 4e-3, 2e-3),
-    t_final: float = 0.4,
-):
-    """dt-halving study against the unsteady low-mode solution.
+def temporal_order_study(reg: RegParams, p: EosParams):
+    """dt-halving study (8e-3, 4e-3, 2e-3) against the unsteady low-mode
+    solution on a 32^2 grid, to t = 0.4.
 
     Returns (errors, orders); the fields are exactly representable, so the
     spatial error is negligible and the measured order is temporal.
     """
-    grid = Grid(grid_size, grid_size, 1.0, 1.0)
-    cases = [(grid, dt) for dt in dts]
-    return _order_study(standard_smooth_solution(unsteady=True), reg, p, cases, t_final)
+    ms = standard_smooth_solution(unsteady=True)
+    grid = Grid(32, 32, 1.0, 1.0)
+    return _measured_orders(ms, (
+        _forced_rung(ms, reg, p, grid, 0.4, dt) for dt in (8e-3, 4e-3, 2e-3)
+    ))
 
 
 def standard_smooth_solution(unsteady: bool = True) -> ManufacturedSolution:
@@ -448,13 +440,14 @@ def standard_smooth_solution(unsteady: bool = True) -> ManufacturedSolution:
     return ManufacturedSolution(rho, theta, b, u)
 
 
-def spectral_probe_solution(r: float = 0.85) -> ManufacturedSolution:
-    """Steady solution with geometric spectral tails (coefficients ~ r^k).
+def spectral_probe_solution() -> ManufacturedSolution:
+    """Steady solution with geometric spectral tails (coefficients ~ r^k, r = 0.8).
 
     Its truncation error decays like r^N under grid refinement, so observed
     spatial orders under grid doubling are large but bounded away from the
     round-off floor on 32^2 .. 128^2 grids.
     """
+    r = 0.8
     rho = SeparableField(1.0, 0.1, PoissonFactor(r), PoissonFactor(r))
     theta = SeparableField(1.0, 0.08, PoissonFactor(r), ConstantFactor())
     b = rho.scaled(1.5)

@@ -52,6 +52,8 @@ conduction term unless a floor clamp changed theta) are handed to the new
 state (`State.handed`), keyed by the parameters they depend on, and read
 through `VelocityWorkspace.term`.  The step from a state releases them,
 whether a report read them or not.
+
+`run_ladder` runs the rungs of a limit sweep or an order study in sequence.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from .errors import (
     CflError,
     DomainError,
     GridMismatchError,
+    MhdError,
     NewtonError,
     StepFailure,
 )
@@ -115,6 +118,7 @@ __all__ = [
     "advance_momentum",
     "step",
     "run",
+    "run_ladder",
     "cfl_bound",
     "Terms",
     "heating_parts",
@@ -173,8 +177,8 @@ class RegParams:
             raise DomainError(
                 f"Gamma must be finite and >= {gamma_min:g}, got {self.Gamma}"
             )
-        if not self.n >= 1:
-            raise DomainError(f"n must be >= 1, got {self.n}")
+        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
+            raise DomainError(f"n must be an integer >= 1, got {self.n!r}")
 
 
 @dataclass
@@ -1344,3 +1348,28 @@ def run(
     return Trajectory(
         states, reports, diags, schedule.dt, schedule.snapshot_stride, reg, p
     )
+
+
+def run_ladder(rungs):
+    """Run each rung (initial, reg, p, t_final, dt, forcing, basis), formed
+    only after the one before has run, without diagnostics; returns the final
+    states and the MhdError that stopped the ladder, or None."""
+    finals = []
+    try:
+        for initial, reg, p, t_final, dt, forcing, basis in rungs:
+            # the stride keeps the initial and final states alone
+            schedule = Schedule(t_final, dt, snapshot_stride=10**9)
+            finals.append(run(initial, reg, p, schedule, forcing=forcing,
+                              diagnostics_every=0, basis=basis).final())
+    except MhdError as exc:
+        return finals, exc
+    return finals, None
+
+
+def strictly_decreasing(series) -> bool:
+    return all(a > b for a, b in zip(series, series[1:]))
+
+
+def log2_orders(errors) -> list:
+    """Observed orders of a halving ladder."""
+    return [float(np.log2(a / b)) for a, b in zip(errors, errors[1:])]

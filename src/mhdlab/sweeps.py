@@ -1,25 +1,26 @@
-"""Parameter-ladder drivers for the three limit passages (n, eps, delta).
+"""Parameter ladders for the three limit passages (n, eps, delta).
 
-A sweep runs the solver once per ladder rung with everything else held
-fixed, then measures Cauchy-style distances of each field to the finest
-rung at the comparison time, the b/rho compactness metric against the
-finest rung's ratio field, and the L1 norms of the artificial terms.  The
-finest rung is the reference: the true limit object is unknown, so
-decreasing distances along the ladder are the honest measurable proxy for
-the limit passages (the analytic convergences are weak/weak-* along
-subsequences; this gap is documented, not hidden).
+A sweep runs the solver once per ladder rung (`solver.run_ladder`) with
+everything else held fixed, then measures Cauchy-style distances of each
+field to the finest rung at the comparison time, the b/rho compactness
+metric against the finest rung's ratio field, and the L1 norms of the
+artificial terms.  The finest rung is the reference: the true limit object
+is unknown, so decreasing distances along the ladder are the honest
+measurable proxy for the limit passages (the analytic convergences are
+weak/weak-* along subsequences; this gap is documented, not hidden).
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, GridMismatchError, MhdError
+from .errors import DomainError, GridMismatchError
 from .grid import ScalarField, check_basis_size
-from .solver import InitialData, RegParams, Schedule, State, run
+from .solver import InitialData, RegParams, Schedule, State, run_ladder
+from .solver import strictly_decreasing
 from .thermo import EosParams
 
 __all__ = [
@@ -57,7 +58,6 @@ class SweepPlan:
     base: RegParams
     t_cmp: float = 0.5
     dt: float = 2.5e-3
-    schedule: Schedule = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.which not in ("n", "epsilon", "delta"):
@@ -65,23 +65,18 @@ class SweepPlan:
         ladder = tuple(self.ladder)
         if len(ladder) < 3:
             raise DomainError("ladder requires >= 3 entries")
-        diffs = np.diff(ladder)
-        if self.which == "n":
-            if not np.all(diffs > 0):
-                raise DomainError("n-ladder must be strictly increasing")
-        elif not np.all(diffs < 0):
-            raise DomainError(f"{self.which}-ladder must be strictly decreasing")
+        increasing = self.which == "n"
+        if not strictly_decreasing(ladder[::-1] if increasing else ladder):
+            direction = "increasing" if increasing else "decreasing"
+            raise DomainError(f"{self.which}-ladder must be strictly {direction}")
         for v in ladder:
             self.reg_for(v)
         object.__setattr__(self, "ladder", ladder)
-        # runs to t_cmp (its t_final); it rejects non-finite and partial steps
-        object.__setattr__(
-            self, "schedule", Schedule(self.t_cmp, self.dt, snapshot_stride=10**9)
-        )
+        Schedule(self.t_cmp, self.dt)  # rejects non-finite times, partial steps
 
     def reg_for(self, value) -> RegParams:
         if self.which == "n":
-            return replace(self.base, n=int(value))
+            return replace(self.base, n=value)
         return replace(self.base, **{self.which: float(value)})
 
 
@@ -89,7 +84,7 @@ class SweepPlan:
 class ConvergenceReport:
     which: str
     values: list
-    distances: list          # dict per rung, vs the finest rung
+    distances: list          # dict per rung, vs the finest; empty if one failed
     zeta_metrics: list
     artificial: list         # dict per rung
     monotone: dict           # column -> bool over the non-finest rungs
@@ -104,14 +99,12 @@ def zeta_field(state: State) -> ScalarField:
     return ScalarField(state.grid, vals)
 
 
-def zeta_metric(state: State, reference_zeta: ScalarField, pexp: float = 1.0) -> float:
-    """Compactness metric int rho |zeta - zeta_ref|^p dx (>= 0)."""
-    if pexp < 1.0:
-        raise DomainError(f"pexp must be >= 1, got {pexp}")
+def zeta_metric(state: State, reference_zeta: ScalarField) -> float:
+    """Compactness metric int rho |zeta - zeta_ref| dx (>= 0)."""
     if reference_zeta.grid != state.grid:
         raise GridMismatchError("reference zeta lives on a different grid")
     zeta = zeta_field(state).values
-    diff = np.abs(zeta - reference_zeta.values) ** pexp
+    diff = np.abs(zeta - reference_zeta.values)
     return float((state.rho.values * diff).sum() * state.grid.weight)
 
 
@@ -132,80 +125,62 @@ def artificial_norms(state: State, reg: RegParams) -> dict:
 
 def _distances(state: State, ref: State) -> dict:
     w = state.grid.weight
-
-    def l1(a):
-        return float(np.abs(a).sum() * w)
-
-    def l2(a):
-        return float(np.sqrt((a**2).sum() * w))
-
-    drho = state.rho.values - ref.rho.values
-    db = state.b.values - ref.b.values
-    dth = state.theta.values - ref.theta.values
+    out = {}
+    for name in ("rho", "b", "theta"):
+        d = getattr(state, name).values - getattr(ref, name).values
+        out[f"dist_l1_{name}"] = float(np.abs(d).sum() * w)
+        out[f"dist_l2_{name}"] = float(np.sqrt((d**2).sum() * w))
     du2 = (state.u.vx - ref.u.vx) ** 2 + (state.u.vy - ref.u.vy) ** 2
-    return {
-        "dist_l1_rho": l1(drho),
-        "dist_l2_rho": l2(drho),
-        "dist_l1_b": l1(db),
-        "dist_l2_b": l2(db),
-        "dist_l1_theta": l1(dth),
-        "dist_l2_theta": l2(dth),
-        "dist_l2_u": float(np.sqrt(du2.sum() * w)),
-    }
+    out["dist_l2_u"] = float(np.sqrt(du2.sum() * w))
+    return out
 
 
 def sweep(plan: SweepPlan, initial: InitialData, p: EosParams) -> ConvergenceReport:
     """Run every ladder rung in sequence and compare against the finest one.
 
-    A failing rung aborts the sweep and the partial report records which
-    one.  An n-ladder whose finest rung exceeds the grid's basis size raises
-    BasisError before any rung runs.
+    A failing rung stops the sweep: the report names it and holds the
+    artificial norms of the rungs that ran.  An n-ladder whose finest rung
+    exceeds the grid's basis size raises BasisError before any rung runs.
     """
     if plan.which == "n":
-        check_basis_size(initial.rho0.grid, int(plan.ladder[-1]))
-    finals = []
-    values = list(plan.ladder)
-    for v in values:
-        try:
-            finals.append(run(initial, plan.reg_for(v), p, plan.schedule,
-                              diagnostics_every=0).final())
-        except MhdError:
-            return ConvergenceReport(plan.which, values[: len(finals)], [], [], [],
-                                     {}, v)
+        check_basis_size(initial.rho0.grid, plan.ladder[-1])
+    finals, error = run_ladder(
+        (initial, plan.reg_for(v), p, plan.t_cmp, plan.dt, None, None)
+        for v in plan.ladder
+    )
+    values = list(plan.ladder[: len(finals)])
+    arts = [artificial_norms(s, plan.reg_for(v)) for s, v in zip(finals, values)]
+    if error is not None:
+        return ConvergenceReport(plan.which, values, [], [], arts, {},
+                                 plan.ladder[len(finals)])
 
     ref = finals[-1]
     ref_zeta = zeta_field(ref)
     distances = [_distances(s, ref) for s in finals]
-    zetas = [zeta_metric(s, ref_zeta, 1.0) for s in finals]
-    arts = [
-        artificial_norms(s, plan.reg_for(v)) for s, v in zip(finals, values)
-    ]
-
-    monotone = {}
-    for col in DISTANCE_COLUMNS:
-        series = [d[col] for d in distances[:-1]]
-        monotone[col] = bool(
-            all(series[i] > series[i + 1] for i in range(len(series) - 1))
-        )
-    monotone["zeta_metric"] = bool(
-        all(zetas[i] > zetas[i + 1] for i in range(len(zetas) - 2))
-    )
+    zetas = [zeta_metric(s, ref_zeta) for s in finals]
+    monotone = {
+        col: strictly_decreasing([d[col] for d in distances[:-1]])
+        for col in DISTANCE_COLUMNS
+    }
+    monotone["zeta_metric"] = strictly_decreasing(zetas[:-1])
     return ConvergenceReport(
         plan.which, values, distances, zetas, arts, monotone, None
     )
 
 
 def write_sweep_csv(report: ConvergenceReport, path):
-    """One row per rung: swept value, distances, zeta metric, artificial norms."""
+    """One row per rung that ran: swept value, distances, zeta metric,
+    artificial norms; a failed sweep leaves the distance and zeta cells empty."""
     header = ["value"] + DISTANCE_COLUMNS + ["zeta_metric"] + NORM_COLUMNS
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for i, v in enumerate(report.values):
-            if i >= len(report.distances):
-                break
             row = [v]
-            row += ["%.17g" % report.distances[i][c] for c in DISTANCE_COLUMNS]
-            row.append("%.17g" % report.zeta_metrics[i])
+            if report.distances:
+                row += ["%.17g" % report.distances[i][c] for c in DISTANCE_COLUMNS]
+                row.append("%.17g" % report.zeta_metrics[i])
+            else:
+                row += [""] * (len(DISTANCE_COLUMNS) + 1)
             row += ["%.17g" % report.artificial[i][c] for c in NORM_COLUMNS]
             writer.writerow(row)

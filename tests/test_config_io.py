@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mhdlab import cli, mms, sweeps
+from mhdlab import cli, mms, solver, sweeps
 from mhdlab.config import evaluate_expression, parse_config
 from mhdlab.errors import BasisError, ConfigError, SnapshotError
 from mhdlab.grid import Grid, ScalarField, VectorField, GalerkinBasis
@@ -403,12 +403,10 @@ class TestCli:
     def test_sweep_rejects_bad_rung_before_any_rung_runs(
         self, tmp_path, capsys, monkeypatch, which, ladder
     ):
-        from mhdlab import sweeps
-
         def no_run(*args, **kwargs):
             raise AssertionError("a rung ran")
 
-        monkeypatch.setattr(sweeps, "run", no_run)
+        monkeypatch.setattr(solver, "run", no_run)
         cfg = tmp_path / "eq.ini"
         cfg.write_text(MINIMAL)
         out_dir = tmp_path / "out"

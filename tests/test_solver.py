@@ -124,6 +124,14 @@ class TestRegParams:
         with pytest.raises(DomainError):
             RegParams(epsilon=0.1, delta=0.1, Gamma=3.0)
 
+    @pytest.mark.parametrize("n", [4.5, 4.0, "4", 0, np.int64(0)], ids=repr)
+    def test_rejects_a_galerkin_dimension_that_is_no_positive_integer(self, n):
+        with pytest.raises(DomainError):
+            RegParams(epsilon=1e-2, delta=1e-2, n=n)
+
+    def test_numpy_integer_dimension_accepted(self):
+        assert RegParams(epsilon=1e-2, delta=1e-2, n=np.int64(4)).n == 4
+
 
 class TestInitialData:
     def test_domination_constants(self):
