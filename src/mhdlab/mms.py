@@ -6,13 +6,17 @@ fields and a Poisson-kernel factor (geometric coefficient decay r^k)
 whose truncation error stays measurable across desk-scale grids, which is
 what makes a spatial-order study meaningful for a spectral method.  The
 velocity is a combination of Galerkin basis modes so it lies in the
-discrete velocity space exactly.
+discrete velocity space exactly.  Each exact field gives its value and
+derivatives in one `jet(t, grid)` call: (f, f_t, f_x, f_y, Lap f) for a
+scalar, (u, u_t, grad u) for the velocity.
 
 Forcings are the strong-form residuals of the regularized system
-evaluated pointwise from the analytic derivatives; adding them to the
-solver makes the manufactured state an exact solution, so the measured
-deviation isolates discretization error.  The order studies run their
-forced rungs through `solver.run_ladder`.
+evaluated pointwise from the jets; adding them to the solver makes the
+manufactured state an exact solution, so the measured deviation isolates
+discretization error.  `MmsForcing.at(t)` returns three parts: the
+stacked cosine coefficients of the (rho, b) forcings, the nodal
+internal-energy forcing and the Galerkin momentum load.  The order studies
+run their forced rungs through `solver.run_ladder`.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ __all__ = [
     "SeparableField",
     "ModalVelocity",
     "ManufacturedSolution",
-    "manufactured_forcing",
     "MmsForcing",
     "standard_smooth_solution",
     "spectral_probe_solution",
@@ -135,37 +138,15 @@ class SeparableField:
         self.time = time
         self._grid = None
 
-    def bind(self, grid: Grid):
-        if self._grid is grid:
-            return
-        x0, x1, x2 = self.xfactor.tables(grid.X, grid.lx)
-        y0, y1, y2 = self.yfactor.tables(grid.Y, grid.ly)
-        self._xy = (x0 * y0, x1 * y0, x0 * y1, x2 * y0, x0 * y2)
-        self._grid = grid
-
-    def value(self, t, grid):
-        self.bind(grid)
-        return self.c0 + self.amp * self.time.value(t) * self._xy[0]
-
-    def dt(self, t, grid):
-        self.bind(grid)
-        return self.amp * self.time.rate(t) * self._xy[0]
-
-    def dx(self, t, grid):
-        self.bind(grid)
-        return self.amp * self.time.value(t) * self._xy[1]
-
-    def dy(self, t, grid):
-        self.bind(grid)
-        return self.amp * self.time.value(t) * self._xy[2]
-
-    def dxx(self, t, grid):
-        self.bind(grid)
-        return self.amp * self.time.value(t) * self._xy[3]
-
-    def dyy(self, t, grid):
-        self.bind(grid)
-        return self.amp * self.time.value(t) * self._xy[4]
+    def jet(self, t, grid: Grid):
+        """(f, d_t f, d_x f, d_y f, Lap f) at time t on `grid`."""
+        if self._grid is not grid:
+            x0, x1, x2 = self.xfactor.tables(grid.X, grid.lx)
+            y0, y1, y2 = self.yfactor.tables(grid.Y, grid.ly)
+            self._xy, self._grid = (x0 * y0, x1 * y0, x0 * y1, x2 * y0, x0 * y2), grid
+        xy, a = self._xy, self.amp * self.time.value(t)
+        return (self.c0 + a * xy[0], self.amp * self.time.rate(t) * xy[0],
+                a * xy[1], a * xy[2], a * xy[3] + a * xy[4])
 
     def scaled(self, factor: float) -> "SeparableField":
         return SeparableField(
@@ -184,52 +165,21 @@ class ModalVelocity:
         self.time = time
         self._grid = None
 
-    def bind(self, grid: Grid):
-        if self._grid is grid:
-            return
-        zero = np.zeros(grid.shape)
-        tabs = {name: [zero.copy(), zero.copy()] for name in ("v", "dx", "dy")}
-        for comp, k, l, amp in self.modes:
-            ax, ay = k * np.pi / grid.lx, l * np.pi / grid.ly
-            sx, cx = np.sin(ax * grid.X), np.cos(ax * grid.X)
-            sy, cy = np.sin(ay * grid.Y), np.cos(ay * grid.Y)
-            tabs["v"][comp] += amp * sx * sy
-            tabs["dx"][comp] += amp * ax * cx * sy
-            tabs["dy"][comp] += amp * ay * sx * cy
-        self._tabs = tabs
-        self._grid = grid
-
-    def _get(self, name, t, grid):
-        self.bind(grid)
-        tau = self.time.value(t)
-        return tau * self._tabs[name][0], tau * self._tabs[name][1]
-
-    def value(self, t, grid):
-        return self._get("v", t, grid)
-
-    def dt(self, t, grid):
-        self.bind(grid)
-        rate = self.time.rate(t)
-        return rate * self._tabs["v"][0], rate * self._tabs["v"][1]
-
-    def jacobian(self, t, grid):
-        """(u1x, u1y, u2x, u2y) analytic."""
-        dx1, dx2 = self._get("dx", t, grid)
-        dy1, dy2 = self._get("dy", t, grid)
-        return dx1, dy1, dx2, dy2
-
-    def coeffs(self, t, basis: GalerkinBasis):
-        c = np.zeros(2 * basis.n)
-        tau = self.time.value(t)
-        for comp, k, l, amp in self.modes:
-            try:
-                m = basis.modes.index((k, l))
-            except ValueError:
-                raise BasisError(
-                    f"manufactured velocity mode {(k, l)} is outside the basis"
-                ) from None
-            c[comp * basis.n + m] = tau * amp
-        return c
+    def jet(self, t, grid: Grid):
+        """((u1, u2), (d_t u1, d_t u2), (u1x, u1y, u2x, u2y)) at time t on
+        `grid`, each a stacked array."""
+        if self._grid is not grid:
+            v, jac = np.zeros((2,) + grid.shape), np.zeros((4,) + grid.shape)
+            for comp, k, l, amp in self.modes:
+                ax, ay = k * np.pi / grid.lx, l * np.pi / grid.ly
+                sx, cx = np.sin(ax * grid.X), np.cos(ax * grid.X)
+                sy, cy = np.sin(ay * grid.Y), np.cos(ay * grid.Y)
+                v[comp] += amp * sx * sy
+                jac[2 * comp] += amp * ax * cx * sy
+                jac[2 * comp + 1] += amp * ay * sx * cy
+            self._tabs, self._grid = (v, jac), grid
+        (v, jac), tau = self._tabs, self.time.value(t)
+        return tau * v, self.time.rate(t) * v, tau * jac
 
 
 @dataclass
@@ -240,10 +190,8 @@ class ManufacturedSolution:
     u: ModalVelocity
 
     def state_fields(self, t, grid: Grid):
-        rho = self.rho.value(t, grid)
-        th = self.theta.value(t, grid)
-        b = self.b.value(t, grid)
-        u1, u2 = self.u.value(t, grid)
+        rho, b, th = (f.jet(t, grid)[0] for f in (self.rho, self.b, self.theta))
+        u1, u2 = self.u.jet(t, grid)[0]
         return rho, u1, u2, b, th
 
     def initial_data(self, grid: Grid) -> InitialData:
@@ -278,25 +226,23 @@ class ManufacturedSolution:
 
 
 class MmsForcing:
-    """Strong-form residual forcings; caches when the solution is steady."""
+    """Strong-form residual forcings that make `ms` an exact solution:
+    `at(t)` returns (scalar_cc, energy, momentum), the cosine coefficients of
+    the (rho, b) forcings stacked, the nodal internal-energy forcing and the
+    Galerkin momentum load; cached when the solution is steady."""
 
     def __init__(self, ms: ManufacturedSolution, reg: RegParams, p: EosParams,
                  grid: Grid, basis: GalerkinBasis):
-        for field in (ms.rho, ms.theta, ms.b):
-            field.bind(grid)
-        ms.u.bind(grid)
-        ms.u.coeffs(0.0, basis)  # raises if a mode is outside the basis
+        for _, k, l, _ in ms.u.modes:
+            if (k, l) not in basis.modes:
+                raise BasisError(
+                    f"manufactured velocity mode {(k, l)} is outside the basis")
         self.ms = ms
         self.reg = reg
         self.p = p
         self.grid = grid
         self.basis = basis
-        self._steady = (
-            ms.rho.time.amp == 0.0
-            and ms.theta.time.amp == 0.0
-            and ms.b.time.amp == 0.0
-            and ms.u.time.amp == 0.0
-        )
+        self._steady = all(f.time.amp == 0.0 for f in (ms.rho, ms.theta, ms.b, ms.u))
         self._cache = None
 
     def at(self, t):
@@ -310,25 +256,16 @@ class MmsForcing:
     def _evaluate(self, t):
         ms, reg, p, grid = self.ms, self.reg, self.p, self.grid
         G = reg.Gamma
-        rho = ms.rho.value(t, grid)
-        rho_t = ms.rho.dt(t, grid)
-        rho_x, rho_y = ms.rho.dx(t, grid), ms.rho.dy(t, grid)
-        lap_rho = ms.rho.dxx(t, grid) + ms.rho.dyy(t, grid)
-        b = ms.b.value(t, grid)
-        b_t = ms.b.dt(t, grid)
-        b_x, b_y = ms.b.dx(t, grid), ms.b.dy(t, grid)
-        lap_b = ms.b.dxx(t, grid) + ms.b.dyy(t, grid)
-        th = ms.theta.value(t, grid)
-        th_t = ms.theta.dt(t, grid)
-        th_x, th_y = ms.theta.dx(t, grid), ms.theta.dy(t, grid)
-        lap_th = ms.theta.dxx(t, grid) + ms.theta.dyy(t, grid)
-        u1, u2 = ms.u.value(t, grid)
-        u1_t, u2_t = ms.u.dt(t, grid)
+        rho, rho_t, rho_x, rho_y, lap_rho = ms.rho.jet(t, grid)
+        b, b_t, b_x, b_y, lap_b = ms.b.jet(t, grid)
+        th, th_t, th_x, th_y, lap_th = ms.theta.jet(t, grid)
+        u, u_t, grads_u = ms.u.jet(t, grid)
+        u1, u2 = u
 
         if not (np.all(rho > 0.0) and np.all(th > 0.0) and np.all(b > 0.0)):
             raise DomainError("manufactured fields must stay strictly positive")
         terms = Terms(
-            rho, b, th, ms.u.jacobian(t, grid), VectorField(grid, rho_x, rho_y),
+            rho, b, th, grads_u, VectorField(grid, rho_x, rho_y),
             VectorField(grid, b_x, b_y), None, reg, p,
         )
         div_u = terms.div_u
@@ -361,21 +298,13 @@ class MmsForcing:
         # exact state is a discrete solution up to spectral-tail terms
         fx, fy = momentum_flux((rho * u1 * u1, rho * u1 * u2, rho * u2 * u2),
                                momentum_pressure(rho, b, th, reg, p), terms.stress)
-        mom_t = np.stack([rho_t * u1 + rho * u1_t, rho_t * u2 + rho * u2_t])
-
-        f_rho, f_b = fwd2(np.stack([g_rho, g_b]), (COS, COS))
         g_u = galerkin_load(
             self.basis,
-            mom_t + rho_gradient_coupling(terms.grad_rho, terms.grads_u, reg),
+            rho_t * u + rho * u_t
+            + rho_gradient_coupling(terms.grad_rho, terms.grads_u, reg),
             -fx, -fy,
         )
-        return f_rho, f_b, g_e, g_u
-
-
-def manufactured_forcing(ms: ManufacturedSolution, reg: RegParams, p: EosParams,
-                         grid: Grid, basis: GalerkinBasis) -> MmsForcing:
-    """Forcings that make `ms` an exact solution of the regularized system."""
-    return MmsForcing(ms, reg, p, grid, basis)
+        return fwd2(np.stack([g_rho, g_b]), (COS, COS)), g_e, g_u
 
 
 def _forced_rung(ms: ManufacturedSolution, reg: RegParams, p: EosParams,
@@ -383,7 +312,7 @@ def _forced_rung(ms: ManufacturedSolution, reg: RegParams, p: EosParams,
     """A `run_ladder` rung: `ms` on `grid`, forced to be an exact solution."""
     basis = GalerkinBasis(grid, reg.n)
     return (ms.initial_data(grid), reg, p, t_final, dt,
-            manufactured_forcing(ms, reg, p, grid, basis), basis)
+            MmsForcing(ms, reg, p, grid, basis), basis)
 
 
 def _measured_orders(ms: ManufacturedSolution, rungs):

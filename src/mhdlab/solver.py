@@ -277,8 +277,10 @@ class Schedule:
             raise DomainError(
                 f"t_final and dt must be finite and > 0, got {self.t_final}, {self.dt}"
             )
-        if self.snapshot_stride < 1:
-            raise DomainError("snapshot_stride must be >= 1")
+        stride = self.snapshot_stride
+        if not (isinstance(stride, (int, np.integer)) and stride >= 1):
+            raise DomainError(f"snapshot_stride must be an integer >= 1, "
+                              f"got {stride!r}")
         # a run takes whole steps, so it ends at t_final only on a multiple
         ratio = self.t_final / self.dt
         whole = np.rint(ratio)  # inf stays inf and then fails the comparison
@@ -397,10 +399,10 @@ def momentum_pressure(rho, b, theta, reg: RegParams, p: EosParams):
     )
 
 
-def momentum_flux(tensor, p_tot, stress=(0.0, 0.0)):
+def momentum_flux(tensor, p_tot, stress):
     """Momentum flux rho u (x) u + p_tot I - S as the (fx, fy) integrands of
     `galerkin_load`, from the advection tensor (t11, t12, t22) and the stress
-    (S11, S12); the stepper's explicit load leaves out S, which is implicit."""
+    (S11, S12)."""
     (t11, t12, t22), (s11, s12) = tensor, stress
     f12 = t12 - s12
     return np.stack([t11 + p_tot - s11, f12]), np.stack([f12, t22 + p_tot + s11])
@@ -993,14 +995,14 @@ def _momentum_load(uw: VelocityWorkspace, p_tot, grho, reg):
     """Galerkin load of the explicit momentum terms.
 
     The advection load and the velocity Jacobian come from the workspace
-    of the time-t state; p_tot is the `momentum_pressure` and grho enters
-    the eps*(grad rho . grad) u coupling.  Their load is that of
-    `momentum_flux` with a zero tensor.
+    of the time-t state; p_tot is the `momentum_pressure`, loaded through
+    the flux rows [p_tot, 0] and [0, p_tot], and grho enters the
+    eps*(grad rho . grad) u coupling.
     """
     zero = np.zeros_like(p_tot)
     return uw.advection_load + galerkin_load(
         uw.u.basis, -rho_gradient_coupling(grho, uw.grads_u, reg),
-        *momentum_flux((zero, zero, zero), p_tot),
+        np.stack([p_tot, zero]), np.stack([zero, p_tot]),
     )
 
 
@@ -1188,8 +1190,7 @@ def step(
     state.handed.clear()
     f_scalar = f_e = f_u = None
     if forcing is not None:
-        f_rho, f_b, f_e, f_u = forcing.at(state.t)
-        f_scalar = np.stack([f_rho, f_b])
+        f_scalar, f_e, f_u = forcing.at(state.t)
 
     rho_new, b_new = advance_scalar(state, reg.epsilon, dt, f_scalar)
     # both advances read grad rho_new; form it once
@@ -1263,8 +1264,8 @@ def tendencies(state: State, reg: RegParams, p: EosParams, forcing=None) -> Tend
     uw = state.workspace
     rates_cc = -uw.scalar_adv_cc - reg.epsilon * grid.k2_cc * uw.scalar_cc
     if forcing is not None:
-        f_rho, f_b, f_e, f_u = forcing.at(state.t)
-        rates_cc = rates_cc + np.stack([f_rho, f_b])
+        f_scalar, f_e, f_u = forcing.at(state.t)
+        rates_cc = rates_cc + f_scalar
     rho_dot, b_dot = bwd2(rates_cc, (COS, COS))
 
     terms = state_terms(state, reg, p)

@@ -517,6 +517,21 @@ class TestCli:
         monkeypatch.setattr(mms, "temporal_order_study", refuse)
         assert cli.main(["mms", "--grid-sizes", sizes]) == 2
 
+    def test_run_leaves_mms_and_sweeps_unloaded(self, tmp_path):
+        # only the mms and sweep commands import their modules; an eager
+        # import would add its time to the setup of every run
+        cfg = tmp_path / "eq.ini"
+        cfg.write_text(MINIMAL)
+        script = ("import sys\nfrom mhdlab import cli\n"
+                  f"assert cli.main(['run', '--config', {str(cfg)!r}, "
+                  f"'--output-dir', {str(tmp_path / 'out')!r}]) == 0\n"
+                  "assert 'mhdlab.mms' not in sys.modules\n"
+                  "assert 'mhdlab.sweeps' not in sys.modules")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_closed_stdout_ends_without_traceback(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": "1"}

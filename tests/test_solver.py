@@ -114,6 +114,14 @@ class TestSchedule:
     def test_whole_multiples_accepted(self, t_final, dt, n):
         assert Schedule(t_final=t_final, dt=dt).n_steps == n
 
+    @pytest.mark.parametrize("stride", [2.5, float("nan"), 2.0, 0])
+    def test_non_integral_stride_rejected(self, stride):
+        with pytest.raises(DomainError):
+            Schedule(t_final=0.1, dt=0.01, snapshot_stride=stride)
+
+    def test_numpy_integer_stride_accepted(self):
+        assert Schedule(t_final=0.1, dt=0.01, snapshot_stride=np.int64(2)).n_steps == 10
+
 
 class TestRegParams:
     def test_rejects_nonpositive(self):

@@ -99,16 +99,13 @@ def mms_momentum_forcing(forcing, t):
     """The momentum forcing of an `MmsForcing` at time t, with the flux rows
     rho u_i u_j + p_tot delta_ij - S_ij written out by hand."""
     ms, reg, p, grid = forcing.ms, forcing.reg, forcing.p, forcing.grid
-    rho = ms.rho.value(t, grid)
-    rho_t = ms.rho.dt(t, grid)
-    b = ms.b.value(t, grid)
-    th = ms.theta.value(t, grid)
-    u1, u2 = ms.u.value(t, grid)
-    u1_t, u2_t = ms.u.dt(t, grid)
+    rho, rho_t, rho_x, rho_y, _ = ms.rho.jet(t, grid)
+    b, _, b_x, b_y, _ = ms.b.jet(t, grid)
+    th = ms.theta.jet(t, grid)[0]
+    (u1, u2), (u1_t, u2_t), grads_u = ms.u.jet(t, grid)
     terms = Terms(
-        rho, b, th, ms.u.jacobian(t, grid),
-        VectorField(grid, ms.rho.dx(t, grid), ms.rho.dy(t, grid)),
-        VectorField(grid, ms.b.dx(t, grid), ms.b.dy(t, grid)), None, reg, p,
+        rho, b, th, grads_u, VectorField(grid, rho_x, rho_y),
+        VectorField(grid, b_x, b_y), None, reg, p,
     )
     u1x, u1y, u2x, u2y = terms.grads_u
     mu = p.mu(th)
