@@ -146,6 +146,8 @@ def cmd_check(args) -> int:
     try:  # bad arguments exit 2 before any check runs
         grid = Grid(args.grid, args.grid)
         diag.check_samples(args.samples)
+        if args.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {args.seed}")
     except MhdError as exc:
         return _fail(str(exc), 2)
     status = 0

@@ -4,15 +4,16 @@ A `DiagnosticsReport` collects, for one time slice, every conserved total,
 the nonnegative dissipation functional, the domination envelope of b/rho and
 the instantaneous defects of the total-energy and entropy balances (computed
 from the semi-discrete tendencies, so an exact equilibrium reports zeros).
-Windowed residuals (centered differences over stored snapshots), weak-form
-residual tables, cut-off renormalization checks and empirical constants for
-the Korn / Poincare / coercivity inequalities live alongside.
+Windowed residuals (centered differences over stored snapshots), the
+weak-form residual table of a trajectory (`weak_residuals(trajectory)`, over
+one fixed set of twelve test functions), cut-off renormalization checks and
+empirical constants for the Korn / Poincare / coercivity inequalities live
+alongside.
 """
 
 from __future__ import annotations
 
 import csv
-from collections import defaultdict
 from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
@@ -57,7 +58,6 @@ from .thermo import (
 
 __all__ = [
     "DiagnosticsReport",
-    "TestFunction",
     "report",
     "sigma_nodal",
     "energy_total",
@@ -66,7 +66,6 @@ __all__ = [
     "mechanical_energy_defect",
     "entropy_balance_residual",
     "weak_residuals",
-    "canonical_test_functions",
     "cutoff_T",
     "cutoff_T_prime",
     "cutoff_L",
@@ -268,251 +267,151 @@ def entropy_balance_residual(window, reg: RegParams, p: EosParams) -> float:
 # weak-formulation residuals
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TestFunction:
-    """Separable space-time test function with analytic derivatives.
+# the nonnegative scalar tests, the ones the entropy inequality is tested on
+_ENTROPY_TESTS = ("const", "bump", "halfcos")
 
-    For scalar tests `spatial(x, y)` returns one array and `spatial_grad`
-    returns (d/dx, d/dy); for vector tests both return pairs/quadruples
-    ((chi1, chi2) and (chi1_x, chi1_y, chi2_x, chi2_y)).  The temporal
-    factor vanishes at the comparison horizon; the default quadratic factor
-    makes trapezoidal time quadrature of its derivative exact.
+
+def _weak_tests(grid: Grid):
+    """The twelve canonical test functions as nodal arrays on `grid`.
+
+    Returns (scalar, vector).  `scalar` maps each of the eight scalar tests
+    (the constant, five cosine modes, a sin^4 bump and a half-cosine) to
+    (chi, d/dx chi, d/dy chi).  `vector` maps each of the four momentum
+    tests, the bump times 1 or cos(pi x / lx) in one component, to
+    ((chi1, chi2), (chi1_x, chi1_y, chi2_x, chi2_y)); the bump and its
+    gradient vanish on the boundary, so these are compactly supported.
     """
+    x, y = grid.X, grid.Y
+    ax, ay = np.pi / grid.lx, np.pi / grid.ly
+    zero = np.zeros(grid.shape)
+    scalar = {"const": (np.ones(grid.shape), zero, zero)}
+    for name, kx, ky in (("cosx", 1, 0), ("cosy", 0, 1), ("cosxy", 1, 1),
+                         ("cos2x", 2, 0), ("cos2y", 0, 2)):
+        cx, cy = np.cos(kx * ax * x), np.cos(ky * ay * y)
+        sx, sy = np.sin(kx * ax * x), np.sin(ky * ay * y)
+        scalar[name] = (cx * cy, -kx * ax * sx * cy, -ky * ay * cx * sy)
 
-    name: str
-    spatial: object
-    spatial_grad: object
-    temporal: object
-    dtemporal: object
-    vector: bool = False
-    compact_support: bool = False
-    nonneg: bool = False
-    space_constant: bool = False
+    sx, sy = np.sin(ax * x), np.sin(ay * y)
+    cx, cy = np.cos(ax * x), np.cos(ay * y)
+    bump = sx**4 * sy**4
+    bump_x = 4.0 * ax * sx**3 * cx * sy**4
+    bump_y = 4.0 * ay * sx**4 * sy**3 * cy
+    scalar["bump"] = (bump, bump_x, bump_y)
+    scalar["halfcos"] = (0.5 * (1.0 + cx), -0.5 * ax * sx, zero)
+
+    vector = {}
+    one, cosx = (1.0, 0.0, 0.0), (cx, -ax * sx, 0.0)
+    for name, (wv, wx, wy), component in (("mom_x", one, 0), ("mom_y", one, 1),
+                                          ("mom_xcos", cosx, 0),
+                                          ("mom_ycos", cosx, 1)):
+        chi = bump * wv
+        dx = bump_x * wv + bump * wx
+        dy = bump_y * wv + bump * wy
+        vector[name] = (((chi, zero), (dx, dy, zero, zero)) if component == 0
+                        else ((zero, chi), (zero, zero, dx, dy)))
+    return scalar, vector
 
 
-def _quadratic_window(t_final):
-    def psi(t):
-        return (1.0 - t / t_final) ** 2
+def _weak_integrals(s: State, psi: float, dpsi: float, scalar, vector,
+                    reg: RegParams, p: EosParams) -> dict:
+    """One state's spatial integral of every row's integrand of the weak
+    residual table, with the window at (psi, dpsi); `scalar` and `vector`
+    as `_weak_tests` returns them."""
+    w = s.grid.weight
+    rho, b, th = s.rho.values, s.b.values, s.theta.values
+    u1, u2 = s.u.vx, s.u.vy
+    t = state_terms(s, reg, p)
+    grho, gb, gth = t.grad_rho, t.grad_b, t.grad_theta
+    fx, fy = momentum_flux((rho * u1 * u1, rho * u1 * u2, rho * u2 * u2),
+                           momentum_pressure(rho, b, th, reg, p), t.stress)
+    rhos = rho_s(rho, th, p)
+    cond = kappa_delta(th, p, reg.delta, reg.Gamma) / th
+    bracket = gibbs_bracket(rho, th, p)
+    th2 = th * th
+    production = t.entropy_production(0.5) - reg.epsilon * (th2 * th2)
+    source = float(t.source.sum() * w)
+    eps1, eps2 = rho_gradient_coupling(grho, t.grads_u, reg)
 
-    def dpsi(t):
-        return -2.0 * (1.0 - t / t_final) / t_final
+    rows = {}
+    for name, (chi, gx, gy) in scalar.items():
+        adv = u1 * gx + u2 * gy
+        for eq, f, gf in (("continuity", rho, grho), ("magnetic", b, gb)):
+            rows[(eq, name)] = float(
+                (dpsi * f * chi + psi * f * adv
+                 - psi * reg.epsilon * (gf.vx * gx + gf.vy * gy)).sum() * w
+            )
+        if name == "const":
+            rows[("energy", name)] = dpsi * energy_total(s, reg, p) + psi * source
+        if name in _ENTROPY_TESTS:
+            integrand = (
+                dpsi * rhos * chi
+                + psi * rhos * adv
+                - psi * cond * (gth.vx * gx + gth.vy * gy)
+                - psi * reg.epsilon * bracket / th
+                * (grho.vx * gx + grho.vy * gy)
+                + psi * chi * production
+            )
+            rows[("entropy", name)] = float(integrand.sum() * w)
 
-    return psi, dpsi
-
-
-def canonical_test_functions(grid: Grid, t_final: float):
-    """The 12 canonical test functions used by the residual tables."""
-    lx, ly = grid.lx, grid.ly
-    psi, dpsi = _quadratic_window(t_final)
-    ax, ay = np.pi / lx, np.pi / ly
-
-    def cos_mode(kx, ky):
-        def f(x, y):
-            return np.cos(kx * ax * x) * np.cos(ky * ay * y)
-
-        def g(x, y):
-            cx, cy = np.cos(kx * ax * x), np.cos(ky * ay * y)
-            sx, sy = np.sin(kx * ax * x), np.sin(ky * ay * y)
-            return (-kx * ax * sx * cy, -ky * ay * cx * sy)
-
-        return f, g
-
-    def bump(x, y):
-        return np.sin(ax * x) ** 4 * np.sin(ay * y) ** 4
-
-    def bump_grad(x, y):
-        sx, sy = np.sin(ax * x), np.sin(ay * y)
-        cx, cy = np.cos(ax * x), np.cos(ay * y)
-        return (
-            4.0 * ax * sx**3 * cx * sy**4,
-            4.0 * ay * sx**4 * sy**3 * cy,
+    for name, (chi, (c1x, c1y, c2x, c2y)) in vector.items():
+        integrand = (
+            dpsi * rho * (u1 * chi[0] + u2 * chi[1])
+            + psi * (fx[0] * c1x + fx[1] * c1y + fy[0] * c2x + fy[1] * c2y)
+            - psi * (eps1 * chi[0] + eps2 * chi[1])
         )
-
-    tests = [
-        TestFunction(
-            "const",
-            lambda x, y: np.ones_like(x),
-            lambda x, y: (np.zeros_like(x), np.zeros_like(x)),
-            psi,
-            dpsi,
-            nonneg=True,
-            space_constant=True,
-        )
-    ]
-    for name, (kx, ky) in [
-        ("cosx", (1, 0)),
-        ("cosy", (0, 1)),
-        ("cosxy", (1, 1)),
-        ("cos2x", (2, 0)),
-        ("cos2y", (0, 2)),
-    ]:
-        f, g = cos_mode(kx, ky)
-        tests.append(TestFunction(name, f, g, psi, dpsi))
-
-    tests.append(TestFunction("bump", bump, bump_grad, psi, dpsi, nonneg=True))
-    tests.append(
-        TestFunction(
-            "halfcos",
-            lambda x, y: 0.5 * (1.0 + np.cos(ax * x)),
-            lambda x, y: (-0.5 * ax * np.sin(ax * x), np.zeros_like(y)),
-            psi,
-            dpsi,
-            nonneg=True,
-        )
-    )
-
-    def vec_test(name, weight_fn, weight_grad, component):
-        def f(x, y):
-            wv = bump(x, y) * weight_fn(x, y)
-            zero = np.zeros_like(wv)
-            return (wv, zero) if component == 0 else (zero, wv)
-
-        def g(x, y):
-            bx, by = bump_grad(x, y)
-            wx, wy = weight_grad(x, y)
-            wv = weight_fn(x, y)
-            dx = bx * wv + bump(x, y) * wx
-            dy = by * wv + bump(x, y) * wy
-            zero = np.zeros_like(dx)
-            if component == 0:
-                return (dx, dy, zero, zero)
-            return (zero, zero, dx, dy)
-
-        return TestFunction(
-            name, f, g, psi, dpsi, vector=True, compact_support=True
-        )
-
-    one = (lambda x, y: 1.0, lambda x, y: (0.0, 0.0))
-    cosx = (
-        lambda x, y: np.cos(ax * x),
-        lambda x, y: (-ax * np.sin(ax * x), 0.0),
-    )
-    tests.append(vec_test("mom_x", one[0], one[1], 0))
-    tests.append(vec_test("mom_y", one[0], one[1], 1))
-    tests.append(vec_test("mom_xcos", cosx[0], cosx[1], 0))
-    tests.append(vec_test("mom_ycos", cosx[0], cosx[1], 1))
-    return tests
+        rows[("momentum", name)] = float(integrand.sum() * w)
+    return rows
 
 
 _np_trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
-def _trapz(values, times):
-    return float(_np_trapezoid(np.asarray(values), np.asarray(times)))
-
-
-def weak_residuals(trajectory, tests, p: EosParams, reg: RegParams):
+def weak_residuals(trajectory) -> dict:
     """Residuals of the weak identities for the regularized system.
 
-    Returns {(equation, test name): value} over the stored snapshots, with
-    trapezoidal quadrature in time and analytic test-function derivatives.
-    The regularization fluxes (eps-diffusion, delta-pressure, the
-    eps grad-rho couplings) are kept inside the tested identities so the
-    residuals measure pure time-discretization error; the entropy entry is
-    the signed slack of the production inequality (<= 0 up to that error).
-    The snapshots' fields are only read; each snapshot's velocity Jacobian
-    is formed once and cached in its `workspace`.
+    Returns {(equation, test name): value}: continuity and magnetic on the
+    eight scalar tests of `_weak_tests`, energy on the constant, entropy on
+    the three nonnegative tests and momentum on the four vector tests, 24
+    rows.  Each test is its spatial factor times psi(t) = (1 - t/T)^2, T the
+    last snapshot's time, so it vanishes there and trapezoidal quadrature
+    of psi' is exact.  The regularization and EOS parameters are the
+    trajectory's.  The regularization fluxes (eps-diffusion,
+    delta-pressure, the eps grad-rho couplings) are kept inside the tested
+    identities so the residuals measure pure time-discretization error; the
+    entropy entry is the signed slack of the production inequality (<= 0 up
+    to that error).  The snapshots' fields are only read; each snapshot's
+    velocity Jacobian is formed once and cached in its `workspace`.
     """
     states = trajectory.states
     if len(states) < 2:
         raise DomainError("weak residuals need at least two snapshots")
-    grid = states[0].grid
+    reg, p = trajectory.reg, trajectory.eos
+    scalar, vector = _weak_tests(states[0].grid)
     times = [s.t for s in states]
-    w = grid.weight
-    x, y = grid.X, grid.Y
-
-    scalar_tests, vector_tests = [], []
     t_end = times[-1]
-    for tf in tests:
-        if abs(tf.temporal(t_end)) > 1e-12:
-            raise DomainError(
-                f"test '{tf.name}': temporal factor must vanish at t = {t_end:g}"
-            )
-        if tf.vector:
-            if not tf.compact_support:
-                raise DomainError(
-                    f"momentum test '{tf.name}' must be compactly supported"
-                )
-            chi = tf.spatial(x, y)
-            grad = tf.spatial_grad(x, y)
-            vector_tests.append((tf, chi, grad))
-        else:
-            chi = np.broadcast_to(np.asarray(tf.spatial(x, y), dtype=float),
-                                  grid.shape)
-            if tf.nonneg and chi.min() < 0.0:
-                raise DomainError(
-                    f"entropy test '{tf.name}' is flagged nonneg but dips to "
-                    f"{chi.min():g}"
-                )
-            gx, gy = tf.spatial_grad(x, y)
-            gx = np.broadcast_to(np.asarray(gx, dtype=float), grid.shape)
-            gy = np.broadcast_to(np.asarray(gy, dtype=float), grid.shape)
-            scalar_tests.append((tf, chi, gx, gy))
+    rows = [
+        _weak_integrals(s, (1.0 - s.t / t_end) ** 2,
+                        -2.0 * (1.0 - s.t / t_end) / t_end, scalar, vector, reg, p)
+        for s in states
+    ]
+    results = {key: float(_np_trapezoid(np.asarray([r[key] for r in rows]),
+                                        np.asarray(times)))
+               for key in rows[0]}
 
-    series = defaultdict(list)
-    # single pass over snapshots; every state-dependent field is computed once
-    for s in states:
-        rho, b, th = s.rho.values, s.b.values, s.theta.values
-        u1, u2 = s.u.vx, s.u.vy
-        t = state_terms(s, reg, p)
-        grho, gb, gth = t.grad_rho, t.grad_b, t.grad_theta
-        fx, fy = momentum_flux((rho * u1 * u1, rho * u1 * u2, rho * u2 * u2),
-                               momentum_pressure(rho, b, th, reg, p), t.stress)
-        rhos = rho_s(rho, th, p)
-        cond = kappa_delta(th, p, reg.delta, reg.Gamma) / th
-        bracket = gibbs_bracket(rho, th, p)
-        th2 = th * th
-        production = t.entropy_production(0.5) - reg.epsilon * (th2 * th2)
-        source = float(t.source.sum() * w)
-        eps1, eps2 = rho_gradient_coupling(grho, t.grads_u, reg)
-
-        for tf, chi, gx, gy in scalar_tests:
-            psi, dpsi = tf.temporal(s.t), tf.dtemporal(s.t)
-            adv = u1 * gx + u2 * gy
-            for eq, f, gf in (("continuity", rho, grho), ("magnetic", b, gb)):
-                series[(eq, tf.name)].append(float(
-                    (dpsi * f * chi + psi * f * adv
-                     - psi * reg.epsilon * (gf.vx * gx + gf.vy * gy)).sum() * w
-                ))
-            if tf.space_constant:
-                series[("energy", tf.name)].append(
-                    dpsi * energy_total(s, reg, p) + psi * source
-                )
-            if tf.nonneg:
-                integrand = (
-                    dpsi * rhos * chi
-                    + psi * rhos * adv
-                    - psi * cond * (gth.vx * gx + gth.vy * gy)
-                    - psi * reg.epsilon * bracket / th
-                    * (grho.vx * gx + grho.vy * gy)
-                    + psi * chi * production
-                )
-                series[("entropy", tf.name)].append(float(integrand.sum() * w))
-
-        for tf, chi, grad in vector_tests:
-            psi, dpsi = tf.temporal(s.t), tf.dtemporal(s.t)
-            c1x, c1y, c2x, c2y = grad
-            integrand = (
-                dpsi * rho * (u1 * chi[0] + u2 * chi[1])
-                + psi * (fx[0] * c1x + fx[1] * c1y + fy[0] * c2x + fy[1] * c2y)
-                - psi * (eps1 * chi[0] + eps2 * chi[1])
-            )
-            series[("momentum", tf.name)].append(float(integrand.sum() * w))
-
-    # time quadrature plus the initial-data term psi(t0) * int f0 chi
-    results = {key: _trapz(values, times) for key, values in series.items()}
+    # the initial-data term psi(t0) * int f0 chi
     s0 = states[0]
+    w = s0.grid.weight
+    psi0 = (1.0 - s0.t / t_end) ** 2
     rhos0 = rho_s(s0.rho.values, s0.theta.values, p)
-    for tf, chi, _, _ in scalar_tests:
-        psi0 = tf.temporal(s0.t)
+    for name, (chi, _, _) in scalar.items():
         for eq, f0 in (("continuity", s0.rho.values), ("magnetic", s0.b.values)):
-            results[(eq, tf.name)] += psi0 * float((f0 * chi).sum() * w)
-        if tf.space_constant:
-            results[("energy", tf.name)] += psi0 * energy_total(s0, reg, p)
-        if tf.nonneg:
-            results[("entropy", tf.name)] += psi0 * float((rhos0 * chi).sum() * w)
-    for tf, chi, _ in vector_tests:
-        results[("momentum", tf.name)] += tf.temporal(s0.t) * float(
+            results[(eq, name)] += psi0 * float((f0 * chi).sum() * w)
+        if name == "const":
+            results[("energy", name)] += psi0 * energy_total(s0, reg, p)
+        if name in _ENTROPY_TESTS:
+            results[("entropy", name)] += psi0 * float((rhos0 * chi).sum() * w)
+    for name, (chi, _) in vector.items():
+        results[("momentum", name)] += psi0 * float(
             (s0.rho.values * (s0.u.vx * chi[0] + s0.u.vy * chi[1])).sum() * w
         )
     return results
@@ -523,7 +422,7 @@ def weak_residuals(trajectory, tests, p: EosParams, reg: RegParams):
 # ---------------------------------------------------------------------------
 
 def _check_cutoff_args(z, k):
-    if np.any(z < 0.0):
+    if not np.all(z >= 0.0):  # NaN fails too
         raise DomainError("cutoff argument must be >= 0")
     if not k >= 1.0:
         raise DomainError("cutoff level k must be >= 1")

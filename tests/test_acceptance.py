@@ -302,11 +302,9 @@ def test_c10_weak_residuals():
     grid = Grid(64, 64)
     reg = RegParams(epsilon=1e-4, delta=1e-4, n=4)
     init = smooth_init(grid, 0.005, "const")
-    t_final = 0.25
-    traj = run(init, reg, P, Schedule(t_final=t_final, dt=5e-4),
+    traj = run(init, reg, P, Schedule(t_final=0.25, dt=5e-4),
                diagnostics_every=0)
-    tests = diag.canonical_test_functions(grid, t_final)
-    table = diag.weak_residuals(traj, tests, P, reg)
+    table = diag.weak_residuals(traj)
     mass_ok = (abs(table[("continuity", "const")])
                <= TOLERANCES["weak_mass_residual"]
                and abs(table[("magnetic", "const")])
@@ -321,9 +319,7 @@ def test_c10_weak_residuals():
     for dt in (4e-3, 2e-3):
         traj_r = run(init_r, REG, P, Schedule(t_final=0.2, dt=dt),
                      diagnostics_every=0)
-        tables[dt] = diag.weak_residuals(
-            traj_r, diag.canonical_test_functions(grid_r, 0.2), P, REG
-        )
+        tables[dt] = diag.weak_residuals(traj_r)
     ratios = [
         abs(tables[4e-3][key]) / abs(tables[2e-3][key])
         for key in [("continuity", "cosx"), ("continuity", "cosxy"),

@@ -491,14 +491,17 @@ class TestCli:
         assert "poincare ratio" in out
         assert "coercivity" in out
 
-    @pytest.mark.parametrize("flag, value", [("--grid", "12"), ("--samples", "5")])
+    @pytest.mark.parametrize("flag, value", [("--grid", "12"), ("--samples", "5"),
+                                             ("--seed", "-1")])
     def test_check_rejects_bad_arguments_before_any_check(self, flag, value, capsys):
         # like sweep and mms: exit 2 with the one FAIL line, no check run
         code = cli.main(["check", flag, value])
         assert code == 2
-        assert capsys.readouterr().out.splitlines() == [
-            "FAIL: nx, ny must be powers of two >= 8, got (12, 12)"
-            if flag == "--grid" else "FAIL: at least 100 samples are required"]
+        assert capsys.readouterr().out.splitlines() == ["FAIL: " + {
+            "--grid": "nx, ny must be powers of two >= 8, got (12, 12)",
+            "--samples": "at least 100 samples are required",
+            "--seed": "seed must be >= 0, got -1",
+        }[flag]]
 
     def test_mms_command_reports_orders(self, capsys):
         code = cli.main(["mms", "--grid-sizes", "16,32"])

@@ -4,12 +4,17 @@ These are the hand-expanded integrands that `diagnostics.weak_residuals`
 and `mms.MmsForcing` wrote out before they took the momentum flux and the
 half-delta entropy production from `solver` (`momentum_flux`,
 `Terms.entropy_production`); the new code is checked against them.
+`weak_residuals(trajectory)` tests against its own fixed table of nodal
+test arrays; the weak-form oracle reads that same table through
+`diagnostics._weak_tests`, so it checks the expanded integrands, not the
+test functions.
 """
 
 from collections import defaultdict
 
 import numpy as np
 
+from mhdlab.diagnostics import _ENTROPY_TESTS, _weak_tests
 from mhdlab.grid import VectorField, galerkin_load
 from mhdlab.solver import Terms, momentum_pressure, rho_gradient_coupling, state_terms
 from mhdlab.thermo import gibbs_bracket, kappa_delta, rho_s
@@ -17,17 +22,22 @@ from mhdlab.thermo import gibbs_bracket, kappa_delta, rho_s
 _np_trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
-def weak_entropy_momentum_table(trajectory, tests, p, reg):
+def weak_entropy_momentum_table(trajectory):
     """The ("entropy", name) and ("momentum", name) entries of the weak
     residual table, with sigma written out in its half-delta form and the
-    momentum integrand expanded by hand."""
+    momentum integrand expanded by hand; the tests are the same nodal
+    arrays, read through `_weak_tests`."""
     states = trajectory.states
+    reg, p = trajectory.reg, trajectory.eos
     grid = states[0].grid
+    scalar, vector = _weak_tests(grid)
+    entropy_tests = {name: scalar[name] for name in _ENTROPY_TESTS}
     times = [s.t for s in states]
+    t_end = times[-1]
     w = grid.weight
-    x, y = grid.X, grid.Y
     series = defaultdict(list)
     for s in states:
+        psi, dpsi = (1.0 - s.t / t_end) ** 2, -2.0 * (1.0 - s.t / t_end) / t_end
         rho, b, th = s.rho.values, s.b.values, s.theta.values
         u1, u2 = s.u.vx, s.u.vy
         t = state_terms(s, reg, p)
@@ -45,53 +55,41 @@ def weak_entropy_momentum_table(trajectory, tests, p, reg):
             + reg.delta / th**2
         ) / th + reg.epsilon * t.gb2 / th + 0.5 * t.art_heat / th
         eps1, eps2 = rho_gradient_coupling(grho, t.grads_u, reg)
-        for tf in tests:
-            psi, dpsi = tf.temporal(s.t), tf.dtemporal(s.t)
-            if tf.vector:
-                chi = tf.spatial(x, y)
-                c1x, c1y, c2x, c2y = tf.spatial_grad(x, y)
-                s_dot_gchi = s11 * (c1x - c2y) + s12 * (c1y + c2x)
-                conv = rho * (
-                    u1 * (u1 * c1x + u2 * c1y) + u2 * (u1 * c2x + u2 * c2y)
-                )
-                integrand = (
-                    dpsi * rho * (u1 * chi[0] + u2 * chi[1])
-                    + psi * conv
-                    + psi * p_tot * (c1x + c2y)
-                    - psi * s_dot_gchi
-                    - psi * (eps1 * chi[0] + eps2 * chi[1])
-                )
-                series[("momentum", tf.name)].append(float(integrand.sum() * w))
-            elif tf.nonneg:
-                chi = np.broadcast_to(np.asarray(tf.spatial(x, y), dtype=float),
-                                      grid.shape)
-                gx, gy = (np.broadcast_to(np.asarray(g, dtype=float), grid.shape)
-                          for g in tf.spatial_grad(x, y))
-                integrand = (
-                    dpsi * rhos * chi
-                    + psi * rhos * (u1 * gx + u2 * gy)
-                    - psi * cond * (gth.vx * gx + gth.vy * gy)
-                    - psi * reg.epsilon * bracket / th
-                    * (grho.vx * gx + grho.vy * gy)
-                    + psi * chi * (sigma_half - reg.epsilon * th**4)
-                )
-                series[("entropy", tf.name)].append(float(integrand.sum() * w))
+        for name, (chi, gx, gy) in entropy_tests.items():
+            integrand = (
+                dpsi * rhos * chi
+                + psi * rhos * (u1 * gx + u2 * gy)
+                - psi * cond * (gth.vx * gx + gth.vy * gy)
+                - psi * reg.epsilon * bracket / th
+                * (grho.vx * gx + grho.vy * gy)
+                + psi * chi * (sigma_half - reg.epsilon * th**4)
+            )
+            series[("entropy", name)].append(float(integrand.sum() * w))
+        for name, (chi, (c1x, c1y, c2x, c2y)) in vector.items():
+            s_dot_gchi = s11 * (c1x - c2y) + s12 * (c1y + c2x)
+            conv = rho * (
+                u1 * (u1 * c1x + u2 * c1y) + u2 * (u1 * c2x + u2 * c2y)
+            )
+            integrand = (
+                dpsi * rho * (u1 * chi[0] + u2 * chi[1])
+                + psi * conv
+                + psi * p_tot * (c1x + c2y)
+                - psi * s_dot_gchi
+                - psi * (eps1 * chi[0] + eps2 * chi[1])
+            )
+            series[("momentum", name)].append(float(integrand.sum() * w))
 
     results = {key: float(_np_trapezoid(np.asarray(v), np.asarray(times)))
                for key, v in series.items()}
     s0 = states[0]
+    psi0 = (1.0 - s0.t / t_end) ** 2
     rhos0 = rho_s(s0.rho.values, s0.theta.values, p)
-    for tf in tests:
-        psi0 = tf.temporal(s0.t)
-        if tf.vector:
-            chi = tf.spatial(x, y)
-            results[("momentum", tf.name)] += psi0 * float(
-                (s0.rho.values * (s0.u.vx * chi[0] + s0.u.vy * chi[1])).sum() * w
-            )
-        elif tf.nonneg:
-            chi = np.broadcast_to(np.asarray(tf.spatial(x, y), dtype=float),
-                                  grid.shape)
-            results[("entropy", tf.name)] += psi0 * float((rhos0 * chi).sum() * w)
+    for name, (chi, _, _) in entropy_tests.items():
+        results[("entropy", name)] += psi0 * float((rhos0 * chi).sum() * w)
+    for name, (chi, _) in vector.items():
+        results[("momentum", name)] += psi0 * float(
+            (s0.rho.values * (s0.u.vx * chi[0] + s0.u.vy * chi[1])).sum() * w
+        )
     return results
 
 
